@@ -2,8 +2,8 @@
 """Round-trip demo: atoms -> truncated moments -> recovered atoms.
 
 Runs a seeded random measure and the classic cancelling pair whose
-projection loses a support plane (forcing a reweighting retry), printing
-true vs recovered atoms.
+coordinate projection loses a support plane (the joint pencil recovers it
+directly), printing true vs recovered atoms.
 """
 
 import argparse

@@ -52,7 +52,6 @@ from .operators import (
 )
 from .recovery import (
     CheckResult,
-    InconsistentRankError,
     RecoveryConfig,
     RecoveryError,
     RecoveryReport,
@@ -75,7 +74,6 @@ __all__ = [
     "DomainError",
     "GalerkinMatrix",
     "IndexBasis",
-    "InconsistentRankError",
     "KernelSpec",
     "MomentMatrix",
     "MultiIndex",

@@ -6,7 +6,7 @@ identifies the exact invocation that produced it; identical invocations
 produce byte-identical files.  All numerics live in the library modules.
 
 Exit codes: 0 ok, 1 usage or I/O error, 2 check/recovery failure,
-3 internal numerical failure (including irreconcilable ranks).
+3 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .moments import (
 )
 from .operators import KernelSpec, galerkin_matrix, spectrum
 from .recovery import (
-    InconsistentRankError,
     RecoveryConfig,
     RecoveryError,
     recover_atoms,
@@ -87,13 +86,7 @@ def _run_spec(args: argparse.Namespace) -> dict:
 
 
 def _config_from_args(args: argparse.Namespace) -> RecoveryConfig:
-    return RecoveryConfig(
-        rank_tol=args.rank_tol,
-        match_tol=args.match_tol,
-        epsilon=args.epsilon,
-        max_retries=args.max_retries,
-        seed=args.seed,
-    )
+    return RecoveryConfig(rank_tol=args.rank_tol, seed=args.seed)
 
 
 def _enclosing_kernel(kind: str, m: DiscreteMeasure) -> KernelSpec:
@@ -254,9 +247,6 @@ def _add_common(parser: argparse.ArgumentParser, *, output_default=None) -> None
     parser.add_argument("--output", default=output_default, help="output path (default stdout)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-8)
-    parser.add_argument("--match-tol", dest="match_tol", type=float, default=1e-5)
-    parser.add_argument("--epsilon", type=float, default=0.05)
-    parser.add_argument("--max-retries", dest="max_retries", type=int, default=8)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +305,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except (InconsistentRankError, NumericalError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except (RecoveryError, QuadratureError) as exc:

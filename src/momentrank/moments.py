@@ -13,6 +13,7 @@ until the entries stabilize below 1e-10.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -144,12 +145,35 @@ class IndexBasis:
         """Basis exponents as a (size, d) integer array."""
         return np.array([mi.entries for mi in self.indices], dtype=np.int64)
 
+    @functools.cached_property
+    def shifts(self) -> np.ndarray:
+        """Positions of alpha + e_j (`shifts[0]`) and alpha - e_j (`shifts[1]`).
+
+        Shape (2, size, d); -1 where the shifted index leaves the basis.
+        """
+        exps = self.entries_array()
+        table = np.empty((2, self.size, self.dimension), dtype=np.int64)
+        for s, step in enumerate((1, -1)):
+            for j in range(self.dimension):
+                moved = exps.copy()
+                moved[:, j] += step
+                table[s, :, j] = [self._position.get(tuple(e), -1) for e in moved.tolist()]
+        return table
+
+
+def _parents(basis: IndexBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Per index alpha != 0: its first nonzero axis v and the position of its
+    parent alpha - e_v, one degree lower (entry 0 is meaningless)."""
+    down = basis.shifts[1]
+    var = np.argmax(down >= 0, axis=1)
+    return var, down[np.arange(basis.size), var]
+
 
 def monomial_table(points: np.ndarray, basis: IndexBasis) -> np.ndarray:
     """Values z^alpha for every point (rows) and basis index (columns).
 
-    Built by one multiplication per index from its degree-lowered parent,
-    reusing lower-degree results along the graded order.
+    Built one degree at a time: each index is its parent's column times one
+    coordinate, reusing lower-degree results along the graded order.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim == 1:
@@ -159,16 +183,11 @@ def monomial_table(points: np.ndarray, basis: IndexBasis) -> np.ndarray:
         raise ValueError("point dimension does not match basis dimension")
     table = np.empty((n_points, basis.size), dtype=complex)
     table[:, 0] = 1.0
-    for i, mi in enumerate(basis.indices):
-        if i == 0:
-            continue
-        var = next(v for v, e in enumerate(mi.entries) if e > 0)
-        parent = basis.position(
-            MultiIndex(
-                mi.entries[:var] + (mi.entries[var] - 1,) + mi.entries[var + 1:]
-            )
-        )
-        table[:, i] = table[:, parent] * pts[:, var]
+    var, parent = _parents(basis)
+    stop = 1
+    for degree in range(1, basis.max_degree + 1):
+        start, stop = stop, math.comb(degree + basis.dimension, basis.dimension)
+        table[:, start:stop] = table[:, parent[start:stop]] * pts[:, var[start:stop]]
     return table
 
 
@@ -443,32 +462,16 @@ def _rotation_coefficients(basis: IndexBasis, unitary: np.ndarray) -> np.ndarray
     Built along the graded order, extending each parent expansion by one
     linear factor sum_j U[v, j] z_j.
     """
-    d = basis.dimension
     n = basis.size
-    bump = np.full((n, d), -1, dtype=np.int64)
-    for i, mi in enumerate(basis.indices):
-        if mi.degree >= basis.max_degree:
-            continue
-        for j in range(d):
-            bumped = MultiIndex(
-                mi.entries[:j] + (mi.entries[j] + 1,) + mi.entries[j + 1:]
-            )
-            bump[i, j] = basis.position(bumped)
+    up = basis.shifts[0]
+    var, parent = _parents(basis)
     coeffs = np.zeros((n, n), dtype=complex)
     coeffs[0, 0] = 1.0
-    for i, mi in enumerate(basis.indices):
-        if i == 0:
-            continue
-        var = next(v for v, e in enumerate(mi.entries) if e > 0)
-        parent = basis.position(
-            MultiIndex(mi.entries[:var] + (mi.entries[var] - 1,) + mi.entries[var + 1:])
-        )
-        row = coeffs[i]
-        parent_row = coeffs[parent]
+    for i in range(1, n):
+        parent_row = coeffs[parent[i]]
         for p in np.nonzero(parent_row)[0]:
-            value = parent_row[p]
-            for j in range(d):
-                row[bump[p, j]] += unitary[var, j] * value
+            # up[p] holds d distinct positions, so the fancy += adds every term
+            coeffs[i, up[p]] += unitary[var[i]] * parent_row[p]
     return coeffs
 
 

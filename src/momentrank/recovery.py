@@ -1,39 +1,23 @@
 """Recovery of the atomic decomposition of a measure from its truncated moments.
 
-The one-dimensional case is a matrix-pencil method: the row-shifted moment
-matrix and the original one are compressed onto the top-N singular subspace,
-and the atom locations fall out as generalized eigenvalues; weights follow
-from a Vandermonde least-squares solve.
+One joint multiplication-matrix pencil serves every dimension d >= 1
+(multivariate Prony / flat extension).  For a measure with N atoms at
+zeta_1 .. zeta_N, the degree-(D-1) block A_0 = (a_{alpha beta}) and its row
+shifts A_j = (a_{alpha + e_j, beta}) factor as V^T Lambda W and
+V^T Lambda Z_j W with Z_j = diag(zeta_{k, j}).  Compressed onto the top-N
+singular subspace of A_0 they give N x N matrices B_0, B_j with
 
-For d >= 2 the recovery runs by induction on dimension:
+    B_0^{-1} B_j = Q^{-1} Z_j Q   for every j,
 
-  (a) recover the last d-1 coordinates from the submatrix with
-      alpha_1 = beta_1 = 0 (the moments of the pushforward measure),
-  (b) recover the first d-1 coordinates from the mirror submatrix with
-      alpha_d = beta_d = 0,
-  (c) intersect the two families of coordinate planes into a candidate grid
-      (a full Cartesian product for d = 2, shared-coordinate matching
-      otherwise),
-  (d) rotate the coordinates by a seeded random unitary at the moment level
-      and keep only candidates whose rotated image shows up in a recovery of
-      the rotated projection,
-  (e) solve for the weights of the surviving candidates against the original
-      moments and prune the insignificant ones.
+so all d multiplication matrices share one eigenbasis.  One seeded random
+combination sum_j c_j B_0^{-1} B_j is eigendecomposed, every coordinate is
+read off its eigenvectors, the weights solve the moment equations in least
+squares, and a short Gauss-Newton polish takes the fit to the rounding
+floor.  For d = 1 this is the classic matrix pencil.
 
-Weight cancellation can make a projection lose atoms entirely (a plane of
-the support becomes invisible).  Whenever an attempt fails, the moments are
-reweighted by |1 + eps * ell|^2 for a fresh seeded linear ell, which breaks
-the cancellation generically, and the attempt is repeated; each retry
-consumes one degree of truncation headroom.  Locations recovered under the
-reweighting are kept, while weights are always re-solved against the
-original moments.
-
-Reweighting cannot repair a purely geometric degeneracy: atoms that are
-well separated in C^d but nearly collide in one coordinate projection.
-When the reweighting retries are exhausted (or the truncation has no
-headroom for them), the whole problem is therefore restated in a generic
-rotated frame, recovered there, and the atoms rotated back, which makes
-every projected gap comparable to the full-space separation.
+The SVD rank estimate can undercount by one when a singular value straddles
+the threshold, so a fit that misses the residual gate is retried one and two
+ranks higher.
 """
 
 from __future__ import annotations
@@ -42,38 +26,21 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .measures import (
-    Atom,
-    ComplexPoint,
-    DensityMeasure,
-    DiscreteMeasure,
-    perturb_weight,
-    pushforward_drop_coord,
-    random_unitary,
-    rotate_unitary,
-    weight_by_g,
-)
+from .measures import Atom, ComplexPoint, DensityMeasure, DiscreteMeasure
 from .moments import (
     IndexBasis,
     MomentMatrix,
-    MultiIndex,
     NumericalError,
-    leading_truncation,
     moment_matrix,
     monomial_table,
     numerical_rank,
-    reweight_moments,
-    rotate_moments,
-    submatrix_drop_coord,
 )
 
 __all__ = [
     "RecoveryConfig",
     "RecoveryReport",
     "RecoveryError",
-    "InconsistentRankError",
     "CheckResult",
     "TheoremVerdict",
     "recover_1d",
@@ -83,54 +50,38 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-6
-_ROTATION_SEED_STRIDE = 104729
-_ROTATION_TRIES = 3
-_FRAME_SEED_STRIDE = 7919
-_FRAME_TRIES = 3
 _POLISH_ITERATIONS = 3
 
 
 class RecoveryError(RuntimeError):
-    """Recovery failed: residual too large, empty grid, or retries exhausted."""
-
-
-class InconsistentRankError(RecoveryError):
-    """The significant-weight atom count disagrees with the detected rank."""
+    """Recovery failed: the degree is too low for the rank, or no rank fits."""
 
 
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Tunables for the recovery pipeline.
 
-    rank_tol is the relative SVD threshold, match_tol the location-matching
-    distance, epsilon the size of the reweighting perturbation, and seed
-    drives every random choice (rotations and perturbation polynomials).
+    rank_tol is the relative SVD threshold (also the relative weight below
+    which an atom is pruned); seed draws the coefficients of the combined
+    multiplication matrix.
     """
 
     rank_tol: float = 1e-8
-    match_tol: float = 1e-5
-    epsilon: float = 0.05
-    max_retries: int = 8
     seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.rank_tol < 1:
             raise ValueError("rank_tol must lie in (0, 1)")
-        if self.match_tol <= 0:
-            raise ValueError("match_tol must be positive")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
 
 
 @dataclass(frozen=True)
 class RecoveryReport:
     """Outcome of a recovery run.
 
-    The residual is always measured against the input moments (never an
-    intermediate reweighted matrix); on success the atom count equals the
-    detected rank.
+    The residual is the largest entry of |moments(atoms) - input|; on success
+    the atom count equals the detected rank.  retries_used counts the rank
+    increments tried past the SVD estimate, retry_log holds one line per
+    failed rank, and rotation_seed_used is the seed of the combination.
     """
 
     atoms: DiscreteMeasure
@@ -148,144 +99,6 @@ def _sorted_atoms(atoms: list[Atom]) -> tuple[Atom, ...]:
     return tuple(sorted(atoms, key=key))
 
 
-def _residual_against(measure: DiscreteMeasure, a: MomentMatrix, degree: int) -> float:
-    target = leading_truncation(a, degree)
-    if measure.atoms:
-        predicted = moment_matrix(measure, degree).entries
-    else:
-        predicted = np.zeros_like(target.entries)
-    return float(np.max(np.abs(predicted - target.entries)))
-
-
-def _pencil_fit(a: MomentMatrix, n: int, cfg: RecoveryConfig) -> DiscreteMeasure:
-    """One pencil extraction at a prescribed rank, gated by the residual."""
-    degree = a.max_degree
-    if degree < n:
-        raise RecoveryError(
-            f"truncation degree {degree} is below the detected rank {n}"
-        )
-    entries = a.entries
-    a0 = entries[:degree, :degree]
-    a_up = entries[1 : degree + 1, :degree]
-    try:
-        u, _, vh = np.linalg.svd(a0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed in pencil setup: {exc}") from exc
-    u_n = u[:, :n]
-    v_n = vh[:n, :].conj().T
-    b0 = u_n.conj().T @ a0 @ v_n
-    b1 = u_n.conj().T @ a_up @ v_n
-    try:
-        locations = scipy.linalg.eig(b1, b0, right=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"pencil eigenproblem failed: {exc}") from exc
-    if not np.all(np.isfinite(locations)):
-        raise RecoveryError("pencil produced non-finite locations")
-
-    def solve_weights(locs: np.ndarray) -> np.ndarray:
-        vand = np.vander(locs, degree + 1, increasing=True).T
-        lam, *_ = np.linalg.lstsq(vand, entries[:, 0], rcond=None)
-        return lam
-
-    weights = solve_weights(locations)
-    keep = np.abs(weights) >= cfg.rank_tol * np.max(np.abs(weights))
-    locations = locations[keep]
-    weights = solve_weights(locations)
-    locations, weights = _polish_atoms(locations[:, np.newaxis], weights, a)
-    atoms = [
-        Atom(ComplexPoint((complex(z),)), complex(w))
-        for z, w in zip(locations[:, 0], weights)
-        if w != 0
-    ]
-    measure = DiscreteMeasure(1, _sorted_atoms(atoms))
-    residual = _residual_against(measure, a, degree)
-    if residual > _RESIDUAL_TOL:
-        raise RecoveryError(
-            f"recovery failed: residual {residual:.3e} above {_RESIDUAL_TOL:.1e} "
-            f"(pencil rank {n}, {measure.atom_count} atoms)"
-        )
-    return measure
-
-
-def recover_1d(a: MomentMatrix, cfg: RecoveryConfig = RecoveryConfig()) -> DiscreteMeasure:
-    """Matrix-pencil recovery of a one-dimensional atomic measure.
-
-    Locations are the generalized eigenvalues of the compressed pencil
-    (A_shifted, A); weights solve sum_t lambda_t zeta_t^j = a_{j0} in least
-    squares.  Atoms with weight below rank_tol * max|weight| are dropped and
-    the result is re-validated against the full input matrix.
-
-    The SVD rank estimate can undercount by one when a singular-value ratio
-    sits exactly at the threshold; if the fit at the estimated rank fails
-    the residual gate and the next singular value is not numerically zero,
-    the pencil is retried one and two ranks higher.
-    """
-    if a.dimension != 1:
-        raise ValueError("recover_1d expects a one-dimensional moment matrix")
-    estimate = numerical_rank(a, cfg.rank_tol)
-    if estimate.rank == 0:
-        return DiscreteMeasure(1, ())
-    sv = estimate.singular_values
-    ranks = [estimate.rank]
-    for r in (estimate.rank + 1, estimate.rank + 2):
-        if r <= a.max_degree and r <= len(sv) and sv[r - 1] > 1e-13 * sv[0]:
-            ranks.append(r)
-    last_error: RecoveryError | None = None
-    for r in ranks:
-        try:
-            return _pencil_fit(a, r, cfg)
-        except RecoveryError as exc:
-            last_error = exc
-    raise last_error
-
-
-def _recover_locations(
-    a: MomentMatrix, cfg: RecoveryConfig, source: DiscreteMeasure | None
-) -> DiscreteMeasure:
-    """Recover a sub-problem (any dimension); returns only the atoms."""
-    if a.dimension == 1:
-        return recover_1d(a, cfg)
-    return recover_atoms(a, cfg, source=source).atoms
-
-
-def _candidate_grid(
-    back: DiscreteMeasure, front: DiscreteMeasure, match_tol: float
-) -> list[tuple[complex, ...]]:
-    """Intersect the two projected atom families into location candidates.
-
-    back holds coordinates (z_1 .. z_{d-1}), front holds (z_2 .. z_d).  For
-    d = 2 every pairing is admissible; for d >= 3 the d-2 shared coordinates
-    must agree within match_tol, and the candidate takes z_1 from the back
-    atom and the rest from the front atom.
-    """
-    candidates = []
-    for b in back.atoms:
-        for f in front.atoms:
-            shared_b = b.location.coords[1:]
-            shared_f = f.location.coords[: len(shared_b)]
-            if shared_b:
-                gap = math.sqrt(
-                    sum(abs(x - y) ** 2 for x, y in zip(shared_b, shared_f))
-                )
-                if gap > match_tol:
-                    continue
-            candidates.append((b.location.coords[0],) + f.location.coords)
-    return candidates
-
-
-def _dedup_points(
-    points: list[tuple[complex, ...]], tol: float
-) -> list[tuple[complex, ...]]:
-    ordered = sorted(points, key=lambda p: tuple(x for c in p for x in (c.real, c.imag)))
-    kept: list[tuple[complex, ...]] = []
-    for p in ordered:
-        if all(
-            math.sqrt(sum(abs(a - b) ** 2 for a, b in zip(p, q))) > tol for q in kept
-        ):
-            kept.append(p)
-    return kept
-
-
 def _equation_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) of the moment equations used for weight fitting.
 
@@ -301,9 +114,9 @@ def _equation_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([idx, zeros, idx]), np.concatenate([zeros, idx, idx])
 
 
-def _solve_candidate_weights(a: MomentMatrix, candidates: np.ndarray) -> np.ndarray:
+def _solve_weights(a: MomentMatrix, locations: np.ndarray) -> np.ndarray:
     """Least-squares weights for sum_k lambda_k zeta_k^alpha conj(zeta_k)^beta = a_ab."""
-    table = monomial_table(candidates, a.basis)
+    table = monomial_table(locations, a.basis)
     rows, cols = _equation_pairs(a.basis.size)
     design = (table[:, rows] * table.conj()[:, cols]).T
     rhs = a.entries[rows, cols]
@@ -316,8 +129,8 @@ def _polish_atoms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton refinement of (locations, weights) on the moment equations.
 
-    The pencil and grid steps land within ~1e-12 of the true parameters; a
-    few Newton iterations push them to the rounding floor, which matters for
+    The pencil lands within ~1e-12 of the true parameters; a few Newton
+    iterations push them to the rounding floor, which matters for
     high-degree moments whose absolute scale amplifies location error.
     Derivatives are taken in Wirtinger form (z and conj(z) independent) and
     stacked into a real system.  The best iterate by max-residual is kept.
@@ -327,13 +140,7 @@ def _polish_atoms(
     d = basis.dimension
     m_count = locations.shape[0]
     rows, cols = _equation_pairs(basis.size)
-    lower = np.full((basis.size, d), -1, dtype=np.int64)
-    for i, mi in enumerate(basis.indices):
-        for v in range(d):
-            if mi.entries[v] > 0:
-                lower[i, v] = basis.position(
-                    MultiIndex(mi.entries[:v] + (mi.entries[v] - 1,) + mi.entries[v + 1:])
-                )
+    lower = basis.shifts[1]
 
     def residual_vector(locs, lam):
         table = monomial_table(locs, basis)
@@ -374,251 +181,116 @@ def _polish_atoms(
     return best_locs, best_lam
 
 
-def _empty_report(a: MomentMatrix, cfg: RecoveryConfig) -> RecoveryReport:
-    residual = float(np.max(np.abs(a.entries)))
-    return RecoveryReport(
-        atoms=DiscreteMeasure(a.dimension, ()),
-        residual=residual,
-        detected_rank=0,
-        retries_used=0,
-        rotation_seed_used=cfg.seed,
-    )
+def _pencil_locations(a: MomentMatrix, block: int, rank: int, seed: int) -> np.ndarray:
+    """Atom locations (rank, d) from the compressed joint pencil.
+
+    The first `block` basis indices are those of degree <= D-1, so A_0 and
+    its row shifts A_j lie inside the matrix.  On the top singular subspace
+    B_0 = diag(sigma), so B_0^{-1} B_j is a row scaling; the eigenvectors Y
+    of one seeded combination sum_j c_j B_0^{-1} B_j diagonalize every
+    B_0^{-1} B_j, and coordinate j is diag(Y^{-1} B_0^{-1} B_j Y).
+    """
+    up = a.basis.shifts[0][:block]
+    a0 = a.entries[:block, :block]
+    shifted = np.stack([a.entries[up[:, j], :block] for j in range(a.dimension)])
+    coeffs = np.random.default_rng(seed).standard_normal(a.dimension)
+    try:
+        u, sigma, vh = np.linalg.svd(a0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed in pencil setup: {exc}") from exc
+    u_n = u[:, :rank]
+    v_n = vh[:rank, :].conj().T
+    mult = (u_n.conj().T @ shifted @ v_n) / sigma[:rank, np.newaxis]
+    try:
+        _, y = np.linalg.eig(np.tensordot(coeffs, mult, axes=1))
+        locations = np.einsum("ka,jab,bk->kj", np.linalg.inv(y), mult, y)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"pencil eigenproblem failed: {exc}") from exc
+    if not np.all(np.isfinite(locations)):
+        raise RecoveryError("pencil produced non-finite locations")
+    return locations
 
 
-def _attempt(
-    work: MomentMatrix,
-    original: MomentMatrix,
-    n_full: int,
-    cfg: RecoveryConfig,
-    attempt_index: int,
-    work_source: DiscreteMeasure | None,
-) -> tuple[DiscreteMeasure, float, int, list[str]]:
-    d = work.dimension
-    notes: list[str] = []
-    front_matrix = submatrix_drop_coord(work, 0)
-    back_matrix = submatrix_drop_coord(work, d - 1)
-    front_source = (
-        pushforward_drop_coord(work_source, 0) if work_source is not None else None
-    )
-    back_source = (
-        pushforward_drop_coord(work_source, d - 1) if work_source is not None else None
-    )
-    front = _recover_locations(front_matrix, cfg, front_source)
-    back = _recover_locations(back_matrix, cfg, back_source)
-    for name, sub in (("front", front), ("back", back)):
-        if sub.atom_count < n_full:
-            notes.append(
-                f"{name} projection rank {sub.atom_count} below full rank {n_full}"
-            )
-
-    candidates = _candidate_grid(back, front, cfg.match_tol)
-    candidates = _dedup_points(candidates, cfg.match_tol)
-    if not candidates:
-        raise RecoveryError(
-            "empty candidate grid (projections lost the support planes); " + "; ".join(notes)
-        )
-
-    # rotation step: separate grid points through a generic unitary and keep
-    # only candidates visible in the rotated projection.  An unlucky unitary
-    # can nearly collide two rotated atoms; that is a property of the
-    # rotation, not the measure, so it is retried with a fresh seed without
-    # spending reweighting headroom.
-    survivors = None
-    rotation_error = None
-    for rotation_try in range(_ROTATION_TRIES):
-        rotation_seed = cfg.seed + _ROTATION_SEED_STRIDE * (
-            attempt_index * _ROTATION_TRIES + rotation_try + 1
-        )
-        u = random_unitary(d, rotation_seed)
-        rotated_source = None
-        if work_source is not None:
-            rotated_source = rotate_unitary(work_source, u)
-            rotated = moment_matrix(rotated_source, work.max_degree)
-        else:
-            rotated = rotate_moments(work, u)
-        try:
-            rotated_front = _recover_locations(
-                submatrix_drop_coord(rotated, 0),
-                cfg,
-                pushforward_drop_coord(rotated_source, 0)
-                if rotated_source is not None
-                else None,
-            )
-            if rotated_front.atom_count == 0:
-                raise RecoveryError("rotated projection recovered no atoms")
-            rotated_locs = rotated_front.locations_matrix()
-            cand_array = np.array(candidates, dtype=complex)
-            images = cand_array @ u.T  # rows are U @ candidate
-            kept = []
-            for row, cand in zip(images, candidates):
-                gaps = np.sqrt(np.sum(np.abs(rotated_locs - row[1:]) ** 2, axis=1))
-                if float(np.min(gaps)) <= cfg.match_tol:
-                    kept.append(cand)
-            if len(kept) < n_full:
-                raise InconsistentRankError(
-                    f"rotation filtering kept {len(kept)} of {len(candidates)} "
-                    f"candidates, full-matrix rank {n_full}"
-                )
-            survivors = kept
-            break
-        except RecoveryError as exc:
-            rotation_error = exc
-            notes.append(f"rotation seed {rotation_seed}: {exc}")
-    if survivors is None:
-        raise RecoveryError(
-            f"all {_ROTATION_TRIES} rotations failed; " + "; ".join(notes)
-        ) from rotation_error
-
-    cand_array = np.array(survivors, dtype=complex)
-    weights = _solve_candidate_weights(original, cand_array)
+def _fit(
+    a: MomentMatrix, block: int, rank: int, cfg: RecoveryConfig
+) -> tuple[DiscreteMeasure, float]:
+    """One pencil extraction at a prescribed rank, gated by the residual."""
+    locations = _pencil_locations(a, block, rank, cfg.seed)
+    weights = _solve_weights(a, locations)
     keep = np.abs(weights) >= cfg.rank_tol * np.max(np.abs(weights))
-    cand_array = cand_array[keep]
-    weights = _solve_candidate_weights(original, cand_array)
-    cand_array, weights = _polish_atoms(cand_array, weights, original)
+    locations = locations[keep]
+    weights = _solve_weights(a, locations)
+    locations, weights = _polish_atoms(locations, weights, a)
     atoms = [
-        Atom(ComplexPoint(tuple(loc)), complex(w))
-        for loc, w in zip(cand_array, weights)
+        Atom(ComplexPoint(tuple(complex(z) for z in loc)), complex(w))
+        for loc, w in zip(locations, weights)
         if w != 0
     ]
-    measure = DiscreteMeasure(d, _sorted_atoms(atoms))
-
-    check_degree = original.max_degree - attempt_index
-    residual = _residual_against(measure, original, check_degree)
+    measure = DiscreteMeasure(a.dimension, _sorted_atoms(atoms))
+    predicted = moment_matrix(measure, a.max_degree).entries
+    residual = float(np.max(np.abs(predicted - a.entries)))
     if residual > _RESIDUAL_TOL:
         raise RecoveryError(
-            f"residual {residual:.3e} above {_RESIDUAL_TOL:.1e} with "
-            f"{measure.atom_count} atoms; " + "; ".join(notes)
+            f"residual {residual:.3e} above {_RESIDUAL_TOL:.1e} "
+            f"(pencil rank {rank}, {measure.atom_count} atoms)"
         )
-    if measure.atom_count != n_full:
-        # the fit explains the moments, so the SVD estimate was off by a
-        # threshold-straddling singular value; trust the fit
-        notes.append(
-            f"atom count {measure.atom_count} overrides rank estimate {n_full}"
-        )
-    return measure, residual, rotation_seed, notes
+    return measure, residual
 
 
-def recover_atoms(
-    a: MomentMatrix,
-    cfg: RecoveryConfig = RecoveryConfig(),
-    source: DiscreteMeasure | None = None,
-) -> RecoveryReport:
+def recover_atoms(a: MomentMatrix, cfg: RecoveryConfig = RecoveryConfig()) -> RecoveryReport:
     """Recover the atoms of a finite-rank measure from its truncated moments.
 
-    `source` is a test-mode hook: when the matrix is known to come from a
-    concrete measure, rotated and projected matrices are recomputed from the
-    measure itself instead of by moment-level transformation, which exercises
-    the measure-level operations against the matrix-level ones.
-
-    Raises RecoveryError when retries are exhausted or no attempt reaches the
-    residual tolerance, and InconsistentRankError when the recovered atom
-    count cannot be reconciled with the detected rank.
+    The rank N comes from the SVD of the whole matrix; the joint pencil is
+    fitted at N and, while the residual gate fails and the next singular
+    value is not numerically zero, at N + 1 and N + 2.  Raises RecoveryError
+    when the degree-(D-1) block is smaller than N or no rank fits.
     """
-    n_full = numerical_rank(a, cfg.rank_tol).rank
-    if n_full == 0:
-        return _empty_report(a, cfg)
-    if a.dimension == 1:
-        measure = recover_1d(a, cfg)
+    estimate = numerical_rank(a, cfg.rank_tol)
+    n = estimate.rank
+    if n == 0:
         return RecoveryReport(
-            atoms=measure,
-            residual=_residual_against(measure, a, a.max_degree),
-            detected_rank=measure.atom_count,
+            atoms=DiscreteMeasure(a.dimension, ()),
+            residual=float(np.max(np.abs(a.entries))),
+            detected_rank=0,
             retries_used=0,
             rotation_seed_used=cfg.seed,
         )
-
-    work = a
-    work_source = source
+    d, degree = a.dimension, a.max_degree
+    block = math.comb(degree - 1 + d, d) if degree else 0
+    if block < n:
+        raise RecoveryError(
+            f"degree-{degree - 1} block of size {block} is below the detected rank {n}"
+        )
+    sv = estimate.singular_values
+    ranks = [n] + [r for r in (n + 1, n + 2) if r <= block and sv[r - 1] > 1e-13 * sv[0]]
     log: list[str] = []
-    last_error: RecoveryError | None = None
-    reweights_done = 0
-    for attempt_index in range(cfg.max_retries + 1):
-        if attempt_index > 0:
-            # one degree of headroom per retry; the pencil needs a margin of
-            # one above the rank, so stop reweighting when it would be lost
-            if work.max_degree - 1 < n_full + 1:
-                log.append(
-                    f"no headroom for reweighting retry {attempt_index} "
-                    f"(degree {work.max_degree}, rank {n_full})"
-                )
-                break
-            g = perturb_weight(cfg.seed + attempt_index, cfg.epsilon, a.dimension)
-            work = reweight_moments(work, g)
-            if work_source is not None:
-                work_source = weight_by_g(work_source, g)
-            reweights_done = attempt_index
+    for attempt, rank in enumerate(ranks):
         try:
-            measure, residual, rotation_seed, notes = _attempt(
-                work, a, n_full, cfg, attempt_index, work_source
-            )
+            measure, residual = _fit(a, block, rank, cfg)
         except RecoveryError as exc:
-            log.append(f"attempt {attempt_index}: {exc}")
-            last_error = exc
+            log.append(f"attempt {attempt}: {exc}")
             continue
-        log.extend(f"attempt {attempt_index}: {note}" for note in notes)
         return RecoveryReport(
             atoms=measure,
             residual=residual,
             detected_rank=measure.atom_count,
-            retries_used=attempt_index,
-            rotation_seed_used=rotation_seed,
+            retries_used=rank - n,
+            rotation_seed_used=cfg.seed,
             retry_log=tuple(log),
         )
+    raise RecoveryError("no rank fits the moments; log: " + " | ".join(log))
 
-    # reweighting could not explain the moments: restate the whole problem
-    # in generic rotated frames (projections of well-separated atoms can
-    # nearly collide in the original axes; a generic unitary undoes that)
-    for frame_try in range(1, _FRAME_TRIES + 1):
-        frame_seed = cfg.seed + _FRAME_SEED_STRIDE * frame_try
-        u = random_unitary(a.dimension, frame_seed)
-        framed = rotate_moments(a, u)
-        framed_source = rotate_unitary(source, u) if source is not None else None
-        try:
-            framed_measure, _, rotation_seed, notes = _attempt(
-                framed, framed, n_full, cfg, 0, framed_source
-            )
-        except RecoveryError as exc:
-            log.append(f"frame {frame_seed}: {exc}")
-            last_error = exc
-            continue
-        # rotate the atoms back and refit against the true input
-        back = rotate_unitary(framed_measure, u.conj().T)
-        locations = back.locations_matrix()
-        weights = _solve_candidate_weights(a, locations)
-        locations, weights = _polish_atoms(locations, weights, a)
-        atoms = [
-            Atom(ComplexPoint(tuple(loc)), complex(w))
-            for loc, w in zip(locations, weights)
-            if w != 0
-        ]
-        measure = DiscreteMeasure(a.dimension, _sorted_atoms(atoms))
-        residual = _residual_against(measure, a, a.max_degree)
-        if residual > _RESIDUAL_TOL:
-            log.append(
-                f"frame {frame_seed}: back-rotation refit residual {residual:.3e}, "
-                f"{measure.atom_count} atoms"
-            )
-            last_error = RecoveryError(log[-1])
-            continue
-        log.append(f"frame {frame_seed}: recovered in a rotated frame")
-        log.extend(f"frame {frame_seed}: {note}" for note in notes)
-        return RecoveryReport(
-            atoms=measure,
-            residual=residual,
-            detected_rank=measure.atom_count,
-            retries_used=reweights_done,
-            rotation_seed_used=rotation_seed,
-            retry_log=tuple(log),
-        )
 
-    if isinstance(last_error, InconsistentRankError):
-        raise InconsistentRankError(
-            "reweighting retries and rotated frames exhausted; log: "
-            + " | ".join(log)
-        ) from last_error
-    raise RecoveryError(
-        "reweighting retries and rotated frames exhausted; log: " + " | ".join(log)
-    ) from last_error
+def recover_1d(a: MomentMatrix, cfg: RecoveryConfig = RecoveryConfig()) -> DiscreteMeasure:
+    """Matrix-pencil recovery of a one-dimensional atomic measure.
+
+    The d = 1 entry to `recover_atoms`: locations are the generalized
+    eigenvalues of the compressed pencil (A_shifted, A), and the weights
+    solve the moment equations in least squares.
+    """
+    if a.dimension != 1:
+        raise ValueError("recover_1d expects a one-dimensional moment matrix")
+    return recover_atoms(a, cfg).atoms
 
 
 def match_atoms(
@@ -704,7 +376,7 @@ def verify_theorem(
         )
         recovery_degree = max(max(degrees), n + 1)
         try:
-            report = recover_atoms(moment_matrix(m, recovery_degree), cfg, source=m)
+            report = recover_atoms(moment_matrix(m, recovery_degree), cfg)
             matched = match_atoms(report.atoms, m, 1e-6)
             ok = matched is not None and matched[1] <= 1e-6
             measured = {

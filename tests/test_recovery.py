@@ -105,13 +105,11 @@ def test_recover_atoms_single_atom_d2():
     assert matched is not None and matched[1] <= 1e-8
 
 
-def test_recover_atoms_cancellation_uses_retry():
+def test_recover_atoms_cancelling_pair():
     report = recover_atoms(moment_matrix(CANCELLING, 4), RecoveryConfig(seed=0))
-    assert report.retries_used >= 1
     matched = match_atoms(report.atoms, CANCELLING, 1e-6)
     assert matched is not None and matched[1] <= 1e-6
     assert report.residual <= 1e-6
-    assert any("projection" in line for line in report.retry_log)
 
 
 def test_recover_atoms_d3_random():
@@ -136,16 +134,6 @@ def test_recover_atoms_reports_rank_equal_atom_count():
         assert report.atoms.atom_count == report.detected_rank == 4
 
 
-def test_recover_atoms_source_mode_matches_matrix_mode():
-    truth = generate_measure(2, 3, seed=21)
-    a = moment_matrix(truth, 4)
-    cfg = RecoveryConfig(seed=21)
-    via_matrix = recover_atoms(a, cfg)
-    via_source = recover_atoms(a, cfg, source=truth)
-    matched = match_atoms(via_matrix.atoms, via_source.atoms, 1e-9)
-    assert matched is not None
-
-
 def test_front_projection_matches_pushforward_atoms():
     # with no cancellation, the first recursion step recovers exactly the
     # pushforward's atom set
@@ -159,14 +147,12 @@ def test_front_projection_matches_pushforward_atoms():
     assert matched is not None and matched[1] <= 1e-6
 
 
-def test_recover_atoms_cancellation_without_headroom_uses_rotated_frame():
-    # degree 3 leaves no reweighting headroom for rank 2; the rotated-frame
-    # fallback still reaches the atoms (cancellation is axis-aligned only)
+def test_recover_atoms_cancelling_pair_at_minimal_degree():
+    # degree 3 is one above the rank of 2: no headroom beyond the pencil's own
     a = moment_matrix(CANCELLING, 3)
     report = recover_atoms(a, RecoveryConfig(seed=0))
     matched = match_atoms(report.atoms, CANCELLING, 1e-6)
     assert matched is not None and matched[1] <= 1e-6
-    assert any("rotated frame" in line for line in report.retry_log)
 
 
 def test_recover_1d_fails_when_degree_below_rank():
@@ -230,6 +216,19 @@ def test_reports_are_deterministic():
     assert first == second
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("d, n, degree", [(2, 16, 7), (2, 20, 8), (3, 10, 5)])
+def test_recover_atoms_many_atoms_low_degree(d, n, degree, seed):
+    # the degree is far below N, so no one-dimensional projection can carry
+    # all N atoms; the joint pencil reads every coordinate at once
+    truth = generate_measure(d, n, seed, separation=0.1)
+    report = recover_atoms(moment_matrix(truth, degree), RecoveryConfig(seed=seed))
+    matched = match_atoms(report.atoms, truth, 1e-6)
+    assert matched is not None
+    assert matched[0] <= 1e-6 and matched[1] <= 1e-6
+    assert report.residual <= 1e-6
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 10_000))
 def test_roundtrip_property(d, n, seed):
@@ -244,12 +243,6 @@ def test_roundtrip_property(d, n, seed):
 def test_recovery_config_validation():
     with pytest.raises(ValueError):
         RecoveryConfig(rank_tol=0)
-    with pytest.raises(ValueError):
-        RecoveryConfig(match_tol=0)
-    with pytest.raises(ValueError):
-        RecoveryConfig(epsilon=1.5)
-    with pytest.raises(ValueError):
-        RecoveryConfig(max_retries=0)
 
 
 # -- theorem verdicts -----------------------------------------------------------------
