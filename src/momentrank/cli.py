@@ -3,7 +3,9 @@ spectra, recovery, and the full verification battery.
 
 Every command echoes its run parameters into the output header, so a file
 identifies the exact invocation that produced it; identical invocations
-produce byte-identical files.  All numerics live in the library modules.
+produce byte-identical files.  All numerics live in the library modules:
+`verify` only serializes the checks of `recovery.verify_theorem`, so the
+command and the library run one invariant battery.
 
 Exit codes: 0 ok, 1 usage or I/O error, 2 check/recovery failure,
 3 internal numerical failure.
@@ -15,26 +17,10 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import serialize
-from .measures import (
-    ComplexPoint,
-    DiscreteMeasure,
-    Polydisk,
-    generate_measure,
-    pushforward_drop_coord,
-    random_linear_polynomial,
-    weight_by_g,
-)
-from .moments import (
-    NumericalError,
-    QuadratureError,
-    moment_matrix,
-    numerical_rank,
-    submatrix_drop_first,
-)
-from .operators import KernelSpec, galerkin_matrix, spectrum
+from .measures import generate_measure
+from .moments import NumericalError, QuadratureError, moment_matrix, numerical_rank
+from .operators import enclosing_kernel, galerkin_matrix, spectrum
 from .recovery import (
     RecoveryConfig,
     RecoveryError,
@@ -89,21 +75,6 @@ def _config_from_args(args: argparse.Namespace) -> RecoveryConfig:
     return RecoveryConfig(rank_tol=args.rank_tol, seed=args.seed)
 
 
-def _enclosing_kernel(kind: str, m: DiscreteMeasure) -> KernelSpec:
-    """Kernel for a measure file: bergman gets a deterministic enclosing polydisk."""
-    if kind == "bargmann":
-        return KernelSpec("bargmann")
-    radii = []
-    locs = m.locations_matrix()
-    for j in range(m.dimension):
-        top = float(np.max(np.abs(locs[:, j]))) if m.atom_count else 0.0
-        radii.append(2.0 * max(1.0, top))
-    return KernelSpec(
-        "bergman_polydisk",
-        Polydisk(ComplexPoint((0j,) * m.dimension), tuple(radii)),
-    )
-
-
 # -- commands -----------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
@@ -138,7 +109,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_galerkin(args) -> int:
     measure = serialize.measure_from_dict(_read_json(args.input))
-    kernel = _enclosing_kernel(args.kernel, measure)
+    kernel = enclosing_kernel(args.kernel, measure)
     g = galerkin_matrix(kernel, measure, args.degree)
     payload = serialize.galerkin_to_dict(g)
     payload["run_spec"] = _run_spec(args)
@@ -164,81 +135,19 @@ def _cmd_recover(args) -> int:
     return _EXIT_OK
 
 
-def _verify_checks(measure, args) -> list[dict]:
-    """The full invariant battery for one input measure."""
-    cfg = _config_from_args(args)
-    d_max = args.degree
-    degrees = list(range(1, d_max + 1))
-    verdict = verify_theorem(measure, degrees, cfg)
-    checks = [
-        {"name": c.name, "passed": bool(c.passed), "measured": c.measured}
-        for c in verdict.checks
-    ]
-    if not isinstance(measure, DiscreteMeasure):
-        return checks
-
-    a = moment_matrix(measure, d_max)
-    base_rank = numerical_rank(a, cfg.rank_tol).rank
-
-    galerkin_measured = {}
-    galerkin_ok = True
-    for kind in ("bargmann", "bergman"):
-        kernel = _enclosing_kernel(kind, measure)
-        gal = galerkin_matrix(kernel, measure, d_max)
-        g_rank = numerical_rank(gal.entries, cfg.rank_tol).rank
-        galerkin_measured[kind] = {"galerkin_rank": g_rank, "moment_rank": base_rank}
-        galerkin_ok = galerkin_ok and g_rank == base_rank
-    checks.append(
-        {"name": "galerkin_rank_equality", "passed": galerkin_ok, "measured": galerkin_measured}
-    )
-
-    g_poly = random_linear_polynomial(measure.dimension, args.seed)
-    reweighted = weight_by_g(measure, g_poly)
-    rank_g = numerical_rank(moment_matrix(reweighted, d_max), cfg.rank_tol).rank
-    monotone = rank_g <= base_rank
-    min_g = min(
-        (abs(g_poly.evaluate(atom.location)) for atom in measure.atoms),
-        default=1.0,
-    )
-    equality_expected = min_g > 1e-6
-    mono_ok = monotone and (not equality_expected or rank_g == base_rank)
-    checks.append(
-        {
-            "name": "reweighting_rank_monotonicity",
-            "passed": mono_ok,
-            "measured": {
-                "rank": base_rank,
-                "rank_reweighted": rank_g,
-                "min_abs_g_on_atoms": min_g,
-            },
-        }
-    )
-
-    if measure.dimension >= 2:
-        sub = submatrix_drop_first(a)
-        push = moment_matrix(pushforward_drop_coord(measure, 0), d_max)
-        gap = float(np.max(np.abs(sub.entries - push.entries))) if sub.entries.size else 0.0
-        checks.append(
-            {
-                "name": "submatrix_consistency",
-                "passed": gap <= 1e-12,
-                "measured": {"max_entry_gap": gap},
-            }
-        )
-    return checks
-
-
 def _cmd_verify(args) -> int:
     measure = serialize.any_measure_from_dict(_read_json(args.input))
-    checks = _verify_checks(measure, args)
-    passed = all(c["passed"] for c in checks)
+    verdict = verify_theorem(measure, list(range(1, args.degree + 1)), _config_from_args(args))
     payload = {
-        "passed": passed,
-        "checks": checks,
+        "passed": verdict.passed,
+        "checks": [
+            {"name": c.name, "passed": bool(c.passed), "measured": c.measured}
+            for c in verdict.checks
+        ],
         "run_spec": _run_spec(args),
     }
     _write_text(args.output, serialize.dump_json(payload))
-    return _EXIT_OK if passed else _EXIT_CHECK_FAILED
+    return _EXIT_OK if verdict.passed else _EXIT_CHECK_FAILED
 
 
 # -- argument wiring ----------------------------------------------------------

@@ -94,11 +94,41 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+@functools.lru_cache(maxsize=128)
+def _basis_tables(dimension: int, max_degree: int):
+    """The tables of one (d, D) basis, built once per process.
+
+    Returns the MultiIndex tuple, the entries -> position map, the (size, d)
+    exponent array and the (2, size, d) shift table; both arrays are
+    read-only because every IndexBasis of that (d, D) shares them.
+    """
+    indices = tuple(
+        MultiIndex(entries)
+        for degree in range(max_degree + 1)
+        for entries in _compositions(degree, dimension)
+    )
+    position = {mi.entries: i for i, mi in enumerate(indices)}
+    exps = np.array([mi.entries for mi in indices], dtype=np.int64)
+    shifts = np.empty((2, len(indices), dimension), dtype=np.int64)
+    for s, step in enumerate((1, -1)):
+        for j in range(dimension):
+            moved = exps.copy()
+            moved[:, j] += step
+            shifts[s, :, j] = [position.get(tuple(e), -1) for e in moved.tolist()]
+    exps.flags.writeable = False
+    shifts.flags.writeable = False
+    return indices, position, exps, shifts
+
+
 class IndexBasis:
     """All multi-indices with |alpha| <= max_degree, graded lexicographic order.
 
     The order sorts by total degree first, then by ascending tuple comparison,
     so the degree-D basis is a prefix of the degree-(D+1) basis.
+
+    `shifts[0]` and `shifts[1]` hold the positions of alpha + e_j and
+    alpha - e_j, shape (2, size, d), with -1 where the shifted index leaves
+    the basis.
     """
 
     def __init__(self, dimension: int, max_degree: int):
@@ -108,12 +138,9 @@ class IndexBasis:
             raise ValueError("max_degree must be >= 0")
         self.dimension = dimension
         self.max_degree = max_degree
-        indices: list[MultiIndex] = []
-        for degree in range(max_degree + 1):
-            for entries in _compositions(degree, dimension):
-                indices.append(MultiIndex(entries))
-        self.indices: tuple[MultiIndex, ...] = tuple(indices)
-        self._position = {mi.entries: i for i, mi in enumerate(indices)}
+        self.indices, self._position, self._exponents, self.shifts = _basis_tables(
+            dimension, max_degree
+        )
 
     @property
     def size(self) -> int:
@@ -142,23 +169,8 @@ class IndexBasis:
         return f"IndexBasis(d={self.dimension}, D={self.max_degree}, size={self.size})"
 
     def entries_array(self) -> np.ndarray:
-        """Basis exponents as a (size, d) integer array."""
-        return np.array([mi.entries for mi in self.indices], dtype=np.int64)
-
-    @functools.cached_property
-    def shifts(self) -> np.ndarray:
-        """Positions of alpha + e_j (`shifts[0]`) and alpha - e_j (`shifts[1]`).
-
-        Shape (2, size, d); -1 where the shifted index leaves the basis.
-        """
-        exps = self.entries_array()
-        table = np.empty((2, self.size, self.dimension), dtype=np.int64)
-        for s, step in enumerate((1, -1)):
-            for j in range(self.dimension):
-                moved = exps.copy()
-                moved[:, j] += step
-                table[s, :, j] = [self._position.get(tuple(e), -1) for e in moved.tolist()]
-        return table
+        """Basis exponents as a read-only (size, d) integer array."""
+        return self._exponents
 
 
 def _parents(basis: IndexBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -231,16 +243,17 @@ def moment_entry(m: DiscreteMeasure, alpha: MultiIndex, beta: MultiIndex) -> com
     return total
 
 
-def _discrete_moment_matrix(m: DiscreteMeasure, basis: IndexBasis) -> np.ndarray:
-    if not m.atoms:
-        return np.zeros((basis.size, basis.size), dtype=complex)
-    table = monomial_table(m.locations_matrix(), basis)
-    lam = m.weights_vector()
-    entries = (table * lam[:, np.newaxis]).T @ table.conj()
-    if np.all(lam.imag == 0):
+def _discrete_moment_matrix(
+    points: np.ndarray, weights: np.ndarray, basis: IndexBasis
+) -> np.ndarray:
+    """Gram product sum_k lambda_k z_k^alpha conj(z_k)^beta of weighted points."""
+    table = monomial_table(points, basis)
+    entries = (table * weights[:, np.newaxis]).T @ table.conj()
+    if np.all(weights.imag == 0):
         # real weights make the matrix Hermitian in exact arithmetic;
         # symmetrizing removes the accumulation-order noise of the matmul
-        entries = (entries + entries.conj().T) / 2
+        entries += entries.conj().T
+        entries *= 0.5
     return entries
 
 
@@ -355,7 +368,7 @@ def moment_matrix(m: DiscreteMeasure | DensityMeasure, max_degree: int) -> Momen
         raise ValueError("max_degree must be >= 0")
     basis = IndexBasis(m.dimension, max_degree)
     if isinstance(m, DiscreteMeasure):
-        entries = _discrete_moment_matrix(m, basis)
+        entries = _discrete_moment_matrix(m.locations_matrix(), m.weights_vector(), basis)
     elif isinstance(m, DensityMeasure):
         entries = _density_moment_matrix(m, basis)
     else:
@@ -375,7 +388,7 @@ def submatrix_drop_coord(a: MomentMatrix, axis: int) -> MomentMatrix:
         raise ValueError("cannot project below dimension 1")
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range for dimension {d}")
-    keep = [i for i, mi in enumerate(a.basis.indices) if mi.entries[axis] == 0]
+    keep = np.flatnonzero(a.basis.entries_array()[:, axis] == 0)
     reduced = IndexBasis(d - 1, a.max_degree)
     # zero components drop out of the tuple comparison, so the kept positions
     # already appear in the reduced graded order

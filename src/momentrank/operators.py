@@ -4,8 +4,11 @@ Two kernels are instantiated: the Fock/Bargmann kernel exp(z.conj(w)/2) on
 C^d with Gaussian weight (2 pi)^{-d} exp(-|z|^2/2) dm, and the Bergman kernel
 of a polydisk (product of per-coordinate disk kernels).  For an atomic
 measure the operator has finite rank and its Galerkin matrix on the
-orthonormalized monomial basis is a diagonal rescaling of the moment matrix,
-so the two ranks agree exactly.
+orthonormalized monomial basis is a diagonal rescaling s A s of the moment
+matrix A, so the two ranks agree exactly.  `galerkin_matrix` scales the same
+Gram product that `moments` assembles A from (over recentred atoms for the
+polydisk), and `enclosing_kernel` gives every atomic measure a deterministic
+kernel of each kind, as the verify battery needs.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import ComplexPoint, DiscreteMeasure, Polydisk, PolynomialWeight
-from .moments import IndexBasis, NumericalError, monomial_table
+from .moments import IndexBasis, NumericalError, _discrete_moment_matrix
 
 __all__ = [
     "KernelSpec",
     "GalerkinMatrix",
     "DomainError",
+    "enclosing_kernel",
     "kernel_eval",
     "toeplitz_apply",
     "galerkin_matrix",
@@ -59,6 +63,16 @@ class KernelSpec:
                     f"point coordinate {z} lies outside the open disk of radius {r} "
                     f"around {c}"
                 )
+
+
+def enclosing_kernel(kind: str, m: DiscreteMeasure) -> KernelSpec:
+    """Kernel for an atomic measure: "bargmann", or "bergman" on a deterministic
+    origin-centred polydisk of radii 2 max(1, max_k |zeta_{k, j}|)."""
+    if kind == "bargmann":
+        return KernelSpec("bargmann")
+    tops = np.abs(m.locations_matrix()).max(axis=0) if m.atom_count else np.zeros(m.dimension)
+    radii = tuple(2.0 * max(1.0, float(top)) for top in tops)
+    return KernelSpec("bergman_polydisk", Polydisk(ComplexPoint((0j,) * m.dimension), radii))
 
 
 class GalerkinMatrix:
@@ -129,19 +143,16 @@ def _log_normalizers(kernel: KernelSpec, basis: IndexBasis) -> np.ndarray:
         raise ValueError(
             f"basis degree {basis.max_degree} exceeds the factorial cap {_FACTORIAL_CAP}"
         )
-    logs = np.zeros(basis.size)
-    for i, mi in enumerate(basis.indices):
-        if kernel.kind == "bargmann":
-            log_norm_sq = mi.degree * math.log(2.0) + sum(
-                math.lgamma(a + 1) for a in mi.entries
-            )
-        else:
-            log_norm_sq = sum(
-                math.log(math.pi) + (2 * a + 2) * math.log(r) - math.log(a + 1)
-                for a, r in zip(mi.entries, kernel.domain.radii)
-            )
-        logs[i] = -0.5 * log_norm_sq
-    return logs
+    exps = basis.entries_array()
+    if kernel.kind == "bargmann":
+        log_factorial = np.array([math.lgamma(a + 1) for a in range(basis.max_degree + 1)])
+        log_norm_sq = exps.sum(axis=1) * math.log(2.0) + log_factorial[exps].sum(axis=1)
+    else:
+        log_radii = np.log(np.asarray(kernel.domain.radii, dtype=float))
+        log_norm_sq = (
+            math.log(math.pi) + (2 * exps + 2) * log_radii - np.log(exps + 1)
+        ).sum(axis=1)
+    return -0.5 * log_norm_sq
 
 
 def galerkin_matrix(
@@ -149,27 +160,23 @@ def galerkin_matrix(
 ) -> GalerkinMatrix:
     """Galerkin matrix (T e_alpha, e_beta) = sum_k lambda_k e_alpha(zeta_k) conj(e_beta(zeta_k)).
 
-    e_alpha are the orthonormalized monomials of the kernel's space, so the
-    result equals D A D for the moment matrix A (in recentred coordinates for
-    the polydisk case) and a positive diagonal D; the ranks coincide.
+    e_alpha = s_alpha z^alpha are the orthonormalized monomials of the
+    kernel's space, so the result is s A s for the moment matrix A (of the
+    recentred atoms in the polydisk case) and the positive scales s; the
+    ranks coincide.
     """
     basis = IndexBasis(m.dimension, max_degree)
+    points = m.locations_matrix()
     if kernel.kind == "bergman_polydisk":
         if kernel.domain.dimension != m.dimension:
             raise ValueError("kernel domain dimension does not match measure")
         for atom in m.atoms:
             kernel.check_point(atom.location)
-        center = np.array(kernel.domain.center.coords, dtype=complex)
-        points = m.locations_matrix() - center[np.newaxis, :]
-    else:
-        points = m.locations_matrix()
-    if m.atoms:
-        table = monomial_table(points, basis)
-        scale = np.exp(_log_normalizers(kernel, basis))
-        scaled = table * scale[np.newaxis, :]
-        entries = (scaled * m.weights_vector()[:, np.newaxis]).T @ scaled.conj()
-    else:
-        entries = np.zeros((basis.size, basis.size), dtype=complex)
+        points = points - np.array(kernel.domain.center.coords, dtype=complex)
+    scale = np.exp(_log_normalizers(kernel, basis))
+    entries = _discrete_moment_matrix(points, m.weights_vector(), basis)
+    entries *= scale[:, np.newaxis]
+    entries *= scale
     return GalerkinMatrix(kernel, basis, entries)
 
 

@@ -18,6 +18,9 @@ floor.  For d = 1 this is the classic matrix pencil.
 The SVD rank estimate can undercount by one when a singular value straddles
 the threshold, so a fit that misses the residual gate is retried one and two
 ranks higher.
+
+`verify_theorem` is the invariant battery of the rank dichotomy, the one
+that `momentrank verify` serializes.
 """
 
 from __future__ import annotations
@@ -27,15 +30,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import Atom, ComplexPoint, DensityMeasure, DiscreteMeasure
+from .measures import (
+    Atom,
+    ComplexPoint,
+    DensityMeasure,
+    DiscreteMeasure,
+    pushforward_drop_coord,
+    random_linear_polynomial,
+    weight_by_g,
+)
 from .moments import (
     IndexBasis,
     MomentMatrix,
     NumericalError,
+    _discrete_moment_matrix,
+    leading_truncation,
     moment_matrix,
     monomial_table,
     numerical_rank,
+    submatrix_drop_first,
 )
+from .operators import enclosing_kernel, galerkin_matrix
 
 __all__ = [
     "RecoveryConfig",
@@ -143,9 +158,7 @@ def _polish_atoms(
     lower = basis.shifts[1]
 
     def residual_vector(locs, lam):
-        table = monomial_table(locs, basis)
-        predicted = (table * lam[:, np.newaxis]).T @ table.conj()
-        return (predicted - a.entries)[rows, cols]
+        return (_discrete_moment_matrix(locs, lam, basis) - a.entries)[rows, cols]
 
     best_locs, best_lam = locations, weights
     best_err = float(np.max(np.abs(residual_vector(locations, weights))))
@@ -351,60 +364,83 @@ def verify_theorem(
 ) -> TheoremVerdict:
     """Check the rank dichotomy on a concrete measure.
 
-    Atomic input: the rank must saturate at the atom count N once the degree
-    reaches N - 1, and recovery must round-trip at the top degree.  Density
-    input: the truncation must have full rank binom(D + d, d) at every
-    degree (unbounded rank growth, so no finite-rank representation exists).
+    The moments are assembled once, at the top degree (max(degrees), raised
+    to N + 1 for N atoms); every other matrix is a leading truncation of
+    that one.  Density input: the truncation must have full rank
+    binom(D + d, d) at every degree (unbounded rank growth, so no
+    finite-rank representation exists).  Atomic input, with D = max(degrees):
+
+    - rank_saturation: the rank equals N once the degree reaches N - 1;
+    - recovery_roundtrip: recovery from the top-degree matrix returns the
+      atoms within 1e-6;
+    - galerkin_rank_equality: the degree-D Galerkin matrices under both
+      kernels (`enclosing_kernel`) have the moment matrix's rank;
+    - reweighting_rank_monotonicity: |g|^2 mu, for a linear g drawn from
+      cfg.seed, has rank at most N, and exactly N when g vanishes on no atom;
+    - submatrix_consistency (d >= 2): the alpha_1 = beta_1 = 0 block equals
+      the moment matrix of the pushforward dropping z_1, within 1e-12.
     """
     if not degrees or list(degrees) != sorted(degrees):
         raise ValueError("degrees must be a nonempty increasing list")
-    ranks = tuple(
-        numerical_rank(moment_matrix(m, d), cfg.rank_tol).rank for d in degrees
-    )
-    checks: list[CheckResult] = []
-    if isinstance(m, DiscreteMeasure):
-        n = m.atom_count
-        saturation_ok = all(
-            r == n for d, r in zip(degrees, ranks) if d >= max(n - 1, 0)
-        )
-        checks.append(
-            CheckResult(
-                "rank_saturation",
-                saturation_ok,
-                {"atom_count": n, "degrees": list(degrees), "ranks": list(ranks)},
-            )
-        )
-        recovery_degree = max(max(degrees), n + 1)
-        try:
-            report = recover_atoms(moment_matrix(m, recovery_degree), cfg)
-            matched = match_atoms(report.atoms, m, 1e-6)
-            ok = matched is not None and matched[1] <= 1e-6
-            measured = {
-                "degree": recovery_degree,
-                "residual": report.residual,
-                "retries_used": report.retries_used,
-            }
-            if matched is not None:
-                measured["location_error"] = matched[0]
-                measured["weight_error"] = matched[1]
-        except RecoveryError as exc:
-            ok = False
-            measured = {"degree": recovery_degree, "error": str(exc)}
-        checks.append(CheckResult("recovery_roundtrip", ok, measured))
-        kind = "atomic"
-    else:
+    atomic = isinstance(m, DiscreteMeasure)
+    d_max = degrees[-1]
+    top = max(d_max, m.atom_count + 1) if atomic else d_max
+    a_top = moment_matrix(m, top)
+    truncations = [leading_truncation(a_top, d) for d in degrees]
+    ranks = tuple(numerical_rank(t, cfg.rank_tol).rank for t in truncations)
+    if not atomic:
         expected = [IndexBasis(m.dimension, d).size for d in degrees]
-        growth_ok = list(ranks) == expected
-        checks.append(
-            CheckResult(
-                "rank_growth",
-                growth_ok,
-                {
-                    "degrees": list(degrees),
-                    "ranks": list(ranks),
-                    "expected": expected,
-                },
-            )
+        measured = {"degrees": list(degrees), "ranks": list(ranks), "expected": expected}
+        check = CheckResult("rank_growth", list(ranks) == expected, measured)
+        return TheoremVerdict("density", tuple(degrees), ranks, (check,))
+
+    n = m.atom_count
+    saturation_ok = all(r == n for d, r in zip(degrees, ranks) if d >= max(n - 1, 0))
+    checks = [
+        CheckResult(
+            "rank_saturation",
+            saturation_ok,
+            {"atom_count": n, "degrees": list(degrees), "ranks": list(ranks)},
         )
-        kind = "density"
-    return TheoremVerdict(kind, tuple(degrees), ranks, tuple(checks))
+    ]
+    try:
+        report = recover_atoms(a_top, cfg)
+        matched = match_atoms(report.atoms, m, 1e-6)
+        ok = matched is not None and matched[1] <= 1e-6
+        measured = {"degree": top, "residual": report.residual, "retries_used": report.retries_used}
+        if matched is not None:
+            measured["location_error"] = matched[0]
+            measured["weight_error"] = matched[1]
+    except RecoveryError as exc:
+        ok = False
+        measured = {"degree": top, "error": str(exc)}
+    checks.append(CheckResult("recovery_roundtrip", ok, measured))
+
+    a, base_rank = truncations[-1], ranks[-1]
+    galerkin_measured = {}
+    for kind in ("bargmann", "bergman"):
+        gal = galerkin_matrix(enclosing_kernel(kind, m), m, d_max)
+        g_rank = numerical_rank(gal.entries, cfg.rank_tol).rank
+        galerkin_measured[kind] = {"galerkin_rank": g_rank, "moment_rank": base_rank}
+    galerkin_ok = all(v["galerkin_rank"] == base_rank for v in galerkin_measured.values())
+    checks.append(CheckResult("galerkin_rank_equality", galerkin_ok, galerkin_measured))
+
+    g_poly = random_linear_polynomial(m.dimension, cfg.seed)
+    rank_g = numerical_rank(moment_matrix(weight_by_g(m, g_poly), d_max), cfg.rank_tol).rank
+    min_g = min((abs(g_poly.evaluate(atom.location)) for atom in m.atoms), default=1.0)
+    # g vanishing on an atom (|g| <= 1e-6 there) may drop the rank
+    mono_ok = rank_g <= base_rank and (min_g <= 1e-6 or rank_g == base_rank)
+    checks.append(
+        CheckResult(
+            "reweighting_rank_monotonicity",
+            mono_ok,
+            {"rank": base_rank, "rank_reweighted": rank_g, "min_abs_g_on_atoms": min_g},
+        )
+    )
+
+    if m.dimension >= 2:
+        sub = submatrix_drop_first(a)
+        push = moment_matrix(pushforward_drop_coord(m, 0), d_max)
+        gap = float(np.max(np.abs(sub.entries - push.entries)))
+        checks.append(CheckResult("submatrix_consistency", gap <= 1e-12, {"max_entry_gap": gap}))
+    return TheoremVerdict("atomic", tuple(degrees), ranks, tuple(checks))

@@ -52,13 +52,9 @@ def unpair(value) -> complex:
     return complex(float(re), float(im))
 
 
-def dump_json(payload: dict, path=None) -> str:
-    """Deterministic JSON encoding; writes to `path` when given."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
-    if path is not None:
-        with open(path, "w") as f:
-            f.write(text)
-    return text
+def dump_json(payload: dict) -> str:
+    """Deterministic JSON encoding."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
 # -- measures ----------------------------------------------------------------
@@ -150,14 +146,19 @@ def matrix_to_dict(a: MomentMatrix) -> dict:
     }
 
 
-def matrix_from_dict(data: dict) -> MomentMatrix:
+def _grlex_basis_and_entries(data: dict) -> tuple[IndexBasis, np.ndarray]:
+    """The basis and entries of a matrix file, whose order must be grlex."""
     if data.get("order", "grlex") != "grlex":
         raise ValueError(f"unsupported index order {data['order']!r}")
     basis = IndexBasis(int(data["dimension"]), int(data["max_degree"]))
     entries = np.array(
         [[unpair(v) for v in row] for row in data["entries"]], dtype=complex
     )
-    return MomentMatrix(basis, entries)
+    return basis, entries
+
+
+def matrix_from_dict(data: dict) -> MomentMatrix:
+    return MomentMatrix(*_grlex_basis_and_entries(data))
 
 
 def _kernel_to_dict(kernel: KernelSpec) -> dict:
@@ -191,11 +192,7 @@ def galerkin_to_dict(g: GalerkinMatrix) -> dict:
 
 
 def galerkin_from_dict(data: dict) -> GalerkinMatrix:
-    basis = IndexBasis(int(data["dimension"]), int(data["max_degree"]))
-    entries = np.array(
-        [[unpair(v) for v in row] for row in data["entries"]], dtype=complex
-    )
-    return GalerkinMatrix(_kernel_from_dict(data["kernel"]), basis, entries)
+    return GalerkinMatrix(_kernel_from_dict(data["kernel"]), *_grlex_basis_and_entries(data))
 
 
 # -- recovery reports and spectra ---------------------------------------------

@@ -291,6 +291,28 @@ def test_leading_truncation_nested():
     direct = moment_matrix(m, 3).entries
     scale = np.max(np.abs(direct)) + 1
     assert np.max(np.abs(a3.entries - direct)) <= 1e-13 * scale
+    # density quadrature refines per degree, so truncations agree to its tolerance
+    for d in (1, 2, 3):
+        for kind in ("uniform", "gaussian", "polynomial"):
+            for center in (0j, 0.3 - 0.2j):
+                g = None
+                if kind == "polynomial":
+                    terms = {(0,) * d: 1.0}
+                    for j in range(d):
+                        terms[tuple(int(i == j) for i in range(d))] = 0.2 * (1j) ** j
+                    g = PolynomialWeight(d, terms)
+                dens = DensityMeasure(
+                    d,
+                    Polydisk(ComplexPoint((center,) * d), tuple(0.9 + 0.1 * j for j in range(d))),
+                    DensitySpec(kind, g),
+                )
+                top = moment_matrix(dens, 8)
+                for degree in range(8):
+                    trunc = leading_truncation(top, degree)
+                    direct = moment_matrix(dens, degree)
+                    assert numerical_rank(trunc).rank == numerical_rank(direct).rank
+                    gap = np.max(np.abs(trunc.entries - direct.entries))
+                    assert gap <= 1e-10 * np.max(np.abs(direct.entries))
 
 
 # -- numerical rank ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from momentrank import (
     verify_theorem,
     weight_by_g,
 )
+from momentrank import recovery
 from momentrank.serialize import dump_json, report_to_dict
 
 
@@ -267,6 +268,39 @@ def test_verify_theorem_empty_measure():
     verdict = verify_theorem(DiscreteMeasure(2, ()), [1, 2, 3])
     assert verdict.ranks == (0, 0, 0)
     assert verdict.passed
+
+
+@pytest.mark.parametrize("kind", ["atomic", "density"])
+def test_verify_theorem_assembles_input_moments_once(monkeypatch, kind):
+    if kind == "atomic":
+        m = generate_measure(2, 4, seed=1)
+    else:
+        m = DensityMeasure(
+            2, Polydisk(ComplexPoint((0j, 0j)), (1.0, 1.0)), DensitySpec("gaussian")
+        )
+    degrees_seen = []
+    assemble = recovery.moment_matrix
+
+    def counting(measure, max_degree):
+        if measure is m:
+            degrees_seen.append(max_degree)
+        return assemble(measure, max_degree)
+
+    monkeypatch.setattr(recovery, "moment_matrix", counting)
+    verdict = verify_theorem(m, [1, 2, 3, 4])
+    assert verdict.passed
+    if kind == "atomic":
+        # 4 atoms raise the top degree to N + 1 = 5 for the recovery round-trip
+        assert degrees_seen == [5]
+        assert [c.name for c in verdict.checks] == [
+            "rank_saturation",
+            "recovery_roundtrip",
+            "galerkin_rank_equality",
+            "reweighting_rank_monotonicity",
+            "submatrix_consistency",
+        ]
+    else:
+        assert degrees_seen == [4]
 
 
 def test_verify_theorem_rejects_bad_degrees():

@@ -96,6 +96,19 @@ def test_galerkin_roundtrip_with_kernel():
     assert np.array_equal(back.entries, g.entries)
 
 
+@pytest.mark.parametrize("kind", ["matrix", "galerkin"])
+def test_matrix_files_reject_other_orders(kind):
+    m = generate_measure(2, 2, seed=5)
+    if kind == "matrix":
+        data, read = serialize.matrix_to_dict(moment_matrix(m, 2)), serialize.matrix_from_dict
+    else:
+        g = galerkin_matrix(KernelSpec("bargmann"), m, 2)
+        data, read = serialize.galerkin_to_dict(g), serialize.galerkin_from_dict
+    data["order"] = "lex"
+    with pytest.raises(ValueError, match="unsupported index order 'lex'"):
+        read(data)
+
+
 def test_report_schema_keys():
     m = generate_measure(2, 2, seed=4)
     report = recover_atoms(moment_matrix(m, 3))
