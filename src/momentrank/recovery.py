@@ -43,6 +43,7 @@ from .moments import (
     IndexBasis,
     MomentMatrix,
     NumericalError,
+    RankResult,
     _discrete_moment_matrix,
     leading_truncation,
     moment_matrix,
@@ -258,7 +259,11 @@ def recover_atoms(a: MomentMatrix, cfg: RecoveryConfig = RecoveryConfig()) -> Re
     value is not numerically zero, at N + 1 and N + 2.  Raises RecoveryError
     when the degree-(D-1) block is smaller than N or no rank fits.
     """
-    estimate = numerical_rank(a, cfg.rank_tol)
+    return _recover(a, numerical_rank(a, cfg.rank_tol), cfg)
+
+
+def _recover(a: MomentMatrix, estimate: RankResult, cfg: RecoveryConfig) -> RecoveryReport:
+    """`recover_atoms` given the rank estimate of `a` at cfg.rank_tol."""
     n = estimate.rank
     if n == 0:
         return RecoveryReport(
@@ -387,7 +392,8 @@ def verify_theorem(
     top = max(d_max, m.atom_count + 1) if atomic else d_max
     a_top = moment_matrix(m, top)
     truncations = [leading_truncation(a_top, d) for d in degrees]
-    ranks = tuple(numerical_rank(t, cfg.rank_tol).rank for t in truncations)
+    estimates = [numerical_rank(t, cfg.rank_tol) for t in truncations]
+    ranks = tuple(e.rank for e in estimates)
     if not atomic:
         expected = [IndexBasis(m.dimension, d).size for d in degrees]
         measured = {"degrees": list(degrees), "ranks": list(ranks), "expected": expected}
@@ -404,7 +410,8 @@ def verify_theorem(
         )
     ]
     try:
-        report = recover_atoms(a_top, cfg)
+        # when top == d_max the last truncation is a_top itself, already ranked
+        report = _recover(a_top, estimates[-1], cfg) if top == d_max else recover_atoms(a_top, cfg)
         matched = match_atoms(report.atoms, m, 1e-6)
         ok = matched is not None and matched[1] <= 1e-6
         measured = {"degree": top, "residual": report.residual, "retries_used": report.retries_used}

@@ -3,6 +3,12 @@
 Complex numbers are always serialized as [re, im] pairs of doubles.  All
 writers produce deterministic bytes (sorted keys, fixed separators), so a
 rerun with the same inputs reproduces files exactly.
+
+`matrix_to_dict` and `galerkin_to_dict` return the entries as one
+(n, n, 2) float64 array of [re, im] pairs under "entries".  `dump_json`
+writes top-level ndarray values itself, row by row, and its text is
+byte for byte what `json.dumps` writes for the same payload with the arrays
+as nested lists, so the files are unchanged.
 """
 
 from __future__ import annotations
@@ -53,8 +59,64 @@ def unpair(value) -> complex:
 
 
 def dump_json(payload: dict) -> str:
-    """Deterministic JSON encoding."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """Deterministic JSON encoding.
+
+    Top-level ndarray values are written as float arrays.  The rest of the
+    payload goes through `json.dumps` with null in their place; a top-level
+    key is the only text that follows a newline and a single space, so each
+    placeholder is found exactly, and the text is joined once around the
+    rendered rows.
+    """
+    arrays = {k: v for k, v in payload.items() if isinstance(v, np.ndarray)}
+    text = json.dumps(
+        {k: None if k in arrays else v for k, v in payload.items()},
+        sort_keys=True,
+        separators=(",", ": "),
+        indent=1,
+    )
+    pieces = []
+    for key in sorted(arrays):  # the order sort_keys put the placeholders in
+        slot = f"\n {json.dumps(key)}: "
+        head, text = text.split(slot + "null", 1)
+        pieces += (head, slot)
+        pieces += _array_pieces(arrays[key])
+    pieces += (text, "\n")
+    return "".join(pieces)
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    r = float.__repr__(x)
+    return _JSON_NONFINITE.get(r, r)
+
+
+def _array_template(shape: tuple[int, ...], level: int) -> str:
+    """%-template of a JSON array of the given shape whose "[" sits at `level`."""
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    pad = " " * (level + 1)
+    item = pad + _array_template(shape[1:], level + 1)
+    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + " " * level + "]"
+
+
+def _array_pieces(value: np.ndarray) -> list[str]:
+    """Strings that join to `json.dumps(value.tolist(), indent=1)` at key depth."""
+    value = np.asarray(value, dtype=float)
+    if value.ndim == 0 or value.shape[0] == 0:
+        return [json.dumps(value.tolist(), indent=1)]
+    # each row is one %-format of the template of value[0], nested one level down
+    rows = value.reshape(value.shape[0], -1)
+    template = "  " + _array_template(value.shape[1:], 2)
+    fmt = float.__repr__ if np.isfinite(rows).all() else _json_float
+    pieces = ["[\n"]
+    for row in rows.tolist():
+        pieces += (template % tuple(map(fmt, row)), ",\n")
+    pieces[-1] = "\n ]"
+    return pieces
 
 
 # -- measures ----------------------------------------------------------------
@@ -137,12 +199,17 @@ def any_measure_from_dict(data: dict) -> DiscreteMeasure | DensityMeasure:
 
 # -- matrices ----------------------------------------------------------------
 
+def _pairs_array(entries: np.ndarray) -> np.ndarray:
+    """Complex (n, n) entries as an (n, n, 2) float64 array of [re, im] pairs."""
+    return np.stack([entries.real, entries.imag], -1)
+
+
 def matrix_to_dict(a: MomentMatrix) -> dict:
     return {
         "dimension": a.dimension,
         "max_degree": a.max_degree,
         "order": "grlex",
-        "entries": [[pair(v) for v in row] for row in a.entries],
+        "entries": _pairs_array(a.entries),
     }
 
 
@@ -151,10 +218,16 @@ def _grlex_basis_and_entries(data: dict) -> tuple[IndexBasis, np.ndarray]:
     if data.get("order", "grlex") != "grlex":
         raise ValueError(f"unsupported index order {data['order']!r}")
     basis = IndexBasis(int(data["dimension"]), int(data["max_degree"]))
-    entries = np.array(
-        [[unpair(v) for v in row] for row in data["entries"]], dtype=complex
-    )
-    return basis, entries
+    # without a dtype, a null or a string makes an object or str array, and a
+    # ragged row raises, instead of becoming NaN
+    raw = np.asarray(data["entries"])
+    if raw.dtype.kind not in "iuf":
+        raise ValueError("matrix entries must be numbers")
+    shape = (basis.size, basis.size, 2)
+    if raw.shape != shape:
+        raise ValueError(f"entries of shape {raw.shape} do not match the basis: expected {shape}")
+    # the complex view keeps every bit, -0.0 and infinities included
+    return basis, np.ascontiguousarray(raw, dtype=float).view(complex)[..., 0]
 
 
 def matrix_from_dict(data: dict) -> MomentMatrix:
@@ -187,7 +260,7 @@ def galerkin_to_dict(g: GalerkinMatrix) -> dict:
         "max_degree": g.max_degree,
         "order": "grlex",
         "kernel": _kernel_to_dict(g.kernel),
-        "entries": [[pair(v) for v in row] for row in g.entries],
+        "entries": _pairs_array(g.entries),
     }
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from momentrank import DensityMeasure, DensitySpec, ComplexPoint, Polydisk
 from momentrank.cli import main
 from momentrank.serialize import density_to_dict, dump_json, measure_from_dict
@@ -162,3 +164,27 @@ def test_recovery_failure_exit_code(tmp_path):
     assert run("moments", "--input", str(m_path), "--degree", "3",
                "--output", str(a_path)) == 0
     assert run("recover", "--input", str(a_path)) == 2
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[[1.0, 0.0], [0.5, None]], [[0.5, 0.0], [1.0, 0.0]]],  # null entry
+        [[[1.0, 0.0], [0.5]], [[0.5, 0.0], [1.0, 0.0]]],  # 1-element pair
+        [[[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]], [[0.5, 0.0, 0.0], [1.0, 0.0, 0.0]]],  # 3-element pairs
+        [[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0]]],  # ragged row
+        [[[1.0, 0.0]]],  # 1x1 entries for a basis of size 2
+        [[["1.0", "x"], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]],  # strings
+    ],
+    ids=["null", "short-pair", "long-pairs", "ragged", "size-mismatch", "strings"],
+)
+@pytest.mark.parametrize("command", ["rank", "recover", "spectrum"])
+def test_malformed_matrix_file_is_usage_error(tmp_path, capsys, entries, command):
+    # d=1, D=1: a basis of size 2
+    data = {"dimension": 1, "max_degree": 1, "order": "grlex", "entries": entries}
+    if command == "spectrum":
+        data["kernel"] = {"kind": "bargmann"}
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(data))
+    assert run(command, "--input", str(path)) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -321,3 +321,23 @@ def test_match_atoms_requires_proximity():
     b = measure(1, ([1.5], 1))
     assert match_atoms(a, b, 1e-6) is None
     assert match_atoms(a, b, 1.0) is not None
+
+
+def test_verify_theorem_ranks_each_matrix_once(monkeypatch):
+    # N + 1 <= max(degrees): recovery reads the top-degree rank the battery
+    # already holds instead of a second SVD of the same matrix
+    seen = []
+    real = recovery.numerical_rank
+
+    def counting(a, rel_tol=1e-8):
+        entries = a.entries if isinstance(a, MomentMatrix) else np.asarray(a)
+        seen.append((entries.shape, hash(entries.tobytes())))
+        return real(a, rel_tol)
+
+    monkeypatch.setattr(recovery, "numerical_rank", counting)
+    m = generate_measure(2, 3, seed=4, separation=0.2)
+    verdict = verify_theorem(m, [1, 2, 3, 4, 5, 6])
+    assert verdict.passed
+    assert len(seen) == len(set(seen))
+    # six degrees, two Galerkin kernels, one reweighted measure
+    assert len(seen) == 6 + 2 + 1

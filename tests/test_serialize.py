@@ -140,3 +140,47 @@ def test_dump_json_deterministic():
     payload = {"b": 1, "a": [1.5, {"z": 2}]}
     assert serialize.dump_json(payload) == serialize.dump_json(payload)
     assert json.loads(serialize.dump_json(payload)) == payload
+
+
+def _stdlib_json(payload: dict) -> str:
+    """The reference encoding: arrays as nested lists through the stdlib alone."""
+    plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+    return json.dumps(plain, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+def test_dump_json_edge_floats_match_stdlib():
+    edge = [-0.0, 5e-324, 0.1, 1e16, 1e-7, np.nan, np.inf, -np.inf]
+    payload = {
+        "entries": np.array(edge).reshape(2, 2, 2),
+        "flat": np.array(edge),
+        "empty": np.zeros((0, 2)),
+        "nested": {"entries": None, "x": [1, 2.5]},
+        "run_spec": {"output": 'a "quoted"\n "entries": null path'},
+    }
+    text = serialize.dump_json(payload)
+    assert text == _stdlib_json(payload)
+    assert "NaN" in text and "-Infinity" in text
+
+
+@pytest.mark.parametrize("d,degree", [(1, 0), (1, 4), (2, 6), (3, 9)])
+def test_matrix_files_match_stdlib_encoding(d, degree):
+    m = generate_measure(d, 3, seed=d + degree)
+    a = moment_matrix(m, degree)
+    g = galerkin_matrix(KernelSpec("bargmann"), m, degree)
+    for data, matrix in [(serialize.matrix_to_dict(a), a), (serialize.galerkin_to_dict(g), g)]:
+        n = matrix.basis.size
+        assert data["entries"].shape == (n, n, 2)
+        text = serialize.dump_json(data)
+        assert text == _stdlib_json(data)
+        nested = [[serialize.pair(v) for v in row] for row in matrix.entries]
+        assert json.loads(text)["entries"] == nested
+
+
+def test_matrix_entries_roundtrip_bits():
+    m = generate_measure(1, 2, seed=6)
+    a = moment_matrix(m, 2)
+    a.entries[0, 1] = complex(-0.0, np.inf)
+    a.entries[1, 0] = complex(np.inf, -0.0)
+    text = serialize.dump_json(serialize.matrix_to_dict(a))
+    back = serialize.matrix_from_dict(json.loads(text))
+    assert back.entries.view(float).tobytes() == a.entries.view(float).tobytes()
