@@ -4,11 +4,13 @@ Rows and columns are indexed by the multi-indices of total degree <= D in
 graded lexicographic order, which makes every degree-D matrix a leading
 principal submatrix of the degree-(D+1) matrix.
 
-Discrete measures are assembled exactly (up to rounding) through a monomial
-value table built by iterative multiplication along the graded order; no
-complex pow calls.  Density measures on polydisks use a per-coordinate polar
-product rule (Gauss-Legendre in radius, trapezoid in angle) with refinement
-until the entries stabilize below 1e-10.
+Every matrix comes from one Gram product of weighted points,
+sum_k w_k z_k^alpha conj(z_k)^beta, over a monomial value table built by
+iterative multiplication along the graded order (no complex pow calls).  The
+points are the atoms of a discrete measure (exact up to rounding), the
+recentred atoms of a Galerkin matrix (see operators), or the polar nodes of a
+density's per-coordinate disk tables (Gauss-Legendre in radius, trapezoid in
+angle), refined until the entries stabilize below 1e-10.
 """
 
 from __future__ import annotations
@@ -75,14 +77,6 @@ class MultiIndex:
     def degree(self) -> int:
         return sum(self.entries)
 
-    def drop(self, axis: int) -> "MultiIndex":
-        return MultiIndex(self.entries[:axis] + self.entries[axis + 1:])
-
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        if other.dimension != self.dimension:
-            raise ValueError("dimension mismatch")
-        return MultiIndex(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
 
 def _compositions(total: int, parts: int):
     """All tuples of `parts` nonnegative ints summing to `total`, ascending lex."""
@@ -98,9 +92,9 @@ def _compositions(total: int, parts: int):
 def _basis_tables(dimension: int, max_degree: int):
     """The tables of one (d, D) basis, built once per process.
 
-    Returns the MultiIndex tuple, the entries -> position map, the (size, d)
-    exponent array and the (2, size, d) shift table; both arrays are
-    read-only because every IndexBasis of that (d, D) shares them.
+    Returns the MultiIndex tuple, the (size, d) exponent array and the
+    (2, size, d) shift table; both arrays are read-only because every
+    IndexBasis of that (d, D) shares them.
     """
     indices = tuple(
         MultiIndex(entries)
@@ -117,7 +111,7 @@ def _basis_tables(dimension: int, max_degree: int):
             shifts[s, :, j] = [position.get(tuple(e), -1) for e in moved.tolist()]
     exps.flags.writeable = False
     shifts.flags.writeable = False
-    return indices, position, exps, shifts
+    return indices, exps, shifts
 
 
 class IndexBasis:
@@ -138,25 +132,13 @@ class IndexBasis:
             raise ValueError("max_degree must be >= 0")
         self.dimension = dimension
         self.max_degree = max_degree
-        self.indices, self._position, self._exponents, self.shifts = _basis_tables(
+        self.indices, self._exponents, self.shifts = _basis_tables(
             dimension, max_degree
         )
 
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    def position(self, index: MultiIndex) -> int:
-        try:
-            return self._position[index.entries]
-        except KeyError:
-            raise KeyError(f"{index.entries} not in basis (d={self.dimension}, D={self.max_degree})")
-
-    def __contains__(self, index: MultiIndex) -> bool:
-        return index.entries in self._position
-
-    def __iter__(self):
-        return iter(self.indices)
 
     def __eq__(self, other) -> bool:
         return (
@@ -223,9 +205,6 @@ class MomentMatrix:
     def max_degree(self) -> int:
         return self.basis.max_degree
 
-    def entry(self, alpha: MultiIndex, beta: MultiIndex) -> complex:
-        return complex(self.entries[self.basis.position(alpha), self.basis.position(beta)])
-
     def __repr__(self) -> str:
         return f"MomentMatrix(d={self.dimension}, D={self.max_degree})"
 
@@ -259,106 +238,77 @@ def _discrete_moment_matrix(
 
 # -- density quadrature ------------------------------------------------------
 #
-# All catalogued densities factor per coordinate (the polynomial case after
-# expanding its terms), so the tensor-product rule reduces to 1-D tables
-# t_j[p, q] = integral over the j-th disk of z^p conj(z)^q rho_j(z) dm(z),
-# each computed on a polar grid and refined until stable.
+# Every catalogued density is a polynomial density sum_gamma c_gamma z^gamma
+# (uniform is {0: 1}) times a per-coordinate factor (the Gaussian's
+# exp(-|z_j|^2 / 2) / (2 pi), or 1), so the tensor-product rule reduces to
+# 1-D tables t_j[p, q] = integral over the j-th disk of z^p conj(z)^q rho_j(z)
+# dm(z).  Each table is the Gram product of weighted polar nodes, refined
+# until stable; with real node weights it comes out exactly Hermitian.
 
 _QUAD_TOL = 1e-10
 _MAX_REFINEMENTS = 6
 
 
-def _disk_table_once(
-    center: complex,
-    radius: float,
-    p_max: int,
-    q_max: int,
-    radial_density,
-    n_r: int,
-    n_theta: int,
-) -> np.ndarray:
-    nodes, gl_weights = np.polynomial.legendre.leggauss(n_r)
-    r = 0.5 * radius * (nodes + 1.0)
-    wr = 0.5 * radius * gl_weights * r  # polar Jacobian folded in
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    wt = 2.0 * np.pi / n_theta
-    z = (center + r[:, np.newaxis] * np.exp(1j * theta)[np.newaxis, :]).ravel()
-    w = (wr[:, np.newaxis] * wt * np.ones(n_theta)[np.newaxis, :]).ravel()
-    if radial_density is not None:
-        w = w * radial_density(z)
-    powers = np.empty((z.size, max(p_max, q_max) + 1), dtype=complex)
-    powers[:, 0] = 1.0
-    for p in range(1, powers.shape[1]):
-        powers[:, p] = powers[:, p - 1] * z
-    zp = powers[:, : p_max + 1]
-    zq = powers[:, : q_max + 1]
-    return (zp * w[:, np.newaxis]).T @ zq.conj()
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1] as read-only arrays."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _gaussian_factor(z: np.ndarray) -> np.ndarray:
+    return np.exp(-np.abs(z) ** 2 / 2) / (2 * np.pi)
 
 
 def _disk_table(
     center: complex, radius: float, p_max: int, q_max: int, radial_density
 ) -> np.ndarray:
-    """Refined table of disk moments; raises QuadratureError if unstable."""
-    n_r = p_max + q_max + 2
-    n_theta = 4 * (p_max + q_max + 1)
-    current = _disk_table_once(center, radius, p_max, q_max, radial_density, n_r, n_theta)
+    """Refined table of disk moments (p_max >= q_max); raises QuadratureError
+    if unstable."""
+    basis = IndexBasis(1, p_max)
+    current = None
     errors: list[float] = []
-    for _ in range(_MAX_REFINEMENTS):
-        n_r *= 2
-        n_theta *= 2
-        refined = _disk_table_once(center, radius, p_max, q_max, radial_density, n_r, n_theta)
-        err = float(np.max(np.abs(refined - current)))
-        errors.append(err)
-        scale = max(1.0, float(np.max(np.abs(refined))))
-        if err <= _QUAD_TOL * scale:
-            return refined
+    for level in range(_MAX_REFINEMENTS + 1):
+        n_r = (p_max + q_max + 2) << level
+        n_theta = 4 * (p_max + q_max + 1) << level
+        nodes, gl_weights = _gauss_legendre(n_r)
+        r = 0.5 * radius * (nodes + 1.0)
+        wr = 0.5 * radius * gl_weights * r  # polar Jacobian folded in
+        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        z = (center + r[:, np.newaxis] * np.exp(1j * theta)[np.newaxis, :]).ravel()
+        w = np.repeat(wr * (2.0 * np.pi / n_theta), n_theta)
+        if radial_density is not None:
+            w = w * radial_density(z)
+        refined = _discrete_moment_matrix(z, w, basis)[:, : q_max + 1]
+        if current is not None:
+            err = float(np.max(np.abs(refined - current)))
+            errors.append(err)
+            scale = max(1.0, float(np.max(np.abs(refined))))
+            if err <= _QUAD_TOL * scale:
+                return refined
         current = refined
     raise QuadratureError((errors[-2] if len(errors) > 1 else math.inf, errors[-1]))
 
 
 def _density_moment_matrix(m: DensityMeasure, basis: IndexBasis) -> np.ndarray:
-    d = m.dimension
     D = basis.max_degree
     exps = basis.entries_array()
-    kind = m.density.kind
-
-    def assemble(tables: list[np.ndarray], shift: tuple[int, ...] = None) -> np.ndarray:
-        out = np.ones((basis.size, basis.size), dtype=complex)
-        for j in range(d):
-            p = exps[:, j] + (shift[j] if shift else 0)
-            out *= tables[j][p[:, np.newaxis], exps[np.newaxis, :, j]]
-        return out
-
-    if kind == "uniform":
-        tables = [
-            _disk_table(m.domain.center.coords[j], m.domain.radii[j], D, D, None)
-            for j in range(d)
-        ]
-        out = assemble(tables)
-        return (out + out.conj().T) / 2
-    if kind == "gaussian":
-        tables = [
-            _disk_table(
-                m.domain.center.coords[j],
-                m.domain.radii[j],
-                D,
-                D,
-                lambda z: np.exp(-np.abs(z) ** 2 / 2) / (2 * np.pi),
-            )
-            for j in range(d)
-        ]
-        out = assemble(tables)
-        return (out + out.conj().T) / 2
-    # polynomial: expand rho = sum_gamma c_gamma z^gamma over the uniform rule
     g = m.density.polynomial
-    gdeg = g.degree
+    if g is None:
+        g = PolynomialWeight.constant(m.dimension)
+    factor = _gaussian_factor if m.density.kind == "gaussian" else None
     tables = [
-        _disk_table(m.domain.center.coords[j], m.domain.radii[j], D + gdeg, D, None)
-        for j in range(d)
+        _disk_table(c, r, D + g.degree, D, factor)
+        for c, r in zip(m.domain.center.coords, m.domain.radii)
     ]
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for gamma, coeff in g.terms.items():
-        out += coeff * assemble(tables, shift=gamma)
+        term = np.ones((basis.size, basis.size), dtype=complex)
+        for j, table in enumerate(tables):
+            term *= table[exps[:, j, np.newaxis] + gamma[j], exps[np.newaxis, :, j]]
+        out += coeff * term
     return out
 
 
@@ -456,15 +406,19 @@ def reweight_moments(a: MomentMatrix, g: PolynomialWeight) -> MomentMatrix:
             f"not enough headroom: matrix degree {a.max_degree} < deg(g) = {gdeg}"
         )
     reduced = IndexBasis(a.dimension, new_degree)
-    position = a.basis.position
+    # positions of alpha + gamma in a's basis, for alpha in the reduced prefix
+    up = a.basis.shifts[0]
+    shifted = {}
+    for gamma in g.terms:
+        pos = np.arange(reduced.size)
+        for j, k in enumerate(gamma):
+            for _ in range(k):
+                pos = up[pos, j]
+        shifted[gamma] = pos
     out = np.zeros((reduced.size, reduced.size), dtype=complex)
     for gamma, cg in g.terms.items():
-        gi = MultiIndex(gamma)
-        rows = np.array([position(mi + gi) for mi in reduced.indices])
         for delta, cd in g.terms.items():
-            di = MultiIndex(delta)
-            cols = np.array([position(mi + di) for mi in reduced.indices])
-            out += (cg * cd.conjugate()) * a.entries[np.ix_(rows, cols)]
+            out += (cg * cd.conjugate()) * a.entries[np.ix_(shifted[gamma], shifted[delta])]
     return MomentMatrix(reduced, out)
 
 

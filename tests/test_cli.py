@@ -106,6 +106,19 @@ def test_verify_density_rank_growth(tmp_path):
     assert check["measured"]["ranks"] == [3, 6, 10, 15]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["uniform", "gaussian"])
+def test_moments_quadrature_failure_exit_code(tmp_path, capsys, kind):
+    d_path = tmp_path / "d.json"
+    d_path.write_text(json.dumps({
+        "dimension": 1,
+        "domain": {"center": [[0, 0]], "radii": [1e200]},
+        "density": {"type": kind},
+    }))
+    assert run("moments", "--input", str(d_path), "--degree", "2") == 2
+    assert capsys.readouterr().err.startswith("failure: quadrature did not converge")
+
+
 def test_verify_byte_identical_rerun(tmp_path):
     m_path, v_path = tmp_path / "m.json", tmp_path / "v.json"
     run("gen", "--dimension", "2", "--atoms", "3", "--seed", "2", "--output", str(m_path))
