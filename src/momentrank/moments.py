@@ -266,7 +266,7 @@ def _disk_table(
     center: complex, radius: float, p_max: int, q_max: int, radial_density
 ) -> np.ndarray:
     """Refined table of disk moments (p_max >= q_max); raises QuadratureError
-    if unstable."""
+    if unstable, at once when a level overflows to a non-finite table."""
     basis = IndexBasis(1, p_max)
     current = None
     errors: list[float] = []
@@ -274,14 +274,19 @@ def _disk_table(
         n_r = (p_max + q_max + 2) << level
         n_theta = 4 * (p_max + q_max + 1) << level
         nodes, gl_weights = _gauss_legendre(n_r)
-        r = 0.5 * radius * (nodes + 1.0)
-        wr = 0.5 * radius * gl_weights * r  # polar Jacobian folded in
-        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        z = (center + r[:, np.newaxis] * np.exp(1j * theta)[np.newaxis, :]).ravel()
-        w = np.repeat(wr * (2.0 * np.pi / n_theta), n_theta)
-        if radial_density is not None:
-            w = w * radial_density(z)
-        refined = _discrete_moment_matrix(z, w, basis)[:, : q_max + 1]
+        # an overflow shows as a non-finite table, which is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = 0.5 * radius * (nodes + 1.0)
+            wr = 0.5 * radius * gl_weights * r  # polar Jacobian folded in
+            theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+            z = (center + r[:, np.newaxis] * np.exp(1j * theta)[np.newaxis, :]).ravel()
+            w = np.repeat(wr * (2.0 * np.pi / n_theta), n_theta)
+            if radial_density is not None:
+                w = w * radial_density(z)
+            refined = _discrete_moment_matrix(z, w, basis)[:, : q_max + 1]
+        if not np.all(np.isfinite(refined)):
+            # finer levels cannot recover from an overflow; they only cost memory
+            raise QuadratureError((errors[-1] if errors else math.inf, math.nan))
         if current is not None:
             err = float(np.max(np.abs(refined - current)))
             errors.append(err)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -106,7 +107,6 @@ def test_verify_density_rank_growth(tmp_path):
     assert check["measured"]["ranks"] == [3, 6, 10, 15]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
 def test_moments_quadrature_failure_exit_code(tmp_path, capsys, kind):
     d_path = tmp_path / "d.json"
@@ -115,8 +115,12 @@ def test_moments_quadrature_failure_exit_code(tmp_path, capsys, kind):
         "domain": {"center": [[0, 0]], "radii": [1e200]},
         "density": {"type": kind},
     }))
-    assert run("moments", "--input", str(d_path), "--degree", "2") == 2
-    assert capsys.readouterr().err.startswith("failure: quadrature did not converge")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("moments", "--input", str(d_path), "--degree", "2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failure: quadrature did not converge")
+    assert err.count("\n") == 1
 
 
 def test_verify_byte_identical_rerun(tmp_path):

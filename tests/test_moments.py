@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from momentrank import (
     submatrix_drop_first,
     weight_by_g,
 )
+from momentrank import moments
 
 
 def atom(coords, weight):
@@ -262,13 +264,31 @@ def test_linear_polynomial_density_on_bidisk_shifts_uniform_moments():
     assert np.max(np.abs(a.entries - expected)) <= 1e-12 * np.max(np.abs(u.entries))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
 def test_quadrature_overflow_raises(kind):
     # monomials of a radius-1e200 disk overflow, so refinement never settles
     dens = DensityMeasure(1, Polydisk(ComplexPoint((0j,)), (1e200,)), DensitySpec(kind))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError):
+            moment_matrix(dens, 2)
+
+
+def test_quadrature_overflow_stops_refining(monkeypatch):
+    # every finer level overflows too, so it must not be built: the last of
+    # the 7 levels alone would hold a (nodes x (D+1)) table of ~10^6 rows
+    levels = []
+    gram = moments._discrete_moment_matrix
+
+    def counting(points, weights, basis):
+        levels.append(len(points))
+        return gram(points, weights, basis)
+
+    monkeypatch.setattr(moments, "_discrete_moment_matrix", counting)
+    dens = DensityMeasure(1, Polydisk(ComplexPoint((0j,)), (1e200,)), DensitySpec("uniform"))
     with pytest.raises(QuadratureError):
-        moment_matrix(dens, 2)
+        moment_matrix(dens, 3)
+    assert 1 <= len(levels) <= 2
 
 
 def test_polynomial_density_shifts_uniform_moments():

@@ -230,6 +230,54 @@ def test_recover_atoms_many_atoms_low_degree(d, n, degree, seed):
     assert report.residual <= 1e-6
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_recover_atoms_basis_2024_from_flat_block(seed):
+    # d=3, D=21: a basis of 2024 indices, far above the 20 atoms, so the
+    # pencil runs on a small flat leading block and only the residual sees
+    # the whole matrix
+    truth = generate_measure(3, 20, seed, separation=0.1)
+    a = moment_matrix(truth, 21)
+    assert a.basis.size == 2024
+    report = recover_atoms(a, RecoveryConfig(seed=seed))
+    matched = match_atoms(report.atoms, truth, 1e-6)
+    assert matched is not None
+    assert matched[0] <= 1e-6 and matched[1] <= 1e-6
+    assert report.residual <= 1e-6
+    assert report.block_degree < a.max_degree
+
+
+def test_flat_block_search_ranks_no_larger_matrix(monkeypatch):
+    sizes = []
+    real = recovery.numerical_rank
+
+    def recording(a, rel_tol=1e-8):
+        sizes.append((a.entries if isinstance(a, MomentMatrix) else np.asarray(a)).shape[0])
+        return real(a, rel_tol)
+
+    monkeypatch.setattr(recovery, "numerical_rank", recording)
+    truth = generate_measure(3, 20, 0, separation=0.1)
+    report = recover_atoms(moment_matrix(truth, 21), RecoveryConfig(seed=0))
+    assert report.residual <= 1e-6
+    # the search stops at the accepted block, so nothing past one degree
+    # above it is ranked, and the 2024 x 2024 input never is
+    assert sizes and max(sizes) <= IndexBasis(3, report.block_degree + 1).size
+
+
+def test_false_plateau_goes_on_to_the_next_block():
+    # ranks 1..6, 6, 7, 7 at degrees 0..8: the step at degree 6 looks flat
+    # but a seventh atom only shows at degree 7, so the fit on that block
+    # misses the whole-input residual and the search moves on
+    truth = generate_measure(1, 7, seed=1018, separation=0.1)
+    a = moment_matrix(truth, 8)
+    report = recover_atoms(a, RecoveryConfig(seed=1018))
+    assert report.retry_log and report.retry_log[0].startswith("degree 6 ")
+    assert report.block_degree == 8
+    matched = match_atoms(report.atoms, truth, 1e-6)
+    assert matched is not None
+    assert matched[0] <= 1e-6 and matched[1] <= 1e-6
+    assert report.residual <= 1e-6
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 10_000))
 def test_roundtrip_property(d, n, seed):
