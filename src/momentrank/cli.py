@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 usage or I/O error, 2 check/recovery failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -158,7 +159,10 @@ def _add_common(parser: argparse.ArgumentParser, *, output_default=None) -> None
     parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-8)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The `momentrank` parser, built once per process: parsing leaves it
+    unchanged, so every `main` call shares it."""
     parser = _Parser(prog="momentrank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,7 +10,8 @@ iterative multiplication along the graded order (no complex pow calls).  The
 points are the atoms of a discrete measure (exact up to rounding), the
 recentred atoms of a Galerkin matrix (see operators), or the polar nodes of a
 density's per-coordinate disk tables (Gauss-Legendre in radius, trapezoid in
-angle), refined until the entries stabilize below 1e-10.
+angle): exact on the first level for uniform and polynomial densities, and
+refined for the Gaussian until the entries stabilize below 1e-10.
 """
 
 from __future__ import annotations
@@ -222,18 +223,28 @@ def moment_entry(m: DiscreteMeasure, alpha: MultiIndex, beta: MultiIndex) -> com
     return total
 
 
+def _gram_rows(table: np.ndarray, weights: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows `rows` of the Gram product sum_k lambda_k t_k^alpha conj(t_k)^beta
+    of a weighted monomial table, symmetrized entry by entry as the whole
+    product is, so row blocks read the same values as one whole matrix."""
+    left = (table * weights[:, np.newaxis]).T
+    right = table.conj()
+    entries = left[rows] @ right
+    if np.all(weights.imag == 0):
+        # real weights make the matrix Hermitian in exact arithmetic;
+        # symmetrizing removes the accumulation-order noise of the matmul
+        whole = entries.shape[0] == table.shape[1]
+        columns = entries if whole else left @ right[:, rows]
+        entries += columns.conj().T
+        entries *= 0.5
+    return entries
+
+
 def _discrete_moment_matrix(
     points: np.ndarray, weights: np.ndarray, basis: IndexBasis
 ) -> np.ndarray:
     """Gram product sum_k lambda_k z_k^alpha conj(z_k)^beta of weighted points."""
-    table = monomial_table(points, basis)
-    entries = (table * weights[:, np.newaxis]).T @ table.conj()
-    if np.all(weights.imag == 0):
-        # real weights make the matrix Hermitian in exact arithmetic;
-        # symmetrizing removes the accumulation-order noise of the matmul
-        entries += entries.conj().T
-        entries *= 0.5
-    return entries
+    return _gram_rows(monomial_table(points, basis), weights, slice(None))
 
 
 # -- density quadrature ------------------------------------------------------
@@ -242,8 +253,16 @@ def _discrete_moment_matrix(
 # (uniform is {0: 1}) times a per-coordinate factor (the Gaussian's
 # exp(-|z_j|^2 / 2) / (2 pi), or 1), so the tensor-product rule reduces to
 # 1-D tables t_j[p, q] = integral over the j-th disk of z^p conj(z)^q rho_j(z)
-# dm(z).  Each table is the Gram product of weighted polar nodes, refined
-# until stable; with real node weights it comes out exactly Hermitian.
+# dm(z).  Each table is the Gram product of weighted polar nodes; with real
+# node weights it comes out exactly Hermitian.
+#
+# Without the radial factor the integrand of t_j[p, q] is a polynomial: in
+# polar form about the disk's centre it has radial degree <= p + q + 1 (the
+# Jacobian r included) and angular frequencies |k| <= p + q.  The first
+# level's p_max + q_max + 2 Gauss-Legendre nodes are exact up to radial
+# degree 2 (p_max + q_max) + 3, and its n = 4 (p_max + q_max + 1) trapezoid
+# nodes are exact for every frequency |k| < n, so uniform and polynomial
+# tables are exact on the first level.  Only the Gaussian is refined.
 
 _QUAD_TOL = 1e-10
 _MAX_REFINEMENTS = 6
@@ -265,8 +284,14 @@ def _gaussian_factor(z: np.ndarray) -> np.ndarray:
 def _disk_table(
     center: complex, radius: float, p_max: int, q_max: int, radial_density
 ) -> np.ndarray:
-    """Refined table of disk moments (p_max >= q_max); raises QuadratureError
-    if unstable, at once when a level overflows to a non-finite table."""
+    """Table of disk moments t[p, q], p <= p_max, q <= q_max (p_max >= q_max).
+
+    Exact for a polynomial integrand (`radial_density` None: the uniform and
+    polynomial densities), so the first level is returned as it is; with a
+    radial density (the Gaussian) the rule is refined until stable.  Raises
+    QuadratureError if refinement does not settle, and at once when a level
+    overflows to a non-finite table.
+    """
     basis = IndexBasis(1, p_max)
     current = None
     errors: list[float] = []
@@ -287,6 +312,8 @@ def _disk_table(
         if not np.all(np.isfinite(refined)):
             # finer levels cannot recover from an overflow; they only cost memory
             raise QuadratureError((errors[-1] if errors else math.inf, math.nan))
+        if radial_density is None:
+            return refined
         if current is not None:
             err = float(np.max(np.abs(refined - current)))
             errors.append(err)

@@ -56,6 +56,7 @@ from .moments import (
     NumericalError,
     RankResult,
     _discrete_moment_matrix,
+    _gram_rows,
     leading_truncation,
     moment_matrix,
     monomial_table,
@@ -78,6 +79,7 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-6
 _POLISH_ITERATIONS = 3
+_GAP_BLOCK_BYTES = 1 << 20
 
 
 class RecoveryError(RuntimeError):
@@ -238,6 +240,23 @@ def _pencil_locations(a: MomentMatrix, block: int, rank: int, seed: int) -> np.n
     return locations
 
 
+def _moment_gap(measure: DiscreteMeasure, whole: MomentMatrix) -> float:
+    """max |A_fit - A| between the moments of `measure` and the input `whole`,
+    one row block of the fitted matrix at a time (at most ~1 MB, so inputs up
+    to n = 256 are one block) rather than n x n at once."""
+    table = monomial_table(measure.locations_matrix(), whole.basis)
+    weights = measure.weights_vector()
+    n = whole.basis.size
+    step = max(1, _GAP_BLOCK_BYTES // (16 * n))
+    gap = 0.0
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        block = _gram_rows(table, weights, rows)
+        block -= whole.entries[rows]
+        gap = max(gap, float(np.max(np.abs(block))))
+    return gap
+
+
 def _fit(
     a: MomentMatrix, whole: MomentMatrix, block: int, rank: int, cfg: RecoveryConfig
 ) -> tuple[DiscreteMeasure, float]:
@@ -256,9 +275,7 @@ def _fit(
         if w != 0
     ]
     measure = DiscreteMeasure(a.dimension, _sorted_atoms(atoms))
-    gap = moment_matrix(measure, whole.max_degree).entries
-    gap -= whole.entries
-    residual = float(np.max(np.abs(gap)))
+    residual = _moment_gap(measure, whole)
     if residual > _RESIDUAL_TOL:
         raise RecoveryError(
             f"residual {residual:.3e} above {_RESIDUAL_TOL:.1e} "

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from momentrank import DensityMeasure, DensitySpec, ComplexPoint, Polydisk
-from momentrank.cli import main
+from momentrank.cli import build_parser, main
 from momentrank.serialize import density_to_dict, dump_json, measure_from_dict
 
 
@@ -147,6 +147,32 @@ def test_bad_json_is_usage_error(tmp_path):
 
 def test_unknown_flag_is_usage_error():
     assert run("gen", "--dimension", "2", "--atoms", "1", "--bogus", "3") == 1
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_restores_defaults_between_calls(tmp_path):
+    m_path, v_path = tmp_path / "m.json", tmp_path / "v.json"
+    run("gen", "--dimension", "1", "--atoms", "2", "--seed", "4", "--output", str(m_path))
+    assert run("verify", "--input", str(m_path), "--degree", "8",
+               "--output", str(v_path)) == 0
+    assert json.loads(v_path.read_text())["run_spec"]["degree"] == 8
+    assert run("verify", "--input", str(m_path), "--output", str(v_path)) == 0
+    assert json.loads(v_path.read_text())["run_spec"]["degree"] == 6
+
+
+def test_shared_parser_after_usage_error_writes_fresh_parser_bytes(tmp_path):
+    m_path, v_path = tmp_path / "m.json", tmp_path / "v.json"
+    run("gen", "--dimension", "2", "--atoms", "3", "--seed", "8", "--output", str(m_path))
+    verify = ("verify", "--input", str(m_path), "--degree", "5", "--output", str(v_path))
+    assert run(*verify, "--bogus") == 1
+    assert run(*verify) == 0
+    after_error = v_path.read_bytes()
+    build_parser.cache_clear()
+    assert run(*verify) == 0
+    assert v_path.read_bytes() == after_error
 
 
 def test_verify_failure_exit_code(tmp_path):

@@ -514,3 +514,51 @@ def test_reweighting_never_increases_rank(d, n, seed, gseed):
     a_rank = numerical_rank(moment_matrix(m, n + 1)).rank
     g_rank = numerical_rank(moment_matrix(weight_by_g(m, g), n + 1)).rank
     assert g_rank <= a_rank
+
+
+def offcenter_disk_moment(p, q, center, radius):
+    """Closed form of the integral of z^p conj(z)^q over |z - c| < r: expand
+    z = c + w binomially; only the w^i conj(w)^i terms survive the angle."""
+    return sum(
+        math.comb(p, i) * math.comb(q, i) * center ** (p - i)
+        * center.conjugate() ** (q - i) * math.pi * radius ** (2 * i + 2) / (i + 1)
+        for i in range(min(p, q) + 1)
+    )
+
+
+def test_uniform_disk_table_is_exact_on_the_first_level():
+    center, radius = 0.4 - 0.3j, 0.9
+    table = moments._disk_table(center, radius, 10, 10, None)
+    expected = np.array(
+        [[offcenter_disk_moment(p, q, center, radius) for q in range(11)] for p in range(11)]
+    )
+    # relative to the largest moment: entries that cancel to ~1e-4 of it
+    # lose digits in the closed form's own sum
+    assert np.max(np.abs(table - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "spec, exact",
+    [
+        (DensitySpec("uniform"), True),
+        (DensitySpec("polynomial", PolynomialWeight(2, {(0, 0): 1.0, (1, 0): 0.2j})), True),
+        (DensitySpec("gaussian"), False),
+    ],
+)
+def test_only_the_gaussian_refines(monkeypatch, spec, exact):
+    # a polynomial integrand needs one level per coordinate disk; the
+    # Gaussian factor needs at least one refinement to confirm convergence
+    calls = []
+    gram = moments._discrete_moment_matrix
+
+    def counting(points, weights, basis):
+        calls.append(len(points))
+        return gram(points, weights, basis)
+
+    monkeypatch.setattr(moments, "_discrete_moment_matrix", counting)
+    domain = Polydisk(ComplexPoint((0.3 + 0.1j, -0.2j)), (1.0, 0.8))
+    moment_matrix(DensityMeasure(2, domain, spec), 4)
+    if exact:
+        assert len(calls) == 2
+    else:
+        assert len(calls) >= 4

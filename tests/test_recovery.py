@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,22 @@ def test_recover_atoms_basis_2024_from_flat_block(seed):
     assert matched[0] <= 1e-6 and matched[1] <= 1e-6
     assert report.residual <= 1e-6
     assert report.block_degree < a.max_degree
+
+
+def test_residual_check_never_holds_a_whole_fitted_matrix():
+    # the whole-input residual runs over ~1 MB row blocks, so recovering
+    # from a 2024 x 2024 input allocates far less than one more such matrix
+    # (65.5 MB of complex entries)
+    truth = generate_measure(3, 20, 0, separation=0.1)
+    a = moment_matrix(truth, 21)
+    tracemalloc.start()
+    try:
+        report = recover_atoms(a, RecoveryConfig(seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.residual <= 1e-6
+    assert peak < 20e6
 
 
 def test_flat_block_search_ranks_no_larger_matrix(monkeypatch):
