@@ -12,6 +12,12 @@ recentred atoms of a Galerkin matrix (see operators), or the polar nodes of a
 density's per-coordinate disk tables (Gauss-Legendre in radius, trapezoid in
 angle): exact on the first level for uniform and polynomial densities, and
 refined for the Gaussian until the entries stabilize below 1e-10.
+
+`numerical_rank` counts singular values above a relative threshold.  On a
+square matrix of size >= 64 it first tries a seeded randomized range sketch
+whose exact residual certifies the count (atomic moment and Galerkin
+matrices have rank N far below their size); when the certificate cannot
+settle it, as for a density's full-rank matrix, the dense SVD decides.
 """
 
 from __future__ import annotations
@@ -397,27 +403,84 @@ class RankResult(NamedTuple):
 
 
 _CONDITION_LIMIT = 1e12
+_SKETCH_MIN_SIZE = 64
+_SKETCH_RATIO = 8  # sketch width l = n // 8
+
+
+def _rank_result(sigma: np.ndarray, rel_tol: float) -> RankResult:
+    """Rank and conditioning read off non-increasing singular values."""
+    if sigma.size == 0 or sigma[0] == 0.0:
+        return RankResult(0, sigma, False)
+    rank = int(np.count_nonzero(sigma > rel_tol * sigma[0]))
+    ill = bool(rank > 0 and sigma[0] / sigma[rank - 1] > _CONDITION_LIMIT)
+    return RankResult(rank, sigma, ill)
+
+
+def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
+    """The rank of a square matrix from a certified randomized range sketch,
+    or None when the certificate cannot settle it.
+
+    Y = A Omega for l = n // 8 complex Gaussian columns drawn from seed 0,
+    and Q R = Y (Halko, Martinsson and Tropp, SIAM Review 2011).  A last
+    diagonal entry of R above rel_tol |R_11| means Y has full rank, so A is
+    not low-rank.  Otherwise, with B = Q^H A and err = ||A - Q B||_F +
+    n eps ||A||_F, every sigma_i(A) lies within err of s_i = sigma_i(B),
+    taken as 0 past l (Weyl), and the threshold rel_tol sigma_1(A) within
+    rel_tol err of rel_tol s_1.  The count is accepted only if err lies
+    below that threshold and no s_i lies within err of where the threshold
+    can fall, so the dense SVD would count the same.
+    """
+    n = entries.shape[0]
+    width = n // _SKETCH_RATIO
+    rng = np.random.default_rng(0)
+    omega = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+    q, r = np.linalg.qr(entries @ omega)
+    if abs(r[-1, -1]) > rel_tol * abs(r[0, 0]):
+        return None
+    b = q.conj().T @ entries
+    gap = q @ b  # the only n x n temporary
+    gap -= entries
+    residual = np.linalg.norm(gap)
+    # ||A||_F from the orthogonal split A = Q B - gap, without another pass over A
+    err = residual + n * np.finfo(float).eps * np.hypot(residual, np.linalg.norm(b))
+    s = np.linalg.svd(b, compute_uv=False)
+    low, high = rel_tol * (s[0] - err), rel_tol * (s[0] + err)
+    if not err < low or np.any((s >= low - err) & (s <= high + err)):
+        return None
+    sigma = np.zeros(n)
+    sigma[:width] = s
+    return _rank_result(sigma, rel_tol)
 
 
 def numerical_rank(a: MomentMatrix | np.ndarray, rel_tol: float = 1e-8) -> RankResult:
     """Count of singular values above rel_tol times the largest one.
 
     The all-zero matrix has rank 0.  The result is flagged ill-conditioned
-    when sigma_max / sigma_rank exceeds 1e12.
+    when sigma_max / sigma_rank exceeds 1e12.  Non-finite entries raise
+    NumericalError before any LAPACK call.
+
+    A square matrix of size n >= 64 is first ranked from a sketch of width
+    n // 8 with an exact a-posteriori residual (`_sketched_rank`): when the
+    residual certifies that every singular value sits clear of the
+    threshold, that count is returned, with the sketch's singular values
+    and zeros past its width.  Otherwise, and for every smaller or
+    rectangular matrix, the dense SVD decides, so both paths give the same
+    rank.
     """
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie in (0, 1)")
     entries = a.entries if isinstance(a, MomentMatrix) else np.asarray(a, dtype=complex)
+    if not np.all(np.isfinite(entries)):
+        raise NumericalError("matrix has non-finite entries")
     try:
+        if entries.ndim == 2 and entries.shape[0] == entries.shape[1] >= _SKETCH_MIN_SIZE:
+            sketched = _sketched_rank(entries, rel_tol)
+            if sketched is not None:
+                return sketched
         sigma = np.linalg.svd(entries, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
-    sigma = np.sort(sigma)[::-1]
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return RankResult(0, sigma, False)
-    rank = int(np.count_nonzero(sigma > rel_tol * sigma[0]))
-    ill = bool(rank > 0 and sigma[0] / sigma[rank - 1] > _CONDITION_LIMIT)
-    return RankResult(rank, sigma, ill)
+    return _rank_result(np.sort(sigma)[::-1], rel_tol)
 
 
 def reweight_moments(a: MomentMatrix, g: PolynomialWeight) -> MomentMatrix:

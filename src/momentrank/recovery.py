@@ -26,9 +26,10 @@ weights or a rank that has not yet grown can make a step look flat; a
 rejected or failed fit sends the search on to the next flat step, and the
 whole matrix is the last block tried.
 
-The SVD rank estimate can undercount by one when a singular value straddles
-the threshold, so a fit that misses the residual gate is retried one and two
-ranks higher on the same block.
+The rank estimate (`numerical_rank`: a certified sketch where one settles
+the count, the dense SVD otherwise) can undercount by one when a singular
+value straddles the threshold, so a fit that misses the residual gate is
+retried one and two ranks higher on the same block.
 
 `verify_theorem` is the invariant battery of the rank dichotomy, the one
 that `momentrank verify` serializes.
@@ -110,7 +111,7 @@ class RecoveryReport:
     The residual is the largest entry of |moments(atoms) - input| over the
     whole input; on success the atom count equals the detected rank.
     block_degree is the degree of the leading block the pencil was fitted on,
-    retries_used counts the rank increments tried there past its SVD
+    retries_used counts the rank increments tried there past its rank
     estimate, retry_log holds one line per failed fit, and rotation_seed_used
     is the seed of the combination.
     """
@@ -295,7 +296,8 @@ def recover_atoms(a: MomentMatrix, cfg: RecoveryConfig = RecoveryConfig()) -> Re
     residual against the whole input is at most 1e-6; otherwise the search
     goes on to the next flat step, and the whole matrix is fitted last.
     Raises RecoveryError when no block fits, e.g. when the degree-(D-1)
-    block of the whole matrix is smaller than its rank.
+    block of the whole matrix is smaller than its rank, and NumericalError
+    on non-finite input.
     """
     return _recover(a, {}, cfg)
 
@@ -305,6 +307,8 @@ def _recover(
 ) -> RecoveryReport:
     """`recover_atoms` given the rank estimates, by degree, of leading
     truncations of `a` that the caller already holds."""
+    if not np.all(np.isfinite(a.entries)):
+        raise NumericalError("moment matrix has non-finite entries")
     if not np.any(a.entries):
         return RecoveryReport(
             atoms=DiscreteMeasure(a.dimension, ()),
@@ -437,8 +441,8 @@ def verify_theorem(
     - submatrix_consistency (d >= 2): the alpha_1 = beta_1 = 0 block equals
       the moment matrix of the pushforward dropping z_1, within 1e-12.
     """
-    if not degrees or list(degrees) != sorted(degrees):
-        raise ValueError("degrees must be a nonempty increasing list")
+    if not degrees or any(lo >= hi for lo, hi in zip(degrees, degrees[1:])):
+        raise ValueError("degrees must be a nonempty strictly increasing list")
     atomic = isinstance(m, DiscreteMeasure)
     d_max = degrees[-1]
     top = max(d_max, m.atom_count + 1) if atomic else d_max

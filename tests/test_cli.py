@@ -73,6 +73,38 @@ def test_rank_and_spectrum_outputs(tmp_path):
     assert mods == sorted(mods, reverse=True)
 
 
+def test_rank_file_lists_every_value_at_basis_220(tmp_path):
+    # d=3, degree 9: rank 8 from the certified sketch, zeros past its width
+    m_path, a_path, k_path = tmp_path / "m.json", tmp_path / "a.json", tmp_path / "k.json"
+    assert run("gen", "--dimension", "3", "--atoms", "8", "--seed", "3",
+               "--separation", "0.2", "--output", str(m_path)) == 0
+    assert run("moments", "--input", str(m_path), "--degree", "9", "--output", str(a_path)) == 0
+    assert run("rank", "--input", str(a_path), "--output", str(k_path)) == 0
+    data = json.loads(k_path.read_text())
+    values = data["singular_values"]
+    assert data["rank"] == 8
+    assert len(values) == 220
+    assert all(x >= y for x, y in zip(values, values[1:]))
+    assert values[8] <= 1e-8 * values[0] and values[-1] == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["Infinity", "NaN"])
+@pytest.mark.parametrize("command", ["rank", "recover"])
+def test_non_finite_matrix_file_is_numerical_failure(tmp_path, capfd, command, bad):
+    # capfd, not capsys: LAPACK writes its own complaints to file descriptor 2
+    m_path, a_path = tmp_path / "m.json", tmp_path / "a.json"
+    run("gen", "--dimension", "2", "--atoms", "3", "--seed", "4", "--output", str(m_path))
+    run("moments", "--input", str(m_path), "--degree", "4", "--output", str(a_path))
+    data = json.loads(a_path.read_text())
+    data["entries"][3][5] = [bad, 0.0]
+    a_path.write_text(json.dumps(data))
+    capfd.readouterr()
+    assert run(command, "--input", str(a_path)) == 3
+    err = capfd.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_passes_on_generated_measure(tmp_path):
     m_path, v_path = tmp_path / "m.json", tmp_path / "v.json"
     run("gen", "--dimension", "2", "--atoms", "4", "--seed", "13",

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,15 +17,18 @@ from momentrank import (
     IndexBasis,
     MomentMatrix,
     MultiIndex,
+    NumericalError,
     Polydisk,
     PolynomialWeight,
     QuadratureError,
+    galerkin_matrix,
     generate_measure,
     leading_truncation,
     moment_entry,
     moment_matrix,
     numerical_rank,
     pushforward_drop_coord,
+    random_linear_polynomial,
     random_unitary,
     reweight_moments,
     rotate_moments,
@@ -33,6 +38,8 @@ from momentrank import (
     weight_by_g,
 )
 from momentrank import moments
+from momentrank.operators import enclosing_kernel
+from momentrank.serialize import any_measure_from_dict
 
 
 def atom(coords, weight):
@@ -562,3 +569,122 @@ def test_only_the_gaussian_refines(monkeypatch, spec, exact):
         assert len(calls) == 2
     else:
         assert len(calls) >= 4
+
+
+# -- certified sketched rank ---------------------------------------------------
+
+def _bench_verify_inputs():
+    """`verify_inputs` of bench/workloads.py: the 36 files `verify` runs on."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.verify_inputs
+
+
+def _svd_spy(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the shape of every matrix handed to np.linalg.svd; the sketch
+    only decomposes its wide l x n factor, so a square shape is a dense SVD."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+def test_sketched_rank_matches_dense_svd(monkeypatch):
+    # (label, entries, atomic): the criterion-1 moment matrix, both Galerkin
+    # kernels and the |g|^2-reweighted matrix of the acceptance corpus, and
+    # the degree-1..8 truncations of the verify benchmark's 36 files
+    cases = []
+    for i in range(200):
+        d, n = (1, 2, 3)[i % 3], 1 + i % 8
+        m = generate_measure(d, n, seed=1000 + i, separation=0.1)
+        cases.append((f"moments {1000 + i}", moment_matrix(m, n + 1).entries, True))
+        for kind in ("bargmann", "bergman"):
+            g = galerkin_matrix(enclosing_kernel(kind, m), m, n + 1)
+            cases.append((f"{kind} {1000 + i}", g.entries, True))
+        weighted = weight_by_g(m, random_linear_polynomial(d, 2000 + i))
+        cases.append((f"reweighted {1000 + i}", moment_matrix(weighted, n + 1).entries, True))
+    for name, payload in _bench_verify_inputs()(0):
+        m = any_measure_from_dict(payload)
+        top = moment_matrix(m, 8)
+        for degree in range(1, 9):
+            entries = leading_truncation(top, degree).entries
+            cases.append((f"{name} D={degree}", entries, isinstance(m, DiscreteMeasure)))
+
+    svd = np.linalg.svd
+    shapes = _svd_spy(monkeypatch)
+    sketched = 0
+    for label, entries, atomic in cases:
+        sigma = svd(entries, compute_uv=False)
+        expected = int(np.count_nonzero(sigma > 1e-8 * sigma[0]))
+        shapes.clear()
+        result = numerical_rank(entries, 1e-8)
+        assert result.rank == expected, label
+        assert len(result.singular_values) == len(entries), label
+        lead = slice(0, expected)
+        gap = np.max(np.abs(result.singular_values[lead] - sigma[lead]), initial=0.0)
+        assert gap <= 1e-12 * sigma[0], label
+        size = len(entries)
+        if atomic and size >= 64:
+            assert shapes == [(size // 8, size)], f"{label}: reached the dense SVD"
+            sketched += 1
+        else:
+            assert shapes == [(size, size)], label
+    # four matrices of each of the 33 corpus measures with d = 3, N >= 5, and
+    # the 6 atomic d = 3 files at degrees 6, 7 and 8
+    assert sketched == 4 * 33 + 6 * 3
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+@pytest.mark.parametrize("side", [1 - 1e-13, 1 + 1e-13])
+def test_rank_at_the_threshold_falls_back_to_dense_svd(monkeypatch, side):
+    rng = np.random.default_rng(5)
+    u, v = _unitary(rng, 128), _unitary(rng, 128)
+
+    def matrix(last):
+        sigma = np.zeros(128)
+        sigma[:5] = [1.0, 0.3, 1e-3, 1e-6, last]
+        return (u * sigma) @ v.conj().T
+
+    # clear of the threshold, the same matrix is ranked by the sketch
+    assert moments._sketched_rank(matrix(1e-7), 1e-8).rank == 5
+    a = matrix(1e-8 * side)
+    shapes = _svd_spy(monkeypatch)
+    result = numerical_rank(a, 1e-8)
+    assert shapes == [(16, 128), (128, 128)]  # the sketch declined, the SVD decided
+    sigma = np.sort(np.linalg.svd(a, compute_uv=False))[::-1]
+    rank = int(np.count_nonzero(sigma > 1e-8 * sigma[0]))
+    assert result.rank == rank
+    assert result.singular_values.tobytes() == sigma.tobytes()
+    assert result.ill_conditioned is bool(sigma[0] / sigma[rank - 1] > 1e12)
+
+
+def test_rectangular_rank_goes_straight_to_svd(monkeypatch):
+    rng = np.random.default_rng(6)
+    a = (rng.standard_normal((100, 3)) + 1j) @ rng.standard_normal((3, 80))
+    shapes = _svd_spy(monkeypatch)
+    result = numerical_rank(a)
+    assert shapes == [(100, 80)]
+    assert result.rank == 3
+    assert len(result.singular_values) == 80
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_rank_rejects_non_finite_entries(monkeypatch, bad):
+    shapes = _svd_spy(monkeypatch)
+    for size in (3, 84):
+        entries = np.eye(size, dtype=complex)
+        entries[1, 2] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            numerical_rank(entries)
+    assert shapes == []

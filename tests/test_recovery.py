@@ -13,6 +13,7 @@ from momentrank import (
     DiscreteMeasure,
     IndexBasis,
     MomentMatrix,
+    NumericalError,
     Polydisk,
     RecoveryConfig,
     RecoveryError,
@@ -374,6 +375,27 @@ def test_verify_theorem_rejects_bad_degrees():
         verify_theorem(DiscreteMeasure(1, ()), [])
     with pytest.raises(ValueError):
         verify_theorem(DiscreteMeasure(1, ()), [3, 1])
+
+
+def test_verify_theorem_rejects_repeated_degrees():
+    m = generate_measure(1, 3, seed=2, separation=0.2)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        verify_theorem(m, [2, 2, 3])
+    assert verify_theorem(m, [2, 3]).ranks == (3, 3)
+
+
+def test_recover_atoms_rejects_non_finite_input(monkeypatch):
+    # the check runs once, before any rank or LAPACK call
+    def no_rank(*args, **kwargs):
+        raise AssertionError("ranked a non-finite matrix")
+
+    monkeypatch.setattr(recovery, "numerical_rank", no_rank)
+    a = moment_matrix(generate_measure(2, 3, seed=1, separation=0.2), 4)
+    for bad in (np.inf, np.nan):
+        entries = a.entries.copy()
+        entries[-1, -1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            recover_atoms(MomentMatrix(a.basis, entries))
 
 
 def test_match_atoms_rejects_count_mismatch():
