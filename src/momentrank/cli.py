@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import serialize
-from .measures import generate_measure
+from .measures import DiscreteMeasure, generate_measure
 from .moments import NumericalError, QuadratureError, moment_matrix, numerical_rank
 from .operators import enclosing_kernel, galerkin_matrix, spectrum
 from .recovery import (
@@ -109,7 +109,11 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_galerkin(args) -> int:
-    measure = serialize.measure_from_dict(_read_json(args.input))
+    measure = serialize.any_measure_from_dict(_read_json(args.input))
+    if not isinstance(measure, DiscreteMeasure):
+        raise _CliError(
+            f"galerkin needs an atomic measure file; {args.input} holds a density"
+        )
     kernel = enclosing_kernel(args.kernel, measure)
     g = galerkin_matrix(kernel, measure, args.degree)
     payload = serialize.galerkin_to_dict(g)

@@ -17,7 +17,11 @@ refined for the Gaussian until the entries stabilize below 1e-10.
 square matrix of size >= 64 it first tries a seeded randomized range sketch
 whose exact residual certifies the count (atomic moment and Galerkin
 matrices have rank N far below their size); when the certificate cannot
-settle it, as for a density's full-rank matrix, the dense SVD decides.
+settle it, as for a density's full-rank matrix, the dense SVD decides.  A
+density's full rank is instead certified for all leading truncations at
+once by `_full_rank_certificate`: one Cholesky factorization of the
+matrix's shifted Hermitian part, which `recovery.verify_theorem` tries
+before ranking each truncation.
 """
 
 from __future__ import annotations
@@ -416,6 +420,16 @@ def _rank_result(sigma: np.ndarray, rel_tol: float) -> RankResult:
     return RankResult(rank, sigma, ill)
 
 
+@functools.lru_cache(maxsize=16)
+def _sketch_matrix(n: int, width: int) -> np.ndarray:
+    """The n x width complex Gaussian sketch drawn from seed 0, read-only,
+    drawn once per size."""
+    rng = np.random.default_rng(0)
+    omega = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+    omega.flags.writeable = False
+    return omega
+
+
 def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
     """The rank of a square matrix from a certified randomized range sketch,
     or None when the certificate cannot settle it.
@@ -432,9 +446,7 @@ def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
     """
     n = entries.shape[0]
     width = n // _SKETCH_RATIO
-    rng = np.random.default_rng(0)
-    omega = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
-    q, r = np.linalg.qr(entries @ omega)
+    q, r = np.linalg.qr(entries @ _sketch_matrix(n, width))
     if abs(r[-1, -1]) > rel_tol * abs(r[0, 0]):
         return None
     b = q.conj().T @ entries
@@ -481,6 +493,44 @@ def numerical_rank(a: MomentMatrix | np.ndarray, rel_tol: float = 1e-8) -> RankR
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
     return _rank_result(np.sort(sigma)[::-1], rel_tol)
+
+
+def _full_rank_certificate(entries: np.ndarray, rel_tol: float) -> bool:
+    """True only if every leading principal block A_k of the square matrix
+    A has full numerical rank at rel_tol; False when the certificate cannot
+    settle it.  One Cholesky factorization covers the whole nested family
+    (Rump, "Verification of positive definiteness", BIT 46, 2006).
+
+    With H = (A + A^H) / 2 and a unit vector x, ||A_k x|| >= |x^H A_k x| >=
+    x^H H_k x >= lambda_min(H_k) >= lambda_min(H) (Cauchy interlacing), so
+    sigma_min(A_k) >= lambda_min(H), while sigma_max(A_k) <= ||A||_F.  Hence
+    lambda_min(H) > rel_tol ||A||_F gives every A_k full rank, and it holds
+    when the Cholesky factorization of H - (rel_tol ||A||_F + c) I completes.
+    In units of eps ||A||_F, forming H costs at most 1, the computed ||A||_F
+    n^2 + 2, the shifted diagonal 2, and a completed complex Cholesky
+    factorization at most about 2 (n + 2) trace(H) / ||A||_F <= 2 (n + 2)^1.5
+    (Demmel; Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.5), so c = 4 (n + 2)^2 eps ||A||_F covers them all, and with room
+    to spare the dense SVD's own backward error, so the SVD counts the same.
+    ||A||_F must lie clear of underflow and overflow.
+    """
+    n = entries.shape[0]
+    norm = float(np.linalg.norm(entries))
+    if not 1e-100 < norm < math.inf:
+        return False
+    shift = (rel_tol + 4 * (n + 2) ** 2 * np.finfo(float).eps) * norm
+    diagonal = entries.diagonal().real  # the diagonal of H, exactly
+    if np.min(diagonal) <= shift:
+        return False
+    h = entries.conj().T  # the one n x n buffer, H formed in place
+    h += entries
+    h *= 0.5
+    np.fill_diagonal(h, diagonal - shift)
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def reweight_moments(a: MomentMatrix, g: PolynomialWeight) -> MomentMatrix:

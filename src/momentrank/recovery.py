@@ -57,6 +57,7 @@ from .moments import (
     NumericalError,
     RankResult,
     _discrete_moment_matrix,
+    _full_rank_certificate,
     _gram_rows,
     leading_truncation,
     moment_matrix,
@@ -428,7 +429,11 @@ def verify_theorem(
     to N + 1 for N atoms); every other matrix is a leading truncation of
     that one.  Density input: the truncation must have full rank
     binom(D + d, d) at every degree (unbounded rank growth, so no
-    finite-rank representation exists).  Atomic input, with D = max(degrees):
+    finite-rank representation exists).  One Cholesky factorization of the
+    top matrix's shifted Hermitian part (`_full_rank_certificate`) proves
+    that for every degree at once; when it declines, each truncation is
+    ranked by `numerical_rank`, so the verdict is the same either way.
+    Atomic input, with D = max(degrees):
 
     - rank_saturation: the rank equals N once the degree reaches N - 1;
     - recovery_roundtrip: recovery from the top-degree matrix returns the
@@ -448,14 +453,18 @@ def verify_theorem(
     top = max(d_max, m.atom_count + 1) if atomic else d_max
     a_top = moment_matrix(m, top)
     truncations = [leading_truncation(a_top, d) for d in degrees]
-    estimates = [numerical_rank(t, cfg.rank_tol) for t in truncations]
-    ranks = tuple(e.rank for e in estimates)
     if not atomic:
         expected = [IndexBasis(m.dimension, d).size for d in degrees]
+        if _full_rank_certificate(a_top.entries, cfg.rank_tol):
+            ranks = tuple(expected)
+        else:
+            ranks = tuple(numerical_rank(t, cfg.rank_tol).rank for t in truncations)
         measured = {"degrees": list(degrees), "ranks": list(ranks), "expected": expected}
         check = CheckResult("rank_growth", list(ranks) == expected, measured)
         return TheoremVerdict("density", tuple(degrees), ranks, (check,))
 
+    estimates = [numerical_rank(t, cfg.rank_tol) for t in truncations]
+    ranks = tuple(e.rank for e in estimates)
     n = m.atom_count
     saturation_ok = all(r == n for d, r in zip(degrees, ranks) if d >= max(n - 1, 0))
     checks = [

@@ -139,6 +139,17 @@ def test_verify_density_rank_growth(tmp_path):
     assert check["measured"]["ranks"] == [3, 6, 10, 15]
 
 
+def test_galerkin_on_density_file_is_usage_error(tmp_path, capsys):
+    dens = DensityMeasure(1, Polydisk(ComplexPoint((0j,)), (1.0,)), DensitySpec("uniform"))
+    d_path, g_path = tmp_path / "d.json", tmp_path / "g.json"
+    d_path.write_text(dump_json(density_to_dict(dens)))
+    assert run("galerkin", "--input", str(d_path), "--degree", "3",
+               "--output", str(g_path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: galerkin needs an atomic measure file; {d_path} holds a density\n"
+    assert not g_path.exists()
+
+
 @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
 def test_moments_quadrature_failure_exit_code(tmp_path, capsys, kind):
     d_path = tmp_path / "d.json"

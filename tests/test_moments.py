@@ -1,7 +1,5 @@
-import importlib.util
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -573,30 +571,7 @@ def test_only_the_gaussian_refines(monkeypatch, spec, exact):
 
 # -- certified sketched rank ---------------------------------------------------
 
-def _bench_verify_inputs():
-    """`verify_inputs` of bench/workloads.py: the 36 files `verify` runs on."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.verify_inputs
-
-
-def _svd_spy(monkeypatch) -> list[tuple[int, ...]]:
-    """Record the shape of every matrix handed to np.linalg.svd; the sketch
-    only decomposes its wide l x n factor, so a square shape is a dense SVD."""
-    shapes = []
-    svd = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    return shapes
-
-
-def test_sketched_rank_matches_dense_svd(monkeypatch):
+def test_sketched_rank_matches_dense_svd(svd_spy, verify_inputs):
     # (label, entries, atomic): the criterion-1 moment matrix, both Galerkin
     # kernels and the |g|^2-reweighted matrix of the acceptance corpus, and
     # the degree-1..8 truncations of the verify benchmark's 36 files
@@ -610,7 +585,7 @@ def test_sketched_rank_matches_dense_svd(monkeypatch):
             cases.append((f"{kind} {1000 + i}", g.entries, True))
         weighted = weight_by_g(m, random_linear_polynomial(d, 2000 + i))
         cases.append((f"reweighted {1000 + i}", moment_matrix(weighted, n + 1).entries, True))
-    for name, payload in _bench_verify_inputs()(0):
+    for name, payload in verify_inputs(0):
         m = any_measure_from_dict(payload)
         top = moment_matrix(m, 8)
         for degree in range(1, 9):
@@ -618,7 +593,7 @@ def test_sketched_rank_matches_dense_svd(monkeypatch):
             cases.append((f"{name} D={degree}", entries, isinstance(m, DiscreteMeasure)))
 
     svd = np.linalg.svd
-    shapes = _svd_spy(monkeypatch)
+    shapes = svd_spy()
     sketched = 0
     for label, entries, atomic in cases:
         sigma = svd(entries, compute_uv=False)
@@ -647,7 +622,7 @@ def _unitary(rng, n):
 
 
 @pytest.mark.parametrize("side", [1 - 1e-13, 1 + 1e-13])
-def test_rank_at_the_threshold_falls_back_to_dense_svd(monkeypatch, side):
+def test_rank_at_the_threshold_falls_back_to_dense_svd(svd_spy, side):
     rng = np.random.default_rng(5)
     u, v = _unitary(rng, 128), _unitary(rng, 128)
 
@@ -659,7 +634,7 @@ def test_rank_at_the_threshold_falls_back_to_dense_svd(monkeypatch, side):
     # clear of the threshold, the same matrix is ranked by the sketch
     assert moments._sketched_rank(matrix(1e-7), 1e-8).rank == 5
     a = matrix(1e-8 * side)
-    shapes = _svd_spy(monkeypatch)
+    shapes = svd_spy()
     result = numerical_rank(a, 1e-8)
     assert shapes == [(16, 128), (128, 128)]  # the sketch declined, the SVD decided
     sigma = np.sort(np.linalg.svd(a, compute_uv=False))[::-1]
@@ -669,10 +644,10 @@ def test_rank_at_the_threshold_falls_back_to_dense_svd(monkeypatch, side):
     assert result.ill_conditioned is bool(sigma[0] / sigma[rank - 1] > 1e12)
 
 
-def test_rectangular_rank_goes_straight_to_svd(monkeypatch):
+def test_rectangular_rank_goes_straight_to_svd(svd_spy):
     rng = np.random.default_rng(6)
     a = (rng.standard_normal((100, 3)) + 1j) @ rng.standard_normal((3, 80))
-    shapes = _svd_spy(monkeypatch)
+    shapes = svd_spy()
     result = numerical_rank(a)
     assert shapes == [(100, 80)]
     assert result.rank == 3
@@ -680,11 +655,101 @@ def test_rectangular_rank_goes_straight_to_svd(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_rank_rejects_non_finite_entries(monkeypatch, bad):
-    shapes = _svd_spy(monkeypatch)
+def test_rank_rejects_non_finite_entries(svd_spy, bad):
+    shapes = svd_spy()
     for size in (3, 84):
         entries = np.eye(size, dtype=complex)
         entries[1, 2] = bad
         with pytest.raises(NumericalError, match="non-finite"):
             numerical_rank(entries)
     assert shapes == []
+
+
+# -- full-rank certificate -----------------------------------------------------
+
+def _svd_rank(entries, rel_tol=1e-8):
+    sigma = np.linalg.svd(entries, compute_uv=False)
+    return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
+
+
+def _unit_disk_density(*coeffs):
+    """The density sum_k coeffs[k] z^k on the unit disk in C."""
+    terms = [{"alpha": [k], "coeff": [c, 0.0]} for k, c in enumerate(coeffs) if c]
+    return any_measure_from_dict({
+        "dimension": 1,
+        "domain": {"center": [[0.0, 0.0]], "radii": [1.0]},
+        "density": {"type": "polynomial", "terms": terms},
+    })
+
+
+def test_full_rank_certificate_is_sound_on_the_verify_densities(verify_inputs):
+    # every density of the verify benchmark's first three input sets, at the
+    # degrees 6 and 8 the benchmark and CI run: a certified matrix must have
+    # every leading truncation at full SVD rank
+    certified = 0
+    for seed in range(3):
+        for name, payload in verify_inputs(seed):
+            m = any_measure_from_dict(payload)
+            if isinstance(m, DiscreteMeasure):
+                continue
+            for top_degree in (6, 8):
+                top = moment_matrix(m, top_degree)
+                if not moments._full_rank_certificate(top.entries, 1e-8):
+                    continue
+                certified += 1
+                for degree in range(1, top_degree + 1):
+                    entries = leading_truncation(top, degree).entries
+                    assert _svd_rank(entries) == len(entries), f"{seed} {name} D={degree}"
+    # 3 input sets x 18 densities x 2 degrees, none declined
+    assert certified == 108
+
+
+def test_full_rank_certificate_declines_indefinite_hermitian_parts():
+    # full rank, but the leading 1 x 1 block is singular
+    assert not moments._full_rank_certificate(np.array([[0, 1], [1, 0]], complex), 1e-8)
+    # a full-rank skew-Hermitian matrix has Hermitian part H = 0
+    rng = np.random.default_rng(7)
+    k = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    skew = k - k.conj().T
+    assert _svd_rank(skew) == 6
+    assert not moments._full_rank_certificate(skew, 1e-8)
+
+
+def test_full_rank_certificate_declines_below_the_threshold():
+    # Hermitian positive definite with lambda_min = 0.5 rel_tol lambda_max:
+    # the SVD counts one value below the threshold
+    u = _unitary(np.random.default_rng(8), 12)
+    sigma = np.geomspace(1.0, 1e-4, 12)
+    sigma[-1] = 0.5e-8
+    a = (u * sigma) @ u.conj().T
+    assert _svd_rank(a) == 11
+    assert not moments._full_rank_certificate(a, 1e-8)
+
+
+def test_full_rank_certificate_declines_the_density_z():
+    # rho = z on the unit disk: rank 1, 2, ..., D, never full
+    top = moment_matrix(_unit_disk_density(0.0, 1.0), 8)
+    assert not moments._full_rank_certificate(top.entries, 1e-8)
+    assert [numerical_rank(leading_truncation(top, k)).rank for k in range(1, 9)] == list(
+        range(1, 9)
+    )
+
+
+def test_full_rank_certificate_declines_a_sign_changing_density():
+    # 1 + 1.5 z has full rank but Re g < 0 on part of the disk, so the
+    # Hermitian part of its moment matrix is indefinite from degree 4 on
+    top = moment_matrix(_unit_disk_density(1.0, 1.5), 8)
+    assert [_svd_rank(leading_truncation(top, k).entries) for k in range(1, 9)] == list(
+        range(2, 10)
+    )
+    assert not moments._full_rank_certificate(top.entries, 1e-8)
+    assert moments._full_rank_certificate(leading_truncation(top, 3).entries, 1e-8)
+
+
+def test_sketch_matrix_is_drawn_once_per_size():
+    omega = moments._sketch_matrix(165, 20)
+    assert moments._sketch_matrix(165, 20) is omega
+    assert not omega.flags.writeable
+    rng = np.random.default_rng(0)
+    fresh = rng.standard_normal((165, 20)) + 1j * rng.standard_normal((165, 20))
+    assert omega.tobytes() == fresh.tobytes()

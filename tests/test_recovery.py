@@ -31,7 +31,7 @@ from momentrank import (
     weight_by_g,
 )
 from momentrank import recovery
-from momentrank.serialize import dump_json, report_to_dict
+from momentrank.serialize import any_measure_from_dict, dump_json, report_to_dict
 
 
 def atom(coords, weight):
@@ -429,3 +429,57 @@ def test_verify_theorem_ranks_each_matrix_once(monkeypatch):
     assert len(seen) == len(set(seen))
     # six degrees, two Galerkin kernels, one reweighted measure
     assert len(seen) == 6 + 2 + 1
+
+
+# -- density verdicts through the full-rank certificate --------------------------
+
+def _densities(verify_inputs, seeds):
+    for seed in seeds:
+        for name, payload in verify_inputs(seed):
+            m = any_measure_from_dict(payload)
+            if isinstance(m, DensityMeasure):
+                yield f"{seed} {name}", m
+
+
+def test_density_verdicts_do_not_depend_on_the_certificate(monkeypatch, verify_inputs):
+    # the certificate only skips SVDs: with it forced to decline, every
+    # truncation is ranked and the verdict must come out the same
+    cases = [
+        (label, m, list(range(1, degree + 1)))
+        for label, m in _densities(verify_inputs, range(3))
+        for degree in (6, 8)
+    ]
+    certified = [verify_theorem(m, degrees) for _, m, degrees in cases]
+    monkeypatch.setattr(recovery, "_full_rank_certificate", lambda entries, rel_tol: False)
+    for (label, m, degrees), verdict in zip(cases, certified):
+        ranked = verify_theorem(m, degrees)
+        assert ranked.ranks == verdict.ranks, label
+        assert ranked.passed is verdict.passed is True, label
+        assert [c.measured for c in ranked.checks] == [c.measured for c in verdict.checks]
+    assert len(cases) == 3 * 18 * 2
+
+
+def test_certified_density_verify_runs_no_svd(svd_spy, verify_inputs):
+    m = dict(_densities(verify_inputs, [0]))["0 d3-gaussian-offset"]
+    shapes = svd_spy()
+    verdict = verify_theorem(m, list(range(1, 9)))
+    assert verdict.passed
+    assert verdict.ranks == (4, 10, 20, 35, 56, 84, 120, 165)
+    assert shapes == []
+
+
+def test_uncertified_density_ranks_every_truncation(svd_spy):
+    # 1 + 1.5 z changes sign on the unit disk, so the certificate declines
+    # and each degree's truncation goes to the SVD
+    m = any_measure_from_dict({
+        "dimension": 1,
+        "domain": {"center": [[0.0, 0.0]], "radii": [1.0]},
+        "density": {"type": "polynomial", "terms": [
+            {"alpha": [0], "coeff": [1.0, 0.0]}, {"alpha": [1], "coeff": [1.5, 0.0]},
+        ]},
+    })
+    shapes = svd_spy()
+    verdict = verify_theorem(m, list(range(1, 9)))
+    assert verdict.passed
+    assert verdict.ranks == tuple(range(2, 10))
+    assert shapes == [(k + 1, k + 1) for k in range(1, 9)]
