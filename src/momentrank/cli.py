@@ -1,11 +1,12 @@
 """Command-line front end: generation, moments, ranks, Galerkin matrices,
 spectra, recovery, and the full verification battery.
 
-Every command echoes its run parameters into the output header, so a file
-identifies the exact invocation that produced it; identical invocations
-produce byte-identical files.  All numerics live in the library modules:
-`verify` only serializes the checks of `recovery.verify_theorem`, so the
-command and the library run one invariant battery.
+Every command declares only the flags it reads and echoes them into the
+output header, so a file identifies the exact invocation that produced it;
+identical invocations produce byte-identical files.  All numerics live in
+the library modules: `verify` only serializes the checks of
+`recovery.verify_theorem`, so the command and the library run one
+invariant battery.
 
 Exit codes: 0 ok, 1 usage or I/O error, 2 check/recovery failure,
 3 internal numerical failure.
@@ -79,7 +80,10 @@ def _config_from_args(args: argparse.Namespace) -> RecoveryConfig:
 # -- commands -----------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    m = generate_measure(args.dimension, args.atoms, args.seed, args.separation)
+    try:
+        m = generate_measure(args.dimension, args.atoms, args.seed, args.separation)
+    except RuntimeError as exc:  # the atoms do not fit at that separation
+        raise _CliError(str(exc)) from exc
     payload = serialize.measure_to_dict(m)
     payload["run_spec"] = _run_spec(args)
     _write_text(args.output, serialize.dump_json(payload))
@@ -123,7 +127,10 @@ def _cmd_galerkin(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    g = serialize.galerkin_from_dict(_read_json(args.input))
+    data = _read_json(args.input)
+    if "kernel" not in data:
+        raise _CliError(f"spectrum needs a Galerkin matrix file; {args.input} has no kernel")
+    g = serialize.galerkin_from_dict(data)
     values = spectrum(g)
     header = json.dumps({"run_spec": _run_spec(args)}, sort_keys=True, separators=(",", ":"))
     _write_text(args.output, serialize.spectrum_to_csv(values, header))
@@ -157,10 +164,13 @@ def _cmd_verify(args) -> int:
 
 # -- argument wiring ----------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, *, output_default=None) -> None:
-    parser.add_argument("--output", default=output_default, help="output path (default stdout)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-8)
+def _add_common(parser: argparse.ArgumentParser, *, seed=False, rank_tol=False) -> None:
+    """--output, plus --seed and --rank-tol for the commands that read them."""
+    parser.add_argument("--output", help="output path (default stdout)")
+    if seed:
+        parser.add_argument("--seed", type=int, default=0)
+    if rank_tol:
+        parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-8)
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dimension", type=int, required=True)
     p.add_argument("--atoms", type=int, required=True)
     p.add_argument("--separation", type=float, default=0.1)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("moments", help="moment matrix of a measure file")
@@ -185,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="numerical rank of a moment matrix file")
     p.add_argument("--input", required=True)
-    _add_common(p)
+    _add_common(p, rank_tol=True)
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("galerkin", help="Galerkin matrix of a measure under a kernel")
@@ -202,13 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="recover atoms from a moment matrix file")
     p.add_argument("--input", required=True)
-    _add_common(p)
+    _add_common(p, seed=True, rank_tol=True)
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("verify", help="run the invariant battery on a measure file")
     p.add_argument("--input", required=True)
     p.add_argument("--degree", type=int, default=6)
-    _add_common(p)
+    _add_common(p, seed=True, rank_tol=True)
     p.set_defaults(func=_cmd_verify)
 
     return parser

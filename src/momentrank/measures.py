@@ -171,13 +171,6 @@ class Polydisk:
     def dimension(self) -> int:
         return self.center.dimension
 
-    def contains(self, point: ComplexPoint, margin: float = 0.0) -> bool:
-        """Strict interior membership, shrunk by `margin` per coordinate."""
-        return all(
-            abs(z - c) < r - margin
-            for z, c, r in zip(point.coords, self.center.coords, self.radii)
-        )
-
 
 @dataclass(frozen=True)
 class PolynomialWeight:
@@ -400,18 +393,18 @@ def perturb_weight(seed: int, epsilon: float, dimension: int) -> PolynomialWeigh
     return PolynomialWeight.constant(dimension, 1.0) + ell.scaled(epsilon)
 
 
+_MAX_ATTEMPTS = 10_000
+
+
 def generate_measure(
-    dimension: int,
-    count: int,
-    seed: int,
-    separation: float = 0.1,
-    max_attempts: int = 10_000,
+    dimension: int, count: int, seed: int, separation: float = 0.1
 ) -> DiscreteMeasure:
     """Seeded random measure with `count` atoms at pairwise distance >= separation.
 
     Locations satisfy |zeta| <= 2 (each coordinate sampled uniformly from the
     disk of radius 2/sqrt(d)); weights are complex with modulus in [0.5, 2].
-    Rejection-samples locations until the separation constraint holds.
+    Rejection-samples locations until the separation constraint holds, and
+    raises RuntimeError after 10 000 candidates.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -423,10 +416,10 @@ def generate_measure(
     attempts = 0
     while len(points) < count:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > _MAX_ATTEMPTS:
             raise RuntimeError(
                 f"could not place {count} atoms at separation {separation} "
-                f"after {max_attempts} attempts"
+                f"after {_MAX_ATTEMPTS} attempts"
             )
         candidate = ComplexPoint(
             tuple(_disk_sample(rng, coord_radius) for _ in range(dimension))

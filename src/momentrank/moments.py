@@ -2,7 +2,9 @@
 
 Rows and columns are indexed by the multi-indices of total degree <= D in
 graded lexicographic order, which makes every degree-D matrix a leading
-principal submatrix of the degree-(D+1) matrix.
+principal submatrix of the degree-(D+1) matrix.  `IndexBasis` owns that
+layout as read-only integer arrays (exponents, +-e_j shifts, degree offsets,
+parents), built once per (d, D); no other code works it out again.
 
 Every matrix comes from one Gram product of weighted points,
 sum_k w_k z_k^alpha conj(z_k)^beta, over a monomial value table built by
@@ -70,7 +72,11 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class MultiIndex:
-    """A multi-index alpha in Z_+^d with total degree |alpha| = sum alpha_i."""
+    """A multi-index alpha in Z_+^d with total degree |alpha| = sum alpha_i.
+
+    The argument type of the scalar `moment_entry`; bases and matrices index
+    by `IndexBasis` positions and never build one.
+    """
 
     entries: tuple[int, ...]
 
@@ -101,39 +107,45 @@ def _compositions(total: int, parts: int):
 
 @functools.lru_cache(maxsize=128)
 def _basis_tables(dimension: int, max_degree: int):
-    """The tables of one (d, D) basis, built once per process.
+    """The read-only integer tables of one (d, D) basis, built once per process.
 
-    Returns the MultiIndex tuple, the (size, d) exponent array and the
-    (2, size, d) shift table; both arrays are read-only because every
-    IndexBasis of that (d, D) shares them.
+    Returns the (size, d) exponents; the (2, size, d) positions of
+    alpha + e_j and alpha - e_j (-1 outside the basis); the D + 2 offsets
+    where each degree starts (the last is the size); and the (2, size)
+    parent table: per index alpha != 0 its first nonzero axis v and the
+    position of alpha - e_v, one degree lower (column 0 is meaningless).
     """
-    indices = tuple(
-        MultiIndex(entries)
-        for degree in range(max_degree + 1)
-        for entries in _compositions(degree, dimension)
+    exps = np.array(
+        [e for degree in range(max_degree + 1) for e in _compositions(degree, dimension)],
+        dtype=np.int64,
     )
-    position = {mi.entries: i for i, mi in enumerate(indices)}
-    exps = np.array([mi.entries for mi in indices], dtype=np.int64)
-    shifts = np.empty((2, len(indices), dimension), dtype=np.int64)
+    position = {e: i for i, e in enumerate(map(tuple, exps.tolist()))}
+    shifts = np.empty((2, len(exps), dimension), dtype=np.int64)
     for s, step in enumerate((1, -1)):
         for j in range(dimension):
             moved = exps.copy()
             moved[:, j] += step
             shifts[s, :, j] = [position.get(tuple(e), -1) for e in moved.tolist()]
-    exps.flags.writeable = False
-    shifts.flags.writeable = False
-    return indices, exps, shifts
+    offsets = np.searchsorted(exps.sum(axis=1), np.arange(max_degree + 2))
+    axis = np.argmax(shifts[1] >= 0, axis=1)
+    parents = np.stack([axis, shifts[1, np.arange(len(exps)), axis]])
+    for table in (exps, shifts, offsets, parents):
+        table.flags.writeable = False
+    return exps, shifts, offsets, parents
 
 
 class IndexBasis:
     """All multi-indices with |alpha| <= max_degree, graded lexicographic order.
 
     The order sorts by total degree first, then by ascending tuple comparison,
-    so the degree-D basis is a prefix of the degree-(D+1) basis.
+    so the degree-D basis is a prefix of the degree-(D+1) basis; the degree-k
+    indices sit at positions offsets[k] .. offsets[k + 1] - 1.
 
     `shifts[0]` and `shifts[1]` hold the positions of alpha + e_j and
     alpha - e_j, shape (2, size, d), with -1 where the shifted index leaves
-    the basis.
+    the basis.  `parents[0]` and `parents[1]` hold each index's first nonzero
+    axis v and the position of alpha - e_v.  All tables are read-only and
+    shared by every IndexBasis of that (d, D).
     """
 
     def __init__(self, dimension: int, max_degree: int):
@@ -143,13 +155,13 @@ class IndexBasis:
             raise ValueError("max_degree must be >= 0")
         self.dimension = dimension
         self.max_degree = max_degree
-        self.indices, self._exponents, self.shifts = _basis_tables(
+        self._exponents, self.shifts, self.offsets, self.parents = _basis_tables(
             dimension, max_degree
         )
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return len(self._exponents)
 
     def __eq__(self, other) -> bool:
         return (
@@ -166,14 +178,6 @@ class IndexBasis:
         return self._exponents
 
 
-def _parents(basis: IndexBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Per index alpha != 0: its first nonzero axis v and the position of its
-    parent alpha - e_v, one degree lower (entry 0 is meaningless)."""
-    down = basis.shifts[1]
-    var = np.argmax(down >= 0, axis=1)
-    return var, down[np.arange(basis.size), var]
-
-
 def monomial_table(points: np.ndarray, basis: IndexBasis) -> np.ndarray:
     """Values z^alpha for every point (rows) and basis index (columns).
 
@@ -188,10 +192,8 @@ def monomial_table(points: np.ndarray, basis: IndexBasis) -> np.ndarray:
         raise ValueError("point dimension does not match basis dimension")
     table = np.empty((n_points, basis.size), dtype=complex)
     table[:, 0] = 1.0
-    var, parent = _parents(basis)
-    stop = 1
-    for degree in range(1, basis.max_degree + 1):
-        start, stop = stop, math.comb(degree + basis.dimension, basis.dimension)
+    var, parent = basis.parents
+    for start, stop in zip(basis.offsets[1:-1], basis.offsets[2:]):
         table[:, start:stop] = table[:, parent[start:stop]] * pts[:, var[start:stop]]
     return table
 
@@ -576,7 +578,7 @@ def _rotation_coefficients(basis: IndexBasis, unitary: np.ndarray) -> np.ndarray
     """
     n = basis.size
     up = basis.shifts[0]
-    var, parent = _parents(basis)
+    var, parent = basis.parents
     coeffs = np.zeros((n, n), dtype=complex)
     coeffs[0, 0] = 1.0
     for i in range(1, n):

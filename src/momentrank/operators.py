@@ -7,8 +7,10 @@ measure the operator has finite rank and its Galerkin matrix on the
 orthonormalized monomial basis is a diagonal rescaling s A s of the moment
 matrix A, so the two ranks agree exactly.  `galerkin_matrix` scales the same
 Gram product that `moments` assembles A from (over recentred atoms for the
-polydisk), and `enclosing_kernel` gives every atomic measure a deterministic
-kernel of each kind, as the verify battery needs.
+polydisk), and its `GalerkinMatrix` is a `MomentMatrix` that also carries the
+kernel, so everything that takes a moment matrix takes it too.
+`enclosing_kernel` gives every atomic measure a deterministic kernel of each
+kind, as the verify battery needs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import ComplexPoint, DiscreteMeasure, Polydisk, PolynomialWeight
-from .moments import IndexBasis, NumericalError, _discrete_moment_matrix
+from .moments import IndexBasis, MomentMatrix, NumericalError, _discrete_moment_matrix
 
 __all__ = [
     "KernelSpec",
@@ -75,24 +77,13 @@ def enclosing_kernel(kind: str, m: DiscreteMeasure) -> KernelSpec:
     return KernelSpec("bergman_polydisk", Polydisk(ComplexPoint((0j,) * m.dimension), radii))
 
 
-class GalerkinMatrix:
-    """Entries (T e_alpha, e_beta) over the orthonormalized monomial basis."""
+class GalerkinMatrix(MomentMatrix):
+    """Entries (T e_alpha, e_beta) over the orthonormalized monomial basis: a
+    moment matrix, rescaled, that also carries its kernel."""
 
     def __init__(self, kernel: KernelSpec, basis: IndexBasis, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=complex)
-        if entries.shape != (basis.size, basis.size):
-            raise ValueError("entries shape does not match basis size")
+        super().__init__(basis, entries)
         self.kernel = kernel
-        self.basis = basis
-        self.entries = entries
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.dimension
-
-    @property
-    def max_degree(self) -> int:
-        return self.basis.max_degree
 
     def __repr__(self) -> str:
         return f"GalerkinMatrix({self.kernel.kind}, d={self.dimension}, D={self.max_degree})"

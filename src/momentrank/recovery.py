@@ -52,7 +52,6 @@ from .measures import (
     weight_by_g,
 )
 from .moments import (
-    IndexBasis,
     MomentMatrix,
     NumericalError,
     RankResult,
@@ -319,18 +318,17 @@ def _recover(
             rotation_seed_used=cfg.seed,
             block_degree=0,
         )
-    d, top = a.dimension, a.max_degree
+    top, offsets = a.max_degree, a.basis.offsets
     log: list[str] = []
     previous = 1 if a.entries[0, 0] != 0 else 0  # rank of the 1x1 degree-0 block
     for k in range(1, top + 1):
-        size = math.comb(k + d, d)
+        block, size = int(offsets[k]), offsets[k + 1]  # degree <= k - 1, degree <= k
         if k in ranked:
             estimate = ranked[k]
         else:
             estimate = numerical_rank(a.entries[:size, :size], cfg.rank_tol)
         n = estimate.rank
         if n == previous > 0 or k == top:
-            block = math.comb(k - 1 + d, d)
             if block < n:
                 log.append(f"degree-{k - 1} block of size {block} is below the detected rank {n}")
                 break
@@ -454,7 +452,7 @@ def verify_theorem(
     a_top = moment_matrix(m, top)
     truncations = [leading_truncation(a_top, d) for d in degrees]
     if not atomic:
-        expected = [IndexBasis(m.dimension, d).size for d in degrees]
+        expected = [t.basis.size for t in truncations]
         if _full_rank_certificate(a_top.entries, cfg.rank_tol):
             ranks = tuple(expected)
         else:
@@ -495,7 +493,7 @@ def verify_theorem(
     galerkin_measured = {}
     for kind in ("bargmann", "bergman"):
         gal = galerkin_matrix(enclosing_kernel(kind, m), m, d_max)
-        g_rank = numerical_rank(gal.entries, cfg.rank_tol).rank
+        g_rank = numerical_rank(gal, cfg.rank_tol).rank
         galerkin_measured[kind] = {"galerkin_rank": g_rank, "moment_rank": base_rank}
     galerkin_ok = all(v["galerkin_rank"] == base_rank for v in galerkin_measured.values())
     checks.append(CheckResult("galerkin_rank_equality", galerkin_ok, galerkin_measured))

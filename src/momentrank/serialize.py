@@ -4,11 +4,11 @@ Complex numbers are always serialized as [re, im] pairs of doubles.  All
 writers produce deterministic bytes (sorted keys, fixed separators), so a
 rerun with the same inputs reproduces files exactly.
 
-`matrix_to_dict` and `galerkin_to_dict` return the entries as one
-(n, n, 2) float64 array of [re, im] pairs under "entries".  `dump_json`
-writes top-level ndarray values itself, row by row, and its text is
-byte for byte what `json.dumps` writes for the same payload with the arrays
-as nested lists, so the files are unchanged.
+`matrix_to_dict` returns the entries as one (n, n, 2) float64 array of
+[re, im] pairs under "entries"; a Galerkin file is a matrix file with one
+more key, "kernel".  `dump_json` writes top-level ndarray values itself,
+row by row, and its text is byte for byte what `json.dumps` writes for the
+same payload with the arrays as nested lists, so the files are unchanged.
 """
 
 from __future__ import annotations
@@ -160,26 +160,31 @@ def _polynomial_from_terms(dimension: int, terms: list[dict]) -> PolynomialWeigh
     )
 
 
+def _polydisk_to_dict(p: Polydisk) -> dict:
+    return {"center": [pair(c) for c in p.center.coords], "radii": [float(r) for r in p.radii]}
+
+
+def _polydisk_from_dict(data: dict) -> Polydisk:
+    return Polydisk(
+        ComplexPoint(tuple(unpair(c) for c in data["center"])),
+        tuple(float(r) for r in data["radii"]),
+    )
+
+
 def density_to_dict(m: DensityMeasure) -> dict:
     density: dict[str, Any] = {"type": m.density.kind}
     if m.density.kind == "polynomial":
         density["terms"] = _polynomial_to_terms(m.density.polynomial)
     return {
         "dimension": m.dimension,
-        "domain": {
-            "center": [pair(c) for c in m.domain.center.coords],
-            "radii": [float(r) for r in m.domain.radii],
-        },
+        "domain": _polydisk_to_dict(m.domain),
         "density": density,
     }
 
 
 def density_from_dict(data: dict) -> DensityMeasure:
     dimension = int(data["dimension"])
-    domain = Polydisk(
-        ComplexPoint(tuple(unpair(c) for c in data["domain"]["center"])),
-        tuple(float(r) for r in data["domain"]["radii"]),
-    )
+    domain = _polydisk_from_dict(data["domain"])
     density = data["density"]
     kind = density["type"]
     polynomial = None
@@ -237,31 +242,18 @@ def matrix_from_dict(data: dict) -> MomentMatrix:
 def _kernel_to_dict(kernel: KernelSpec) -> dict:
     payload: dict[str, Any] = {"kind": kernel.kind}
     if kernel.domain is not None:
-        payload["domain"] = {
-            "center": [pair(c) for c in kernel.domain.center.coords],
-            "radii": [float(r) for r in kernel.domain.radii],
-        }
+        payload["domain"] = _polydisk_to_dict(kernel.domain)
     return payload
 
 
 def _kernel_from_dict(data: dict) -> KernelSpec:
-    domain = None
-    if "domain" in data:
-        domain = Polydisk(
-            ComplexPoint(tuple(unpair(c) for c in data["domain"]["center"])),
-            tuple(float(r) for r in data["domain"]["radii"]),
-        )
+    domain = _polydisk_from_dict(data["domain"]) if "domain" in data else None
     return KernelSpec(data["kind"], domain)
 
 
 def galerkin_to_dict(g: GalerkinMatrix) -> dict:
-    return {
-        "dimension": g.dimension,
-        "max_degree": g.max_degree,
-        "order": "grlex",
-        "kernel": _kernel_to_dict(g.kernel),
-        "entries": _pairs_array(g.entries),
-    }
+    # sort_keys puts "kernel" where it always was, so the bytes are unchanged
+    return {**matrix_to_dict(g), "kernel": _kernel_to_dict(g.kernel)}
 
 
 def galerkin_from_dict(data: dict) -> GalerkinMatrix:

@@ -148,9 +148,9 @@ def test_criterion_3_absolutely_continuous_full_rank():
                 assert got == expected_rank, f"d={d}, D={degree}: rank {got}"
                 # closed-form diagonal oracle pi/(j+1) per coordinate
                 oracle = np.zeros_like(a.entries)
-                for i, alpha in enumerate(a.basis.indices):
+                for i, alpha in enumerate(a.basis.entries_array().tolist()):
                     value = 1.0
-                    for exponent in alpha.entries:
+                    for exponent in alpha:
                         value *= math.pi / (exponent + 1)
                     oracle[i, i] = value
                 gap = float(np.max(np.abs(a.entries - oracle)))

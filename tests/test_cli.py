@@ -192,6 +192,58 @@ def test_unknown_flag_is_usage_error():
     assert run("gen", "--dimension", "2", "--atoms", "1", "--bogus", "3") == 1
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("gen", "--rank-tol"),
+        ("moments", "--seed"),
+        ("moments", "--rank-tol"),
+        ("rank", "--seed"),
+        ("galerkin", "--seed"),
+        ("galerkin", "--rank-tol"),
+        ("spectrum", "--seed"),
+        ("spectrum", "--rank-tol"),
+    ],
+)
+def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys, command, flag):
+    # each command declares only the flags it reads, so run_spec echoes no
+    # value that could not change the output
+    m_path, out = tmp_path / "m.json", tmp_path / "out"
+    run("gen", "--dimension", "1", "--atoms", "2", "--seed", "4", "--output", str(m_path))
+    capsys.readouterr()
+    argv = {
+        "gen": ("--dimension", "1", "--atoms", "2"),
+        "moments": ("--input", str(m_path), "--degree", "2"),
+        "rank": ("--input", str(m_path)),
+        "galerkin": ("--input", str(m_path), "--degree", "2"),
+        "spectrum": ("--input", str(m_path)),
+    }[command]
+    assert run(command, *argv, flag, "5", "--output", str(out)) == 1
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 5\n"
+    assert not out.exists()
+
+
+def test_spectrum_on_moment_matrix_file_is_usage_error(tmp_path, capsys):
+    m_path, a_path, s_path = tmp_path / "m.json", tmp_path / "a.json", tmp_path / "s.csv"
+    run("gen", "--dimension", "1", "--atoms", "2", "--seed", "4", "--output", str(m_path))
+    run("moments", "--input", str(m_path), "--degree", "2", "--output", str(a_path))
+    capsys.readouterr()
+    assert run("spectrum", "--input", str(a_path), "--output", str(s_path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: spectrum needs a Galerkin matrix file; {a_path} has no kernel\n"
+    assert not s_path.exists()
+
+
+def test_gen_with_atoms_that_cannot_be_placed_is_one_error_line(tmp_path, capsys):
+    # every location lies in a disk of diameter 4, so no second atom fits
+    out = tmp_path / "m.json"
+    assert run("gen", "--dimension", "1", "--atoms", "2", "--separation", "5",
+               "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: could not place 2 atoms at separation 5.0 after 10000 attempts\n"
+    assert not out.exists()
+
+
 def test_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
 

@@ -210,8 +210,9 @@ def test_generate_measure_deterministic():
 
 
 def test_generate_measure_infeasible_separation():
-    with pytest.raises(RuntimeError):
-        generate_measure(1, 100, seed=0, separation=1.0, max_attempts=200)
+    # every location lies in a disk of diameter 4, so no second atom fits
+    with pytest.raises(RuntimeError, match="could not place 2 atoms"):
+        generate_measure(1, 2, seed=0, separation=5.0)
 
 
 # -- properties -------------------------------------------------------------------

@@ -28,11 +28,13 @@ from momentrank import (
     pushforward_drop_coord,
     random_linear_polynomial,
     random_unitary,
+    recover_atoms,
     reweight_moments,
     rotate_moments,
     rotate_unitary,
     submatrix_drop_coord,
     submatrix_drop_first,
+    verify_theorem,
     weight_by_g,
 )
 from momentrank import moments
@@ -78,14 +80,15 @@ def test_basis_size_is_binomial():
 
 def test_basis_grlex_order_explicit():
     basis = IndexBasis(2, 2)
-    assert [mi.entries for mi in basis.indices] == [
-        (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
+    assert basis.entries_array().tolist() == [
+        [0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0],
     ]
+    assert basis.offsets.tolist() == [0, 1, 3, 6]
 
 
 def test_basis_strictly_increasing():
     basis = IndexBasis(3, 4)
-    keys = [(mi.degree, mi.entries) for mi in basis.indices]
+    keys = [(sum(e), tuple(e)) for e in basis.entries_array().tolist()]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -93,7 +96,20 @@ def test_basis_strictly_increasing():
 def test_basis_nesting_prefix():
     small = IndexBasis(3, 3)
     large = IndexBasis(3, 4)
-    assert large.indices[: small.size] == small.indices
+    assert np.array_equal(large.entries_array()[: small.size], small.entries_array())
+
+
+def test_no_multi_index_objects_in_production(monkeypatch):
+    # the basis is integer arrays only; MultiIndex is moment_entry's argument type
+    built = []
+    original = MultiIndex.__post_init__
+    monkeypatch.setattr(MultiIndex, "__post_init__", lambda mi: built.append(original(mi)))
+    moments._basis_tables.cache_clear()
+    m = generate_measure(3, 4, seed=3, separation=0.2)
+    assert recover_atoms(moment_matrix(m, 8)).detected_rank == 4
+    assert verify_theorem(m, list(range(1, 9))).passed
+    assert verify_theorem(uniform_disk(d=3), list(range(1, 9))).passed
+    assert built == []
 
 
 def test_multi_index_degree_consistency():
@@ -144,8 +160,9 @@ def test_empty_measure_gives_zero_matrix():
 def test_matrix_agrees_with_entrywise_sums():
     m = generate_measure(2, 3, seed=5)
     a = moment_matrix(m, 3)
-    for i, alpha in enumerate(a.basis.indices):
-        for j, beta in enumerate(a.basis.indices):
+    indices = [MultiIndex(e) for e in a.basis.entries_array().tolist()]
+    for i, alpha in enumerate(indices):
+        for j, beta in enumerate(indices):
             assert a.entries[i, j] == pytest.approx(
                 moment_entry(m, alpha, beta), rel=1e-13, abs=1e-13
             )
@@ -185,10 +202,11 @@ def test_uniform_disk_radius_scaling():
 
 def test_uniform_polydisk_tensor_structure():
     a = moment_matrix(uniform_disk(d=2), 3)
-    for i, alpha in enumerate(a.basis.indices):
-        for j, beta in enumerate(a.basis.indices):
-            expected = disk_moment_oracle(alpha.entries[0], beta.entries[0]) * (
-                disk_moment_oracle(alpha.entries[1], beta.entries[1])
+    exps = a.basis.entries_array()
+    for i, alpha in enumerate(exps):
+        for j, beta in enumerate(exps):
+            expected = disk_moment_oracle(alpha[0], beta[0]) * (
+                disk_moment_oracle(alpha[1], beta[1])
             )
             assert abs(a.entries[i, j] - expected) <= 1e-10
 
