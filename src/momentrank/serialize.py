@@ -13,7 +13,9 @@ same payload with the arrays as nested lists, so the files are unchanged.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -46,6 +48,22 @@ __all__ = [
     "spectrum_to_csv",
     "dump_json",
 ]
+
+
+def _reader(kind: str):
+    """Makes a file reader name its file kind and the key a file lacks."""
+
+    def wrap(read):
+        @functools.wraps(read)
+        def checked(data: dict):
+            try:
+                return read(data)
+            except KeyError as exc:
+                raise ValueError(f"{kind} file: missing key {exc.args[0]!r}") from exc
+
+        return checked
+
+    return wrap
 
 
 def pair(z: complex) -> list[float]:
@@ -134,6 +152,7 @@ def measure_to_dict(m: DiscreteMeasure) -> dict:
     }
 
 
+@_reader("measure")
 def measure_from_dict(data: dict) -> DiscreteMeasure:
     dimension = int(data["dimension"])
     atoms = tuple(
@@ -182,6 +201,7 @@ def density_to_dict(m: DensityMeasure) -> dict:
     }
 
 
+@_reader("density")
 def density_from_dict(data: dict) -> DensityMeasure:
     dimension = int(data["dimension"])
     domain = _polydisk_from_dict(data["domain"])
@@ -222,19 +242,23 @@ def _grlex_basis_and_entries(data: dict) -> tuple[IndexBasis, np.ndarray]:
     """The basis and entries of a matrix file, whose order must be grlex."""
     if data.get("order", "grlex") != "grlex":
         raise ValueError(f"unsupported index order {data['order']!r}")
-    basis = IndexBasis(int(data["dimension"]), int(data["max_degree"]))
+    dimension, max_degree = int(data["dimension"]), int(data["max_degree"])
     # without a dtype, a null or a string makes an object or str array, and a
     # ragged row raises, instead of becoming NaN
     raw = np.asarray(data["entries"])
     if raw.dtype.kind not in "iuf":
         raise ValueError("matrix entries must be numbers")
-    shape = (basis.size, basis.size, 2)
+    # the size is checked before the basis is built: its tables grow as D^d
+    size = math.comb(max_degree + dimension, dimension)
+    shape = (size, size, 2)
     if raw.shape != shape:
         raise ValueError(f"entries of shape {raw.shape} do not match the basis: expected {shape}")
+    basis = IndexBasis(dimension, max_degree)
     # the complex view keeps every bit, -0.0 and infinities included
     return basis, np.ascontiguousarray(raw, dtype=float).view(complex)[..., 0]
 
 
+@_reader("moment matrix")
 def matrix_from_dict(data: dict) -> MomentMatrix:
     return MomentMatrix(*_grlex_basis_and_entries(data))
 
@@ -256,6 +280,7 @@ def galerkin_to_dict(g: GalerkinMatrix) -> dict:
     return {**matrix_to_dict(g), "kernel": _kernel_to_dict(g.kernel)}
 
 
+@_reader("Galerkin matrix")
 def galerkin_from_dict(data: dict) -> GalerkinMatrix:
     return GalerkinMatrix(_kernel_from_dict(data["kernel"]), *_grlex_basis_and_entries(data))
 

@@ -1,8 +1,15 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from momentrank.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +41,55 @@ def svd_spy(monkeypatch):
         return shapes
 
     return install
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Runs `python *args` in a fresh process that imports momentrank from
+    this checkout and draws a hash seed of its own; returns the finished
+    `subprocess.CompletedProcess` with its text output."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def run(*args, cwd):
+        return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    return run
+
+
+@pytest.fixture
+def run_twice(tmp_path, monkeypatch, run_python):
+    """Runs `momentrank` commands twice and asserts that both passes write the
+    same bytes.
+
+    Each pass works in its own directory under the same relative file names,
+    so the `run_spec` headers agree; `inputs` maps file names to the text
+    written into both directories first.  The first pass calls `main` in this
+    process, whose caches earlier tests have warmed; the second runs every
+    command in a fresh `python -m momentrank.cli` process, under another hash
+    seed and with cold caches.  Every command must exit 0 in both passes, and
+    both directories must end up holding the same files with the same bytes.
+    Returns the first pass's directory.
+    """
+
+    def run(commands, inputs=None):
+        first, second = tmp_path / "run1", tmp_path / "run2"
+        for directory in (first, second):
+            directory.mkdir()
+            for name, text in (inputs or {}).items():
+                (directory / name).write_text(text)
+        with monkeypatch.context() as m:
+            m.chdir(first)
+            for argv in commands:
+                assert main(list(argv)) == 0, argv
+        for argv in commands:
+            done = run_python("-m", "momentrank.cli", *argv, cwd=second)
+            assert done.returncode == 0, (argv, done.stderr)
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        return first
+
+    return run

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from momentrank import DensityMeasure, DensitySpec, ComplexPoint, Polydisk
+from momentrank import DensityMeasure, DensitySpec, ComplexPoint, Polydisk, moments
 from momentrank.cli import build_parser, main
 from momentrank.serialize import density_to_dict, dump_json, measure_from_dict
 
@@ -73,14 +73,16 @@ def test_rank_and_spectrum_outputs(tmp_path):
     assert mods == sorted(mods, reverse=True)
 
 
-def test_rank_file_lists_every_value_at_basis_220(tmp_path):
-    # d=3, degree 9: rank 8 from the certified sketch, zeros past its width
-    m_path, a_path, k_path = tmp_path / "m.json", tmp_path / "a.json", tmp_path / "k.json"
-    assert run("gen", "--dimension", "3", "--atoms", "8", "--seed", "3",
-               "--separation", "0.2", "--output", str(m_path)) == 0
-    assert run("moments", "--input", str(m_path), "--degree", "9", "--output", str(a_path)) == 0
-    assert run("rank", "--input", str(a_path), "--output", str(k_path)) == 0
-    data = json.loads(k_path.read_text())
+def test_rank_file_lists_every_value_at_basis_220(run_twice):
+    # d=3, degree 9: rank 8 from the certified sketch, zeros past its width,
+    # and a fresh process writes the same bytes
+    run1 = run_twice([
+        ("gen", "--dimension", "3", "--atoms", "8", "--seed", "3", "--separation", "0.2",
+         "--output", "m.json"),
+        ("moments", "--input", "m.json", "--degree", "9", "--output", "A.json"),
+        ("rank", "--input", "A.json", "--output", "rank.json"),
+    ])
+    data = json.loads((run1 / "rank.json").read_text())
     values = data["singular_values"]
     assert data["rank"] == 8
     assert len(values) == 220
@@ -123,20 +125,59 @@ def test_verify_passes_on_generated_measure(tmp_path):
     }
 
 
-def test_verify_density_rank_growth(tmp_path):
-    dens = DensityMeasure(
-        2,
-        Polydisk(ComplexPoint((0j, 0j)), (1.0, 1.0)),
-        DensitySpec("uniform"),
-    )
-    d_path, v_path = tmp_path / "d.json", tmp_path / "v.json"
-    d_path.write_text(dump_json(density_to_dict(dens)))
-    assert run("verify", "--input", str(d_path), "--degree", "4",
-               "--output", str(v_path)) == 0
-    verdict = json.loads(v_path.read_text())
+def _density(dimension, center, radii, density):
+    return json.dumps({"dimension": dimension, "domain": {"center": center, "radii": radii},
+                       "density": density})
+
+
+def _polynomial(*terms):
+    return {"type": "polynomial",
+            "terms": [{"alpha": alpha, "coeff": coeff} for alpha, coeff in terms]}
+
+
+# uniform and polynomial densities take the exact first-level polar rule, the
+# Gaussian the refined one
+DENSITIES_AT_DEGREE_6 = {
+    "uniform": _density(2, [[0, 0], [0, 0]], [1.0, 1.0], {"type": "uniform"}),
+    "gaussian": _density(2, [[0.3, -0.2], [0, 0]], [0.9, 1.1], {"type": "gaussian"}),
+    "polynomial": _density(2, [[0.4, -0.3], [-0.1, 0.2]], [0.9, 1.1], _polynomial(
+        ([0, 0], [1, 0]), ([1, 0], [0.1, 0.2]), ([0, 1], [0, -0.25]))),
+}
+# the d=3 files are certified full rank by one Cholesky; 1 + 1.5 z, whose real
+# part is negative on part of the disk, falls back to ranking every truncation
+DENSITIES_AT_DEGREE_8 = {
+    "d3-uniform": _density(3, [[0, 0], [0, 0], [0, 0]], [1.0, 0.9, 1.1], {"type": "uniform"}),
+    "d3-gaussian": _density(3, [[0.3, -0.2], [0, 0], [-0.1, 0.4]], [0.9, 1.1, 1.0],
+                            {"type": "gaussian"}),
+    "d3-polynomial": _density(3, [[0.4, -0.3], [-0.1, 0.2], [0, 0]], [0.9, 1.1, 1.0], _polynomial(
+        ([0, 0, 0], [1, 0]), ([1, 0, 0], [0.1, 0.2]), ([0, 0, 1], [0, -0.25]))),
+    "sign-changing": _density(1, [[0, 0]], [1.0], _polynomial(([0], [1, 0]), ([1], [1.5, 0]))),
+}
+
+
+def test_verify_density_rank_growth(run_twice):
+    # density moments and verdicts are byte-identical across processes, and
+    # every degree-8 verdict passes
+    commands = []
+    for kind in DENSITIES_AT_DEGREE_6:
+        commands += [
+            ("moments", "--input", f"{kind}.json", "--degree", "6", "--output", f"{kind}-A.json"),
+            ("verify", "--input", f"{kind}.json", "--degree", "6",
+             "--output", f"{kind}-verdict.json"),
+        ]
+    for kind in DENSITIES_AT_DEGREE_8:
+        commands.append(("verify", "--input", f"{kind}.json", "--degree", "8",
+                         "--output", f"{kind}-verdict.json"))
+    inputs = {f"{kind}.json": text
+              for kind, text in {**DENSITIES_AT_DEGREE_6, **DENSITIES_AT_DEGREE_8}.items()}
+    run1 = run_twice(commands, inputs)
+    verdict = json.loads((run1 / "uniform-verdict.json").read_text())
     check = verdict["checks"][0]
     assert check["name"] == "rank_growth"
-    assert check["measured"]["ranks"] == [3, 6, 10, 15]
+    assert check["measured"]["ranks"] == [3, 6, 10, 15, 21, 28]
+    for kind in DENSITIES_AT_DEGREE_8:
+        lines = (run1 / f"{kind}-verdict.json").read_text().splitlines()
+        assert ' "passed": true,' in lines, kind
 
 
 def test_galerkin_on_density_file_is_usage_error(tmp_path, capsys):
@@ -326,3 +367,45 @@ def test_malformed_matrix_file_is_usage_error(tmp_path, capsys, entries, command
     path.write_text(json.dumps(data))
     assert run(command, "--input", str(path)) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+MEASURE = {"dimension": 1, "atoms": [{"location": [[0.5, 0]], "weight": [1, 0]}]}
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (("moments", "--degree", "2"), {"dimension": 1, "atoms": [{"location": [[0.5, 0]]}]},
+         "measure file: missing key 'weight'"),
+        (("moments", "--degree", "2"), {"dimension": 1, "density": {"type": "uniform"}},
+         "density file: missing key 'domain'"),
+        (("rank",), MEASURE, "moment matrix file: missing key 'max_degree'"),
+        (("recover",), MEASURE, "moment matrix file: missing key 'max_degree'"),
+        (("spectrum",),
+         {"dimension": 1, "max_degree": 0, "order": "grlex", "entries": [[[1.0, 0.0]]],
+          "kernel": {}},
+         "Galerkin matrix file: missing key 'kind'"),
+    ],
+    ids=["atom-weight", "density-domain", "rank-on-measure", "recover-on-measure",
+         "kernel-kind"],
+)
+def test_file_missing_a_key_names_its_kind_and_the_key(tmp_path, capsys, argv, data, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert run(*argv, "--input", str(path)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_matrix_file_size_is_checked_before_its_basis_is_built(tmp_path, capsys, monkeypatch):
+    # a basis of degree 10**6 at d=3 has ~1.7e17 indices
+    built = []
+    tables = moments._basis_tables
+    monkeypatch.setattr(moments, "_basis_tables", lambda *key: built.append(key) or tables(*key))
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(
+        {"dimension": 3, "max_degree": 10**6, "order": "grlex", "entries": [[[1.0, 0.0]]]}
+    ))
+    assert run("rank", "--input", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert built == []

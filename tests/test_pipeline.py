@@ -1,0 +1,55 @@
+"""The README's CLI pipeline and library example, and the example scripts,
+each run as a user would run them: in fresh Python processes."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+PIPELINE = [
+    ("gen", "--dimension", "2", "--atoms", "4", "--seed", "7", "--separation", "0.2",
+     "--output", "m.json"),
+    ("moments", "--input", "m.json", "--degree", "5", "--output", "A.json"),
+    ("rank", "--input", "A.json", "--output", "rank.json"),
+    ("recover", "--input", "A.json", "--seed", "7", "--output", "report.json"),
+    ("galerkin", "--input", "m.json", "--degree", "5", "--kernel", "bergman", "--output", "G.json"),
+    ("spectrum", "--input", "G.json", "--output", "spectrum.csv"),
+    ("verify", "--input", "m.json", "--degree", "6", "--seed", "7", "--output", "verdict.json"),
+]
+
+# the values the library example prints, each stated in its comments
+EXAMPLE_VALUES = ["4", "(3, 4, 4, 4, 4) True", "(21, 21, 2)"]
+
+
+def test_readme_pipeline_reruns_byte_for_byte(run_twice):
+    readme = [tuple(shlex.split(line)[1:])
+              for line in README.read_text().splitlines() if line.startswith("momentrank ")]
+    assert readme == PIPELINE
+    run1 = run_twice(PIPELINE)
+    assert sorted(p.name for p in run1.iterdir()) == sorted(
+        "m.json A.json rank.json report.json G.json spectrum.csv verdict.json".split()
+    )
+
+
+def test_readme_library_example_prints_the_values_its_comments_state(tmp_path, run_python):
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    example = "".join(blocks)
+    assert example.strip(), "README has no python block"
+    script = tmp_path / "example.py"
+    script.write_text(example)
+    done = run_python(script, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    printed = done.stdout.splitlines()
+    for value in EXAMPLE_VALUES:
+        assert value in printed, value
+        assert re.search(rf"^print\(.*\)\s+# {re.escape(value)}(:|$)", example, re.M), value
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_example_script_exits_0(tmp_path, run_python, script):
+    done = run_python(script, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
