@@ -48,11 +48,14 @@ class _Parser(argparse.ArgumentParser):
 def _read_json(path: str) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            data = json.load(f)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise _CliError(f"{path} does not hold a JSON object")
+    return data
 
 
 def _write_text(path: str | None, text: str) -> None:

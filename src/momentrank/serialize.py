@@ -1,18 +1,18 @@
 """JSON and CSV schemas for measures, matrices, spectra, and recovery reports.
 
-Complex numbers are always serialized as [re, im] pairs of doubles.  All
-writers produce deterministic bytes (sorted keys, fixed separators), so a
-rerun with the same inputs reproduces files exactly.
-
-`matrix_to_dict` returns the entries as one (n, n, 2) float64 array of
-[re, im] pairs under "entries"; a Galerkin file is a matrix file with one
-more key, "kernel".  `dump_json` writes top-level ndarray values itself,
-row by row, and its text is byte for byte what `json.dumps` writes for the
-same payload with the arrays as nested lists, so the files are unchanged.
+Complex numbers are serialized as [re, im] pairs of doubles, except in a
+matrix's "entries": one object holding the whole (n, n, 2) array of pairs
+as base64 of its little-endian float64 bytes, row-major, so a file keeps
+every bit and is read without parsing a number per entry.  A Galerkin file
+is a matrix file with one more key, "kernel".  Readers also take the
+nested-list entries that earlier releases wrote.  All writers produce
+deterministic bytes (sorted keys, fixed separators), so a rerun with the
+same inputs reproduces files exactly.
 """
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import math
@@ -51,7 +51,8 @@ __all__ = [
 
 
 def _reader(kind: str):
-    """Makes a file reader name its file kind and the key a file lacks."""
+    """Makes a file reader name its file kind in every error a malformed file
+    raises, and the key a file lacks."""
 
     def wrap(read):
         @functools.wraps(read)
@@ -60,6 +61,8 @@ def _reader(kind: str):
                 return read(data)
             except KeyError as exc:
                 raise ValueError(f"{kind} file: missing key {exc.args[0]!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{kind} file: {exc}") from exc
 
         return checked
 
@@ -72,69 +75,16 @@ def pair(z: complex) -> list[float]:
 
 
 def unpair(value) -> complex:
-    re, im = value
-    return complex(float(re), float(im))
+    try:
+        re, im = value
+        return complex(float(re), float(im))
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a [re, im] pair of numbers, got {value!r}") from None
 
 
 def dump_json(payload: dict) -> str:
-    """Deterministic JSON encoding.
-
-    Top-level ndarray values are written as float arrays.  The rest of the
-    payload goes through `json.dumps` with null in their place; a top-level
-    key is the only text that follows a newline and a single space, so each
-    placeholder is found exactly, and the text is joined once around the
-    rendered rows.
-    """
-    arrays = {k: v for k, v in payload.items() if isinstance(v, np.ndarray)}
-    text = json.dumps(
-        {k: None if k in arrays else v for k, v in payload.items()},
-        sort_keys=True,
-        separators=(",", ": "),
-        indent=1,
-    )
-    pieces = []
-    for key in sorted(arrays):  # the order sort_keys put the placeholders in
-        slot = f"\n {json.dumps(key)}: "
-        head, text = text.split(slot + "null", 1)
-        pieces += (head, slot)
-        pieces += _array_pieces(arrays[key])
-    pieces += (text, "\n")
-    return "".join(pieces)
-
-
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(x: float) -> str:
-    r = float.__repr__(x)
-    return _JSON_NONFINITE.get(r, r)
-
-
-def _array_template(shape: tuple[int, ...], level: int) -> str:
-    """%-template of a JSON array of the given shape whose "[" sits at `level`."""
-    if not shape:
-        return "%s"
-    if shape[0] == 0:
-        return "[]"
-    pad = " " * (level + 1)
-    item = pad + _array_template(shape[1:], level + 1)
-    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + " " * level + "]"
-
-
-def _array_pieces(value: np.ndarray) -> list[str]:
-    """Strings that join to `json.dumps(value.tolist(), indent=1)` at key depth."""
-    value = np.asarray(value, dtype=float)
-    if value.ndim == 0 or value.shape[0] == 0:
-        return [json.dumps(value.tolist(), indent=1)]
-    # each row is one %-format of the template of value[0], nested one level down
-    rows = value.reshape(value.shape[0], -1)
-    template = "  " + _array_template(value.shape[1:], 2)
-    fmt = float.__repr__ if np.isfinite(rows).all() else _json_float
-    pieces = ["[\n"]
-    for row in rows.tolist():
-        pieces += (template % tuple(map(fmt, row)), ",\n")
-    pieces[-1] = "\n ]"
-    return pieces
+    """Deterministic JSON encoding: sorted keys, fixed separators, indent 1."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
 # -- measures ----------------------------------------------------------------
@@ -224,38 +174,58 @@ def any_measure_from_dict(data: dict) -> DiscreteMeasure | DensityMeasure:
 
 # -- matrices ----------------------------------------------------------------
 
-def _pairs_array(entries: np.ndarray) -> np.ndarray:
-    """Complex (n, n) entries as an (n, n, 2) float64 array of [re, im] pairs."""
-    return np.stack([entries.real, entries.imag], -1)
+_ENTRIES_ENCODING = "f64le-base64"
 
 
 def matrix_to_dict(a: MomentMatrix) -> dict:
+    n = a.basis.size
+    data = np.ascontiguousarray(a.entries, dtype="<c16").tobytes()
     return {
         "dimension": a.dimension,
         "max_degree": a.max_degree,
         "order": "grlex",
-        "entries": _pairs_array(a.entries),
+        "entries": {
+            "encoding": _ENTRIES_ENCODING,
+            "shape": [n, n, 2],
+            "data": base64.b64encode(data).decode("ascii"),
+        },
     }
 
 
 def _grlex_basis_and_entries(data: dict) -> tuple[IndexBasis, np.ndarray]:
     """The basis and entries of a matrix file, whose order must be grlex."""
-    if data.get("order", "grlex") != "grlex":
-        raise ValueError(f"unsupported index order {data['order']!r}")
     dimension, max_degree = int(data["dimension"]), int(data["max_degree"])
-    # without a dtype, a null or a string makes an object or str array, and a
-    # ragged row raises, instead of becoming NaN
-    raw = np.asarray(data["entries"])
-    if raw.dtype.kind not in "iuf":
-        raise ValueError("matrix entries must be numbers")
+    if data["order"] != "grlex":
+        raise ValueError(f"unsupported index order {data['order']!r}")
     # the size is checked before the basis is built: its tables grow as D^d
     size = math.comb(max_degree + dimension, dimension)
     shape = (size, size, 2)
-    if raw.shape != shape:
-        raise ValueError(f"entries of shape {raw.shape} do not match the basis: expected {shape}")
-    basis = IndexBasis(dimension, max_degree)
-    # the complex view keeps every bit, -0.0 and infinities included
-    return basis, np.ascontiguousarray(raw, dtype=float).view(complex)[..., 0]
+    entries = data["entries"]
+    if isinstance(entries, dict):
+        if entries["encoding"] != _ENTRIES_ENCODING:
+            raise ValueError(f"unsupported entries encoding {entries['encoding']!r}")
+        if entries["shape"] != list(shape):
+            raise ValueError(
+                f"entries of shape {entries['shape']!r} do not match the basis: expected {shape}"
+            )
+        try:
+            raw = base64.b64decode(entries["data"], validate=True)
+        except ValueError as exc:  # binascii.Error, or a str that is not ASCII
+            raise ValueError(f"entries data is not base64: {exc}") from exc
+        if len(raw) != 16 * size**2:
+            raise ValueError(f"entries data holds {len(raw)} bytes: expected {16 * size**2}")
+        values = np.frombuffer(raw, dtype="<c16").astype(complex).reshape(size, size)
+    else:
+        # without a dtype, a null or a string makes an object or str array,
+        # and a ragged row raises, instead of becoming NaN
+        raw = np.asarray(entries)
+        if raw.dtype.kind not in "iuf":
+            raise ValueError("matrix entries must be numbers")
+        if raw.shape != shape:
+            raise ValueError(f"entries of shape {raw.shape} do not match the basis: expected {shape}")
+        # the complex view keeps every bit, -0.0 and infinities included
+        values = np.ascontiguousarray(raw, dtype=float).view(complex)[..., 0]
+    return IndexBasis(dimension, max_degree), values
 
 
 @_reader("moment matrix")
@@ -276,7 +246,6 @@ def _kernel_from_dict(data: dict) -> KernelSpec:
 
 
 def galerkin_to_dict(g: GalerkinMatrix) -> dict:
-    # sort_keys puts "kernel" where it always was, so the bytes are unchanged
     return {**matrix_to_dict(g), "kernel": _kernel_to_dict(g.kernel)}
 
 

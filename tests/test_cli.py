@@ -1,11 +1,21 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentrank import DensityMeasure, DensitySpec, ComplexPoint, Polydisk, moments
+from momentrank import (ComplexPoint, DensityMeasure, DensitySpec, Polydisk, enclosing_kernel,
+                        galerkin_matrix, generate_measure, moment_matrix, moments)
 from momentrank.cli import build_parser, main
-from momentrank.serialize import density_to_dict, dump_json, measure_from_dict
+from momentrank.serialize import (density_to_dict, dump_json, galerkin_to_dict, matrix_from_dict,
+                                  matrix_to_dict, measure_from_dict, pair)
 
 
 def run(*argv):
@@ -98,13 +108,19 @@ def test_non_finite_matrix_file_is_numerical_failure(tmp_path, capfd, command, b
     run("gen", "--dimension", "2", "--atoms", "3", "--seed", "4", "--output", str(m_path))
     run("moments", "--input", str(m_path), "--degree", "4", "--output", str(a_path))
     data = json.loads(a_path.read_text())
-    data["entries"][3][5] = [bad, 0.0]
-    a_path.write_text(json.dumps(data))
-    capfd.readouterr()
-    assert run(command, "--input", str(a_path)) == 3
-    err = capfd.readouterr().err
-    assert err.startswith("numerical failure: ")
-    assert err.count("\n") == 1
+    a = matrix_from_dict(data)
+    a.entries[3, 5] = complex(bad, 0.0)
+    # the base64 payload of the file as written, and the nested lists of
+    # earlier releases
+    v2 = matrix_to_dict(a)
+    v1 = {**data, "entries": [[pair(v) for v in row] for row in a.entries]}
+    for payload in (v2, v1):
+        a_path.write_text(json.dumps(payload))
+        capfd.readouterr()
+        assert run(command, "--input", str(a_path)) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1
 
 
 def test_verify_passes_on_generated_measure(tmp_path):
@@ -227,6 +243,16 @@ def test_bad_json_is_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run("rank", "--input", str(bad)) == 1
+
+
+@pytest.mark.parametrize("command", ["moments", "rank", "recover", "galerkin", "spectrum", "verify"])
+def test_file_that_is_not_a_json_object_is_one_error_line(tmp_path, capsys, command):
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    path.write_text("[1, 2]")
+    degree = ("--degree", "2") if command in ("moments", "galerkin") else ()
+    assert run(command, "--input", str(path), *degree, "--output", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {path} does not hold a JSON object\n"
+    assert not out.exists()
 
 
 def test_unknown_flag_is_usage_error():
@@ -409,3 +435,107 @@ def test_matrix_file_size_is_checked_before_its_basis_is_built(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"dimension": 1, "atoms": [{"location": [[0.5, 0]], "weight": 3}]},
+         "measure file: expected a [re, im] pair of numbers, got 3"),
+        ({"dimension": 1, "atoms": [{"location": [[0.5]], "weight": [1, 0]}]},
+         "measure file: expected a [re, im] pair of numbers, got [0.5]"),
+        (json.loads(_density(1, [[0, 0, 0]], [1.0], {"type": "uniform"})),
+         "density file: expected a [re, im] pair of numbers, got [0, 0, 0]"),
+        (json.loads(_density(1, [[0, 0]], [1.0], _polynomial(([0], "x")))),
+         "density file: expected a [re, im] pair of numbers, got 'x'"),
+    ],
+    ids=["atom-weight", "atom-location", "density-centre", "polynomial-coeff"],
+)
+def test_malformed_complex_pair_names_its_kind_and_the_value(tmp_path, capsys, data, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert run("moments", "--input", str(path), "--degree", "2") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@functools.cache
+def _matrix_files():
+    """Valid matrix files and a command that reads each: a d=2 moment matrix
+    through `rank` and `recover`, a Bergman Galerkin matrix through `spectrum`."""
+    m = generate_measure(2, 3, seed=1, separation=0.2)
+    a = matrix_to_dict(moment_matrix(m, 4))
+    g = galerkin_to_dict(galerkin_matrix(enclosing_kernel("bergman", m), m, 4))
+    return [("rank", a), ("recover", a), ("spectrum", g)]
+
+
+def _json_slots(value, path=()):
+    """(container path, key) of every value nested in a JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield path, key
+        yield from _json_slots(item, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _mutants(draw):
+    """A command and a file it reads with one mutation of a fixed family."""
+    command, valid = draw(st.sampled_from(_matrix_files()))
+    doc = copy.deepcopy(valid)
+    entries = doc["entries"]
+    family = draw(st.sampled_from(["drop", "replace", "shape", "encoding", "data"]))
+    if family == "drop":
+        path, key = draw(st.sampled_from(
+            [(path, key) for path, key in _json_slots(doc) if isinstance(_at(doc, path), dict)]))
+        del _at(doc, path)[key]
+    elif family == "replace":
+        path, key = draw(st.sampled_from(list(_json_slots(doc))))
+        _at(doc, path)[key] = draw(st.sampled_from([None, "x", [], {}]))
+    elif family == "shape":
+        entries["shape"] = draw(st.lists(st.integers(-1, 300), max_size=4)
+                                .filter(lambda shape: shape != entries["shape"]))
+    elif family == "encoding":
+        entries["encoding"] = draw(st.text(max_size=20).filter(lambda e: e != "f64le-base64"))
+    else:
+        data = entries["data"]
+        cut = draw(st.integers(0, len(data) - 1))
+        if draw(st.booleans()):  # truncated
+            entries["data"] = data[:cut]
+        else:  # one character outside the base64 alphabet
+            entries["data"] = data[:cut] + draw(st.sampled_from("!-_.* \n\u00e9")) + data[cut:]
+    return command, doc
+
+
+def _run_on(command, doc):
+    """Exit code, stderr and whether an output file appeared."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "in.json"), Path(tmp, "out")
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--input", str(path), "--output", str(out)])
+        return code, err.getvalue(), out.exists()
+
+
+def test_unmutated_matrix_files_are_read():
+    for command, doc in _matrix_files():
+        assert _run_on(command, doc) == (0, "", True), command
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mutants())
+def test_mutated_matrix_file_is_one_error_line(mutant):
+    code, err, wrote = _run_on(*mutant)
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not wrote

@@ -22,7 +22,7 @@ PIPELINE = [
 ]
 
 # the values the library example prints, each stated in its comments
-EXAMPLE_VALUES = ["4", "(3, 4, 4, 4, 4) True", "(21, 21, 2)"]
+EXAMPLE_VALUES = ["4", "(3, 4, 4, 4, 4) True", "[21, 21, 2]"]
 
 
 def test_readme_pipeline_reruns_byte_for_byte(run_twice):

@@ -142,45 +142,37 @@ def test_dump_json_deterministic():
     assert json.loads(serialize.dump_json(payload)) == payload
 
 
-def _stdlib_json(payload: dict) -> str:
-    """The reference encoding: arrays as nested lists through the stdlib alone."""
-    plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
-    return json.dumps(plain, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
-
-
-def test_dump_json_edge_floats_match_stdlib():
-    edge = [-0.0, 5e-324, 0.1, 1e16, 1e-7, np.nan, np.inf, -np.inf]
-    payload = {
-        "entries": np.array(edge).reshape(2, 2, 2),
-        "flat": np.array(edge),
-        "empty": np.zeros((0, 2)),
-        "nested": {"entries": None, "x": [1, 2.5]},
-        "run_spec": {"output": 'a "quoted"\n "entries": null path'},
-    }
-    text = serialize.dump_json(payload)
-    assert text == _stdlib_json(payload)
-    assert "NaN" in text and "-Infinity" in text
-
-
 @pytest.mark.parametrize("d,degree", [(1, 0), (1, 4), (2, 6), (3, 9)])
-def test_matrix_files_match_stdlib_encoding(d, degree):
+def test_nested_list_matrix_files_load_to_the_same_bits(d, degree):
+    # earlier releases wrote the entries as nested [re, im] lists through
+    # json.dumps; such a file reads back to the bits of the base64 file
     m = generate_measure(d, 3, seed=d + degree)
     a = moment_matrix(m, degree)
     g = galerkin_matrix(KernelSpec("bargmann"), m, degree)
-    for data, matrix in [(serialize.matrix_to_dict(a), a), (serialize.galerkin_to_dict(g), g)]:
+    for data, matrix, read in [(serialize.matrix_to_dict(a), a, serialize.matrix_from_dict),
+                               (serialize.galerkin_to_dict(g), g, serialize.galerkin_from_dict)]:
         n = matrix.basis.size
-        assert data["entries"].shape == (n, n, 2)
-        text = serialize.dump_json(data)
-        assert text == _stdlib_json(data)
-        nested = [[serialize.pair(v) for v in row] for row in matrix.entries]
-        assert json.loads(text)["entries"] == nested
+        assert data["entries"]["encoding"] == "f64le-base64"
+        assert data["entries"]["shape"] == [n, n, 2]
+        nested = {**data, "entries": [[serialize.pair(v) for v in row] for row in matrix.entries]}
+        old_text = json.dumps(nested, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+        new = read(json.loads(serialize.dump_json(data))).entries
+        old = read(json.loads(old_text)).entries
+        assert new.tobytes() == old.tobytes() == matrix.entries.tobytes()
 
 
 def test_matrix_entries_roundtrip_bits():
+    edge = [-0.0, 5e-324, 0.1, 1e16, 1e-7, np.nan, np.inf, -np.inf]
     m = generate_measure(1, 2, seed=6)
-    a = moment_matrix(m, 2)
-    a.entries[0, 1] = complex(-0.0, np.inf)
-    a.entries[1, 0] = complex(np.inf, -0.0)
-    text = serialize.dump_json(serialize.matrix_to_dict(a))
-    back = serialize.matrix_from_dict(json.loads(text))
-    assert back.entries.view(float).tobytes() == a.entries.view(float).tobytes()
+    a = moment_matrix(m, 3)  # 4 x 4 entries
+    g = galerkin_matrix(KernelSpec("bargmann"), m, 3)
+    for matrix, to_dict, read in [
+        (a, serialize.matrix_to_dict, serialize.matrix_from_dict),
+        (g, serialize.galerkin_to_dict, serialize.galerkin_from_dict),
+    ]:
+        matrix.entries.view(float)[0, :8] = edge
+        matrix.entries.view(float)[1, :8] = edge[::-1]
+        text = serialize.dump_json(to_dict(matrix))
+        back = read(json.loads(text)).entries
+        assert back.view(float).tobytes() == matrix.entries.view(float).tobytes()
+        assert back.dtype == np.complex128 and back.flags.writeable
