@@ -15,11 +15,16 @@ density's per-coordinate disk tables (Gauss-Legendre in radius, trapezoid in
 angle): exact on the first level for uniform and polynomial densities, and
 refined for the Gaussian until the entries stabilize below 1e-10.
 
-`numerical_rank` counts singular values above a relative threshold.  On a
-square matrix of size >= 64 it first tries a seeded randomized range sketch
-whose exact residual certifies the count (atomic moment and Galerkin
-matrices have rank N far below their size); when the certificate cannot
-settle it, as for a density's full-rank matrix, the dense SVD decides.  A
+`numerical_rank` counts singular values above a relative threshold.  A
+square matrix of size >= 64 is first compressed by one seeded randomized
+range sketch, A ~ Q B with B = Q^H A of width n // 8, whose residual
+||A - Q B||_F is computed exactly (`_range_sketch`; atomic moment and
+Galerkin matrices have rank N far below their size).  Two certificates read
+it: the rank's, when every singular value of B sits clear of the threshold
+by more than the residual (`_sketched_rank`), and the spectrum's, when the
+residual is within a dense eigensolver's own backward error
+(`operators.spectrum`).  When a certificate cannot settle its question, as
+for a density's full-rank matrix, the dense SVD or eigensolver decides.  A
 density's full rank is instead certified for all leading truncations at
 once by `_full_rank_certificate`: one Cholesky factorization of the
 matrix's shifted Hermitian part, which `recovery.verify_theorem` tries
@@ -432,20 +437,24 @@ def _sketch_matrix(n: int, width: int) -> np.ndarray:
     return omega
 
 
-def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
-    """The rank of a square matrix from a certified randomized range sketch,
-    or None when the certificate cannot settle it.
+class _RangeSketch(NamedTuple):
+    q: np.ndarray
+    b: np.ndarray
+    residual: float
+
+
+def _range_sketch(entries: np.ndarray, rel_tol: float) -> _RangeSketch | None:
+    """Q, B = Q^H A and ||A - Q B||_F for a square matrix A of size n >= 64,
+    or None for any other matrix and when the sketch has full rank.
 
     Y = A Omega for l = n // 8 complex Gaussian columns drawn from seed 0,
     and Q R = Y (Halko, Martinsson and Tropp, SIAM Review 2011).  A last
     diagonal entry of R above rel_tol |R_11| means Y has full rank, so A is
-    not low-rank.  Otherwise, with B = Q^H A and err = ||A - Q B||_F +
-    n eps ||A||_F, every sigma_i(A) lies within err of s_i = sigma_i(B),
-    taken as 0 past l (Weyl), and the threshold rel_tol sigma_1(A) within
-    rel_tol err of rel_tol s_1.  The count is accepted only if err lies
-    below that threshold and no s_i lies within err of where the threshold
-    can fall, so the dense SVD would count the same.
+    not low-rank and neither B nor the residual is formed.  Otherwise the
+    residual is exact: A = Q B - gap, with gap formed in full.
     """
+    if not (entries.ndim == 2 and entries.shape[0] == entries.shape[1] >= _SKETCH_MIN_SIZE):
+        return None
     n = entries.shape[0]
     width = n // _SKETCH_RATIO
     q, r = np.linalg.qr(entries @ _sketch_matrix(n, width))
@@ -454,7 +463,25 @@ def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
     b = q.conj().T @ entries
     gap = q @ b  # the only n x n temporary
     gap -= entries
-    residual = np.linalg.norm(gap)
+    return _RangeSketch(q, b, float(np.linalg.norm(gap)))
+
+
+def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
+    """The rank of a square matrix from the certified range sketch of
+    `_range_sketch`, or None when the certificate cannot settle it.
+
+    With err = ||A - Q B||_F + n eps ||A||_F, every sigma_i(A) lies within
+    err of s_i = sigma_i(B), taken as 0 past l (Weyl), and the threshold
+    rel_tol sigma_1(A) within rel_tol err of rel_tol s_1.  The count is
+    accepted only if err lies below that threshold and no s_i lies within
+    err of where the threshold can fall, so the dense SVD would count the
+    same.
+    """
+    sketch = _range_sketch(entries, rel_tol)
+    if sketch is None:
+        return None
+    _, b, residual = sketch
+    n = entries.shape[0]
     # ||A||_F from the orthogonal split A = Q B - gap, without another pass over A
     err = residual + n * np.finfo(float).eps * np.hypot(residual, np.linalg.norm(b))
     s = np.linalg.svd(b, compute_uv=False)
@@ -462,7 +489,7 @@ def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
     if not err < low or np.any((s >= low - err) & (s <= high + err)):
         return None
     sigma = np.zeros(n)
-    sigma[:width] = s
+    sigma[: s.size] = s
     return _rank_result(sigma, rel_tol)
 
 
@@ -487,10 +514,9 @@ def numerical_rank(a: MomentMatrix | np.ndarray, rel_tol: float = 1e-8) -> RankR
     if not np.all(np.isfinite(entries)):
         raise NumericalError("matrix has non-finite entries")
     try:
-        if entries.ndim == 2 and entries.shape[0] == entries.shape[1] >= _SKETCH_MIN_SIZE:
-            sketched = _sketched_rank(entries, rel_tol)
-            if sketched is not None:
-                return sketched
+        sketched = _sketched_rank(entries, rel_tol)
+        if sketched is not None:
+            return sketched
         sigma = np.linalg.svd(entries, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc

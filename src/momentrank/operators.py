@@ -9,6 +9,10 @@ matrix A, so the two ranks agree exactly.  `galerkin_matrix` scales the same
 Gram product that `moments` assembles A from (over recentred atoms for the
 polydisk), and its `GalerkinMatrix` is a `MomentMatrix` that also carries the
 kernel, so everything that takes a moment matrix takes it too.
+`spectrum` reads the eigenvalues of a finite-rank Galerkin matrix off the
+small matrix B Q of the range sketch that also ranks it (see moments), when
+the sketch's exact residual is within a dense solver's backward error, and
+runs the dense nonsymmetric solver otherwise.
 `enclosing_kernel` gives every atomic measure a deterministic kernel of each
 kind, as the verify battery needs.
 """
@@ -21,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import ComplexPoint, DiscreteMeasure, Polydisk, PolynomialWeight
-from .moments import IndexBasis, MomentMatrix, NumericalError, _discrete_moment_matrix
+from .moments import (
+    IndexBasis,
+    MomentMatrix,
+    NumericalError,
+    _discrete_moment_matrix,
+    _range_sketch,
+)
 
 __all__ = [
     "KernelSpec",
@@ -174,12 +184,30 @@ def galerkin_matrix(
 def spectrum(gal: GalerkinMatrix) -> np.ndarray:
     """Eigenvalues of the Galerkin matrix, sorted by descending modulus.
 
-    A dense nonsymmetric solver is used throughout: complex atom weights make
-    the matrix non-Hermitian in general, and one code path keeps the ordering
-    deterministic.
+    Complex atom weights make the matrix non-Hermitian in general, so the
+    values come from a nonsymmetric solver.  A matrix of size n >= 64 is
+    first compressed by the range sketch that also ranks it
+    (`moments._range_sketch`, width l = n // 8, at tolerance n eps).  When
+    its exact residual ||A - Q B||_F is at most n eps ||B||_F, the backward
+    error the dense solver has anyway, the values are the l eigenvalues of
+    the l x l matrix B Q, which are the nonzero eigenvalues of Q B = A - E
+    with ||E||_F that residual, followed by n - l zeros.  Otherwise (a
+    sketch of full rank, a larger residual, or a smaller matrix) the dense
+    solver runs on A itself.  Non-finite entries raise NumericalError
+    before any LAPACK call.
     """
+    entries = gal.entries
+    if not np.all(np.isfinite(entries)):
+        raise NumericalError("matrix has non-finite entries")
+    n = entries.shape[0]
+    tol = n * np.finfo(float).eps
     try:
-        values = np.linalg.eigvals(gal.entries)
+        sketch = _range_sketch(entries, tol)
+        if sketch is not None and sketch.residual <= tol * np.linalg.norm(sketch.b):
+            values = np.zeros(n, dtype=complex)
+            values[: sketch.b.shape[0]] = np.linalg.eigvals(sketch.b @ sketch.q)
+        else:
+            values = np.linalg.eigvals(entries)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
     order = np.lexsort((values.imag, values.real, -np.abs(values)))

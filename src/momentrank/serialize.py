@@ -16,6 +16,7 @@ import base64
 import functools
 import json
 import math
+import reprlib
 from typing import Any
 
 import numpy as np
@@ -69,6 +70,21 @@ def _reader(kind: str):
     return wrap
 
 
+_JSON_TYPES = {dict: "an object", list: "a list"}
+
+
+def _field(data: dict, key: str, kind: type = dict, of_objects: bool = False):
+    """data[key], checked to be a JSON object (kind dict) or array (kind
+    list), and with `of_objects` an array of objects; the error names the key."""
+    value = data[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{key!r} must be {_JSON_TYPES[kind]}, got {reprlib.repr(value)}")
+    for item in value if of_objects else ():
+        if not isinstance(item, dict):
+            raise ValueError(f"{key!r} entries must be objects, got {reprlib.repr(item)}")
+    return value
+
+
 def pair(z: complex) -> list[float]:
     z = complex(z)
     return [float(z.real), float(z.imag)]
@@ -107,10 +123,10 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
     dimension = int(data["dimension"])
     atoms = tuple(
         Atom(
-            ComplexPoint(tuple(unpair(c) for c in entry["location"])),
+            ComplexPoint(tuple(unpair(c) for c in _field(entry, "location", list))),
             unpair(entry["weight"]),
         )
-        for entry in data["atoms"]
+        for entry in _field(data, "atoms", list, of_objects=True)
     )
     return DiscreteMeasure(dimension, atoms)
 
@@ -125,7 +141,7 @@ def _polynomial_to_terms(g: PolynomialWeight) -> list[dict]:
 def _polynomial_from_terms(dimension: int, terms: list[dict]) -> PolynomialWeight:
     return PolynomialWeight(
         dimension,
-        {tuple(int(a) for a in t["alpha"]): unpair(t["coeff"]) for t in terms},
+        {tuple(int(a) for a in _field(t, "alpha", list)): unpair(t["coeff"]) for t in terms},
     )
 
 
@@ -135,8 +151,8 @@ def _polydisk_to_dict(p: Polydisk) -> dict:
 
 def _polydisk_from_dict(data: dict) -> Polydisk:
     return Polydisk(
-        ComplexPoint(tuple(unpair(c) for c in data["center"])),
-        tuple(float(r) for r in data["radii"]),
+        ComplexPoint(tuple(unpair(c) for c in _field(data, "center", list))),
+        tuple(float(r) for r in _field(data, "radii", list)),
     )
 
 
@@ -154,12 +170,13 @@ def density_to_dict(m: DensityMeasure) -> dict:
 @_reader("density")
 def density_from_dict(data: dict) -> DensityMeasure:
     dimension = int(data["dimension"])
-    domain = _polydisk_from_dict(data["domain"])
-    density = data["density"]
+    domain = _polydisk_from_dict(_field(data, "domain"))
+    density = _field(data, "density")
     kind = density["type"]
     polynomial = None
     if kind == "polynomial":
-        polynomial = _polynomial_from_terms(dimension, density["terms"])
+        terms = _field(density, "terms", list, of_objects=True)
+        polynomial = _polynomial_from_terms(dimension, terms)
     return DensityMeasure(dimension, domain, DensitySpec(kind, polynomial))
 
 
@@ -241,7 +258,7 @@ def _kernel_to_dict(kernel: KernelSpec) -> dict:
 
 
 def _kernel_from_dict(data: dict) -> KernelSpec:
-    domain = _polydisk_from_dict(data["domain"]) if "domain" in data else None
+    domain = _polydisk_from_dict(_field(data, "domain")) if "domain" in data else None
     return KernelSpec(data["kind"], domain)
 
 
@@ -251,7 +268,8 @@ def galerkin_to_dict(g: GalerkinMatrix) -> dict:
 
 @_reader("Galerkin matrix")
 def galerkin_from_dict(data: dict) -> GalerkinMatrix:
-    return GalerkinMatrix(_kernel_from_dict(data["kernel"]), *_grlex_basis_and_entries(data))
+    kernel = _kernel_from_dict(_field(data, "kernel"))
+    return GalerkinMatrix(kernel, *_grlex_basis_and_entries(data))
 
 
 # -- recovery reports and spectra ---------------------------------------------

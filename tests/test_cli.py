@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentrank import (ComplexPoint, DensityMeasure, DensitySpec, Polydisk, enclosing_kernel,
-                        galerkin_matrix, generate_measure, moment_matrix, moments)
+from momentrank import (ComplexPoint, DensityMeasure, DensitySpec, DiscreteMeasure, Polydisk,
+                        enclosing_kernel, galerkin_matrix, generate_measure, moment_matrix,
+                        moments)
 from momentrank.cli import build_parser, main
-from momentrank.serialize import (density_to_dict, dump_json, galerkin_to_dict, matrix_from_dict,
-                                  matrix_to_dict, measure_from_dict, pair)
+from momentrank.serialize import (any_measure_from_dict, density_to_dict, dump_json,
+                                  galerkin_to_dict, matrix_from_dict, matrix_to_dict,
+                                  measure_from_dict, measure_to_dict, pair)
 
 
 def run(*argv):
@@ -100,19 +102,23 @@ def test_rank_file_lists_every_value_at_basis_220(run_twice):
     assert values[8] <= 1e-8 * values[0] and values[-1] == 0.0
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["Infinity", "NaN"])
-@pytest.mark.parametrize("command", ["rank", "recover"])
+@pytest.mark.parametrize("command", ["rank", "recover", "spectrum"])
 def test_non_finite_matrix_file_is_numerical_failure(tmp_path, capfd, command, bad):
     # capfd, not capsys: LAPACK writes its own complaints to file descriptor 2
     m_path, a_path = tmp_path / "m.json", tmp_path / "a.json"
     run("gen", "--dimension", "2", "--atoms", "3", "--seed", "4", "--output", str(m_path))
-    run("moments", "--input", str(m_path), "--degree", "4", "--output", str(a_path))
+    if command == "spectrum":  # basis 66, past the sketch's minimum size
+        run("galerkin", "--input", str(m_path), "--degree", "10", "--output", str(a_path))
+    else:
+        run("moments", "--input", str(m_path), "--degree", "4", "--output", str(a_path))
     data = json.loads(a_path.read_text())
     a = matrix_from_dict(data)
     a.entries[3, 5] = complex(bad, 0.0)
     # the base64 payload of the file as written, and the nested lists of
     # earlier releases
-    v2 = matrix_to_dict(a)
+    v2 = {**data, **matrix_to_dict(a)}
     v1 = {**data, "entries": [[pair(v) for v in row] for row in a.entries]}
     for payload in (v2, v1):
         a_path.write_text(json.dumps(payload))
@@ -458,6 +464,29 @@ def test_malformed_complex_pair_names_its_kind_and_the_value(tmp_path, capsys, d
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (("spectrum",),
+         {"dimension": 1, "max_degree": 0, "order": "grlex", "entries": [[[1.0, 0.0]]],
+          "kernel": "x"},
+         "Galerkin matrix file: 'kernel' must be an object, got 'x'"),
+        (("moments", "--degree", "2"), {"dimension": 1, "atoms": {}},
+         "measure file: 'atoms' must be a list, got {}"),
+        (("moments", "--degree", "2"), {"dimension": 1, "atoms": [None]},
+         "measure file: 'atoms' entries must be objects, got None"),
+        (("moments", "--degree", "2"), {"dimension": 1, "domain": None, "density": {}},
+         "density file: 'domain' must be an object, got None"),
+    ],
+    ids=["kernel", "atoms", "atom", "domain"],
+)
+def test_nested_value_of_the_wrong_type_names_its_key(tmp_path, capsys, argv, data, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert run(*argv, "--input", str(path)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @functools.cache
 def _matrix_files():
     """Valid matrix files and a command that reads each: a d=2 moment matrix
@@ -487,6 +516,18 @@ def _at(doc, path):
     return doc
 
 
+def _drop_or_replace(draw, doc, family):
+    """Deletes one key of an object in doc, or replaces one nested value by
+    a null, a string, an empty list or an empty object."""
+    if family == "drop":
+        path, key = draw(st.sampled_from(
+            [(path, key) for path, key in _json_slots(doc) if isinstance(_at(doc, path), dict)]))
+        del _at(doc, path)[key]
+    else:
+        path, key = draw(st.sampled_from(list(_json_slots(doc))))
+        _at(doc, path)[key] = draw(st.sampled_from([None, "x", [], {}]))
+
+
 @st.composite
 def _mutants(draw):
     """A command and a file it reads with one mutation of a fixed family."""
@@ -494,13 +535,8 @@ def _mutants(draw):
     doc = copy.deepcopy(valid)
     entries = doc["entries"]
     family = draw(st.sampled_from(["drop", "replace", "shape", "encoding", "data"]))
-    if family == "drop":
-        path, key = draw(st.sampled_from(
-            [(path, key) for path, key in _json_slots(doc) if isinstance(_at(doc, path), dict)]))
-        del _at(doc, path)[key]
-    elif family == "replace":
-        path, key = draw(st.sampled_from(list(_json_slots(doc))))
-        _at(doc, path)[key] = draw(st.sampled_from([None, "x", [], {}]))
+    if family in ("drop", "replace"):
+        _drop_or_replace(draw, doc, family)
     elif family == "shape":
         entries["shape"] = draw(st.lists(st.integers(-1, 300), max_size=4)
                                 .filter(lambda shape: shape != entries["shape"]))
@@ -516,14 +552,14 @@ def _mutants(draw):
     return command, doc
 
 
-def _run_on(command, doc):
+def _run_on(command, doc, *flags):
     """Exit code, stderr and whether an output file appeared."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp, "in.json"), Path(tmp, "out")
         path.write_text(json.dumps(doc))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main([command, "--input", str(path), "--output", str(out)])
+            code = main([command, "--input", str(path), "--output", str(out), *flags])
         return code, err.getvalue(), out.exists()
 
 
@@ -536,6 +572,56 @@ def test_unmutated_matrix_files_are_read():
 @given(_mutants())
 def test_mutated_matrix_file_is_one_error_line(mutant):
     code, err, wrote = _run_on(*mutant)
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not wrote
+
+
+@functools.cache
+def _measure_files():
+    """Valid measure files and a command that reads each (at --degree 2): a
+    d=2 atomic measure through `moments`, `galerkin` and `verify`, and the
+    three density kinds through `moments` and `verify`."""
+    atomic = measure_to_dict(generate_measure(2, 3, seed=1, separation=0.2))
+    densities = [density_to_dict(any_measure_from_dict(json.loads(text)))
+                 for text in DENSITIES_AT_DEGREE_6.values()]
+    return ([(command, atomic) for command in ("moments", "galerkin", "verify")]
+            + [(command, doc) for doc in densities for command in ("moments", "verify")])
+
+
+def _written_by_writer(doc):
+    """Whether a measure document is exactly what a writer makes of the
+    measure its reader reads from it."""
+    try:
+        m = any_measure_from_dict(doc)
+    except (ValueError, KeyError, TypeError):
+        return False
+    return (measure_to_dict if isinstance(m, DiscreteMeasure) else density_to_dict)(m) == doc
+
+
+@st.composite
+def _measure_mutants(draw):
+    """A command and a measure file it reads with one drop or replace mutation."""
+    command, valid = draw(st.sampled_from(_measure_files()))
+    doc = copy.deepcopy(valid)
+    _drop_or_replace(draw, doc, draw(st.sampled_from(["drop", "replace"])))
+    return command, doc
+
+
+def test_unmutated_measure_files_are_read():
+    for command, doc in _measure_files():
+        assert _written_by_writer(doc), doc
+        assert _run_on(command, doc, "--degree", "2") == (0, "", True), (command, doc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_measure_mutants())
+def test_mutated_measure_file_is_one_error_line(mutant):
+    command, doc = mutant
+    code, err, wrote = _run_on(command, doc, "--degree", "2")
+    if _written_by_writer(doc):  # the mutant is itself a valid file
+        assert err.count("\n") <= 1, err
+        return
     assert code == 1, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not wrote

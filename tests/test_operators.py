@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from momentrank import (
+    GalerkinMatrix,
+    IndexBasis,
     Atom,
     ComplexPoint,
     DiscreteMeasure,
@@ -11,10 +13,12 @@ from momentrank import (
     KernelSpec,
     Polydisk,
     PolynomialWeight,
+    enclosing_kernel,
     galerkin_matrix,
     generate_measure,
     kernel_eval,
     moment_matrix,
+    moments,
     numerical_rank,
     spectrum,
     toeplitz_apply,
@@ -236,3 +240,65 @@ def test_spectrum_descending_modulus():
     values = spectrum(galerkin_matrix(BARGMANN, m, 5))
     mods = np.abs(values)
     assert np.all(np.diff(mods) <= 1e-12)
+
+
+def _dense_spectrum(entries):
+    values = np.linalg.eigvals(entries)
+    return values[np.lexsort((values.imag, values.real, -np.abs(values)))]
+
+
+@pytest.fixture
+def eigvals_spy(monkeypatch):
+    """Records the shape of every matrix handed to np.linalg.eigvals."""
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("kind", ["bargmann", "bergman"])
+@pytest.mark.parametrize("seed", [3, 7, 42, 100000])
+def test_spectrum_at_basis_220_from_the_sketch(kind, seed, eigvals_spy):
+    # d=3, degree 9: the n x n solve becomes one on the 27 x 27 sketch
+    m = generate_measure(3, 8, seed=seed, separation=0.2)
+    g = galerkin_matrix(enclosing_kernel(kind, m), m, 9)
+    dense = _dense_spectrum(g.entries)
+    eigvals_spy.clear()
+    values = spectrum(g)
+    assert eigvals_spy == [(27, 27)]
+    assert values.shape == (220,) and np.all(values[27:] == 0)
+    np.testing.assert_allclose(values[:8], dense[:8], rtol=1e-12, atol=0)
+    assert np.count_nonzero(np.abs(values) > 1e-8 * abs(values[0])) == 8
+
+
+def _uncertifiable():
+    """n = 84 (d=3, degree 6) matrices the width-10 sketch cannot certify:
+    a random full-rank one and an atomic one of rank 12 > 10, whose sketches
+    have full rank, and one of rank 4 whose sketch sees only rank 3, so its
+    residual fails the certificate."""
+    rng = np.random.default_rng(5)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    m = generate_measure(3, 12, seed=2, separation=0.2)
+    # unseen^H Omega = 0, so the last term adds nothing to A Omega
+    unseen = np.linalg.svd(moments._sketch_matrix(84, 10).conj().T)[2][-1].conj()
+    missed = gaussian(84, 3) @ gaussian(3, 84) + np.outer(gaussian(84), unseen.conj())
+    return [GalerkinMatrix(BARGMANN, IndexBasis(3, 6), entries)
+            for entries in (gaussian(84, 84), galerkin_matrix(BARGMANN, m, 6).entries, missed)]
+
+
+@pytest.mark.parametrize("index", [0, 1, 2],
+                         ids=["random", "atoms-past-the-width", "a-direction-the-sketch-misses"])
+def test_spectrum_the_sketch_cannot_certify_is_the_dense_one(index, eigvals_spy):
+    g = _uncertifiable()[index]
+    values = spectrum(g)
+    assert eigvals_spy == [(84, 84)]
+    dense = _dense_spectrum(g.entries)
+    assert values.tobytes() == dense.tobytes()
