@@ -257,6 +257,9 @@ class DensitySpec:
             raise ValueError(f"unknown density kind {self.kind!r}; expected one of {self._KINDS}")
         if self.kind == "polynomial" and self.polynomial is None:
             raise ValueError("polynomial density requires a polynomial")
+        if self.kind == "polynomial" and not self.polynomial.terms:
+            # the zero measure: a density of rank 0, not full rank
+            raise ValueError("polynomial density needs a nonzero term")
         if self.kind != "polynomial" and self.polynomial is not None:
             raise ValueError(f"{self.kind} density takes no polynomial")
 
@@ -404,12 +407,16 @@ def generate_measure(
     Locations satisfy |zeta| <= 2 (each coordinate sampled uniformly from the
     disk of radius 2/sqrt(d)); weights are complex with modulus in [0.5, 2].
     Rejection-samples locations until the separation constraint holds, and
-    raises RuntimeError after 10 000 candidates.
+    raises RuntimeError after 10 000 candidates.  A dimension below 1, a
+    negative count, or a separation that is not finite and positive raises
+    ValueError before anything is drawn.
     """
+    if dimension < 1:
+        raise ValueError(f"dimension must be >= 1, got {dimension}")
     if count < 0:
         raise ValueError("count must be >= 0")
-    if separation <= 0:
-        raise ValueError("separation must be positive")
+    if not (math.isfinite(separation) and separation > 0):
+        raise ValueError(f"separation must be finite and positive, got {separation}")
     rng = np.random.default_rng(seed)
     coord_radius = 2.0 / math.sqrt(dimension)
     points: list[ComplexPoint] = []

@@ -240,19 +240,15 @@ def moment_entry(m: DiscreteMeasure, alpha: MultiIndex, beta: MultiIndex) -> com
     return total
 
 
-def _gram_rows(table: np.ndarray, weights: np.ndarray, rows: slice) -> np.ndarray:
-    """Rows `rows` of the Gram product sum_k lambda_k t_k^alpha conj(t_k)^beta
-    of a weighted monomial table, symmetrized entry by entry as the whole
-    product is, so row blocks read the same values as one whole matrix."""
-    left = (table * weights[:, np.newaxis]).T
-    right = table.conj()
-    entries = left[rows] @ right
+def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Gram product sum_k lambda_k t_k^alpha conj(t_k)^beta of a weighted
+    monomial table; with real weights it is symmetrized to be exactly
+    Hermitian."""
+    entries = (table * weights[:, np.newaxis]).T @ table.conj()
     if np.all(weights.imag == 0):
         # real weights make the matrix Hermitian in exact arithmetic;
         # symmetrizing removes the accumulation-order noise of the matmul
-        whole = entries.shape[0] == table.shape[1]
-        columns = entries if whole else left @ right[:, rows]
-        entries += columns.conj().T
+        entries += entries.conj().T
         entries *= 0.5
     return entries
 
@@ -261,7 +257,7 @@ def _discrete_moment_matrix(
     points: np.ndarray, weights: np.ndarray, basis: IndexBasis
 ) -> np.ndarray:
     """Gram product sum_k lambda_k z_k^alpha conj(z_k)^beta of weighted points."""
-    return _gram_rows(monomial_table(points, basis), weights, slice(None))
+    return _gram(monomial_table(points, basis), weights)
 
 
 # -- density quadrature ------------------------------------------------------

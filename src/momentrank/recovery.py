@@ -55,9 +55,8 @@ from .moments import (
     MomentMatrix,
     NumericalError,
     RankResult,
-    _discrete_moment_matrix,
     _full_rank_certificate,
-    _gram_rows,
+    _gram,
     leading_truncation,
     moment_matrix,
     monomial_table,
@@ -125,13 +124,6 @@ class RecoveryReport:
     retry_log: tuple[str, ...] = field(default=(), compare=False)
 
 
-def _sorted_atoms(atoms: list[Atom]) -> tuple[Atom, ...]:
-    def key(atom: Atom):
-        return tuple(x for c in atom.location.coords for x in (c.real, c.imag))
-
-    return tuple(sorted(atoms, key=key))
-
-
 def _equation_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) of the moment equations used for weight fitting.
 
@@ -165,26 +157,25 @@ def _polish_atoms(
     iterations push them to the rounding floor, which matters for
     high-degree moments whose absolute scale amplifies location error.
     Derivatives are taken in Wirtinger form (z and conj(z) independent) and
-    stacked into a real system.  The best iterate by max-residual is kept.
+    stacked into a real system.  One monomial table per iterate gives both
+    its residual and the Jacobian of the next step; the best iterate by
+    max-residual is kept.
     """
     basis = a.basis
     exps = basis.entries_array()
     d = basis.dimension
-    m_count = locations.shape[0]
     rows, cols = _equation_pairs(basis.size)
     lower = basis.shifts[1]
-
-    def residual_vector(locs, lam):
-        return (_discrete_moment_matrix(locs, lam, basis) - a.entries)[rows, cols]
-
-    best_locs, best_lam = locations, weights
-    best_err = float(np.max(np.abs(residual_vector(locations, weights))))
-    locs, lam = locations.copy(), weights.copy()
-    for _ in range(_POLISH_ITERATIONS):
-        if best_err <= 0.01 * _RESIDUAL_TOL:
-            break
+    locs, lam = locations, weights
+    for iteration in range(_POLISH_ITERATIONS + 1):
         table = monomial_table(locs, basis)
-        res = residual_vector(locs, lam)
+        res = (_gram(table, lam) - a.entries)[rows, cols]
+        err = float(np.max(np.abs(res)))
+        if iteration and not err < best_err:
+            break
+        best_locs, best_lam, best_err = locs, lam, err
+        if err <= 0.01 * _RESIDUAL_TOL or iteration == _POLISH_ITERATIONS:
+            break
         blocks = []
         for v in range(d):
             shifted = np.zeros_like(table)
@@ -199,15 +190,9 @@ def _polish_atoms(
         j_real = np.vstack([jac.real, jac.imag])
         rhs = -np.concatenate([res.real, res.imag])
         step, *_ = np.linalg.lstsq(j_real, rhs, rcond=None)
-        step = step.reshape(2 * d + 2, m_count)
-        for v in range(d):
-            locs[:, v] = locs[:, v] + step[2 * v] + 1j * step[2 * v + 1]
+        step = step.reshape(2 * d + 2, len(lam))
+        locs = locs + step[0 : 2 * d : 2].T + 1j * step[1 : 2 * d : 2].T
         lam = lam + step[2 * d] + 1j * step[2 * d + 1]
-        err = float(np.max(np.abs(residual_vector(locs, lam))))
-        if err < best_err:
-            best_locs, best_lam, best_err = locs.copy(), lam.copy(), err
-        else:
-            break
     return best_locs, best_lam
 
 
@@ -241,28 +226,31 @@ def _pencil_locations(a: MomentMatrix, block: int, rank: int, seed: int) -> np.n
     return locations
 
 
-def _moment_gap(measure: DiscreteMeasure, whole: MomentMatrix) -> float:
-    """max |A_fit - A| between the moments of `measure` and the input `whole`,
-    one row block of the fitted matrix at a time (at most ~1 MB, so inputs up
-    to n = 256 are one block) rather than n x n at once."""
-    table = monomial_table(measure.locations_matrix(), whole.basis)
-    weights = measure.weights_vector()
+def _moment_gap(locations: np.ndarray, weights: np.ndarray, whole: MomentMatrix) -> float:
+    """max |A_fit - A| between the moments of the atoms (locations, weights)
+    and the input `whole`, one ~1 MB row block of the unsymmetrized Gram
+    product at a time (inputs up to n = 256 are one block); NaN if any
+    entry is NaN."""
+    table = monomial_table(locations, whole.basis)
+    left = (table * weights[:, np.newaxis]).T
+    right = table.conj()
     n = whole.basis.size
     step = max(1, _GAP_BLOCK_BYTES // (16 * n))
-    gap = 0.0
+    gaps = []
     for start in range(0, n, step):
-        rows = slice(start, start + step)
-        block = _gram_rows(table, weights, rows)
-        block -= whole.entries[rows]
-        gap = max(gap, float(np.max(np.abs(block))))
-    return gap
+        block = left[start : start + step] @ right
+        block -= whole.entries[start : start + step]
+        gaps.append(np.max(np.abs(block)))
+    return float(np.max(gaps))
 
 
 def _fit(
     a: MomentMatrix, whole: MomentMatrix, block: int, rank: int, cfg: RecoveryConfig
 ) -> tuple[DiscreteMeasure, float]:
     """One pencil extraction on `a` at a prescribed rank, gated by the residual
-    against the whole input `whole` (of which `a` is a leading truncation)."""
+    against the whole input `whole` (of which `a` is a leading truncation).
+    The atoms are sorted by (re z_1, im z_1, ..., im z_d) and gated as
+    arrays; only an accepted fit becomes a measure, without zero weights."""
     locations = _pencil_locations(a, block, rank, cfg.seed)
     weights = _solve_weights(a, locations)
     keep = np.abs(weights) >= cfg.rank_tol * np.max(np.abs(weights))
@@ -270,19 +258,20 @@ def _fit(
         locations = locations[keep]
         weights = _solve_weights(a, locations)
     locations, weights = _polish_atoms(locations, weights, a)
-    atoms = [
-        Atom(ComplexPoint(tuple(complex(z) for z in loc)), complex(w))
-        for loc, w in zip(locations, weights)
-        if w != 0
-    ]
-    measure = DiscreteMeasure(a.dimension, _sorted_atoms(atoms))
-    residual = _moment_gap(measure, whole)
-    if residual > _RESIDUAL_TOL:
+    # np.lexsort's last key is the primary one
+    keys = [part[:, j] for j in range(a.dimension) for part in (locations.real, locations.imag)]
+    order = np.lexsort(keys[::-1])
+    locations, weights = locations[order], weights[order]
+    residual = _moment_gap(locations, weights, whole)
+    if not residual <= _RESIDUAL_TOL:
         raise RecoveryError(
             f"residual {residual:.3e} above {_RESIDUAL_TOL:.1e} "
-            f"(pencil rank {rank}, {measure.atom_count} atoms)"
+            f"(pencil rank {rank}, {np.count_nonzero(weights)} atoms)"
         )
-    return measure, residual
+    atoms = tuple(
+        Atom(ComplexPoint(tuple(loc)), w) for loc, w in zip(locations, weights) if w != 0
+    )
+    return DiscreteMeasure(a.dimension, atoms), residual
 
 
 def recover_atoms(a: MomentMatrix, cfg: RecoveryConfig = RecoveryConfig()) -> RecoveryReport:

@@ -317,6 +317,36 @@ def test_gen_with_atoms_that_cannot_be_placed_is_one_error_line(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--dimension", "0"), "dimension must be >= 1, got 0"),
+        (("--dimension", "-1"), "dimension must be >= 1, got -1"),
+        (("--dimension", "1", "--separation", "nan"),
+         "separation must be finite and positive, got nan"),
+        (("--dimension", "1", "--separation", "inf"),
+         "separation must be finite and positive, got inf"),
+    ],
+    ids=["dimension-0", "dimension-negative", "separation-nan", "separation-inf"],
+)
+def test_gen_rejects_a_bad_dimension_or_separation_up_front(tmp_path, capsys, args, message):
+    out = tmp_path / "m.json"
+    assert run("gen", *args, "--atoms", "2", "--output", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("terms", [(), (([1], [0, 0]), ([0], [0.0, -0.0]))],
+                         ids=["no-terms", "zero-coefficients"])
+@pytest.mark.parametrize("command", ["moments", "verify"])
+def test_zero_polynomial_density_is_one_error_line(tmp_path, capsys, command, terms):
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(_density(1, [[0, 0]], [1.0], _polynomial(*terms)))
+    assert run(command, "--input", str(path), "--degree", "2", "--output", str(out)) == 1
+    assert capsys.readouterr().err == "error: density file: polynomial density needs a nonzero term\n"
+    assert not out.exists()
+
+
 def test_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
 

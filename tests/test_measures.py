@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from momentrank import (
     Atom,
     ComplexPoint,
+    DensitySpec,
     DiscreteMeasure,
     PolynomialWeight,
     UnitarityError,
@@ -207,6 +208,24 @@ def test_generate_measure_contract():
 
 def test_generate_measure_deterministic():
     assert generate_measure(3, 4, seed=11) == generate_measure(3, 4, seed=11)
+
+
+@pytest.mark.parametrize(
+    "dimension, separation, message",
+    [(0, 0.1, "dimension must be >= 1"), (-1, 0.1, "dimension must be >= 1"),
+     (1, float("nan"), "separation must be finite and positive"),
+     (1, float("inf"), "separation must be finite and positive"),
+     (1, 0.0, "separation must be finite and positive")],
+)
+def test_generate_measure_rejects_bad_arguments_before_drawing(dimension, separation, message):
+    with pytest.raises(ValueError, match=message):
+        generate_measure(dimension, 2, seed=0, separation=separation)
+
+
+@pytest.mark.parametrize("terms", [{}, {(1,): 0, (0,): 0j}])
+def test_polynomial_density_needs_a_nonzero_term(terms):
+    with pytest.raises(ValueError, match="needs a nonzero term"):
+        DensitySpec("polynomial", PolynomialWeight(1, terms))
 
 
 def test_generate_measure_infeasible_separation():

@@ -53,3 +53,17 @@ def test_readme_library_example_prints_the_values_its_comments_state(tmp_path, r
 def test_example_script_exits_0(tmp_path, run_python, script):
     done = run_python(script, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_runs_with_numpy_alone(tmp_path, run_python):
+    # numpy is the only runtime dependency; scipy and hypothesis are test extras
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+        "import momentrank, momentrank.cli\n"
+        "sys.exit(momentrank.cli.main(['gen', '--dimension', '2', '--atoms', '3',"
+        " '--output', 'm.json']))\n"
+    )
+    result = run_python("-c", script, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "m.json").is_file()

@@ -265,6 +265,54 @@ def test_residual_check_never_holds_a_whole_fitted_matrix():
     assert peak < 20e6
 
 
+@pytest.mark.parametrize("d, n, degree", [(1, 6, 7), (2, 7, 6), (3, 8, 5)])
+def test_recovered_atoms_come_out_in_coordinate_order(d, n, degree):
+    truth = generate_measure(d, n, seed=d, separation=0.1)
+    report = recover_atoms(moment_matrix(truth, degree), RecoveryConfig(seed=d))
+    keys = [tuple(x for z in atom.location.coords for x in (z.real, z.imag))
+            for atom in report.atoms.atoms]
+    assert len(keys) == n and keys == sorted(keys)
+
+
+@pytest.mark.parametrize("d, n, degree", [(1, 9, 10), (2, 6, 6), (2, 12, 20), (3, 10, 7)])
+def test_residual_is_the_gap_of_the_recovered_measure(d, n, degree):
+    # complex weights and n <= 256: the gate's one row block is the whole
+    # unsymmetrized Gram product that moment_matrix also forms
+    a = moment_matrix(generate_measure(d, n, seed=n, separation=0.1), degree)
+    assert a.basis.size <= 256
+    report = recover_atoms(a, RecoveryConfig(seed=n))
+    assert not np.all(report.atoms.weights_vector().imag == 0)
+    fitted = moment_matrix(report.atoms, degree)
+    assert report.residual == float(np.max(np.abs(fitted.entries - a.entries)))
+
+
+@pytest.mark.parametrize(
+    "truth, degree",
+    [
+        (measure(3, ([0.5, -0.25, 1.0], 1.5), ([-0.75, 0.5, 0.0], 0.75),
+                 ([1.25, 0.0, -0.5], 2.0), ([0.0, 1.0, 0.25], 1.0),
+                 ([-1.0, -1.0, 0.5], 0.5)), 5),
+        (generate_measure(3, 20, 0, separation=0.1), 21),
+    ],
+    ids=["real-weights", "basis-2024"],
+)
+def test_residual_agrees_with_the_symmetrized_or_blocked_gap(truth, degree):
+    # real weights make moment_matrix symmetrize, and basis 2024 makes the
+    # gate run over row blocks; either way the gap moves only by rounding
+    a = moment_matrix(truth, degree)
+    report = recover_atoms(a, RecoveryConfig(seed=0))
+    fitted = moment_matrix(report.atoms, degree)
+    gap = float(np.max(np.abs(fitted.entries - a.entries)))
+    assert report.residual <= 1e-6
+    assert abs(report.residual - gap) <= 1e-15 * float(np.max(np.abs(a.entries)))
+
+
+def test_nan_residual_fails_the_gate(monkeypatch):
+    monkeypatch.setattr(recovery, "_moment_gap", lambda *args: float("nan"))
+    with pytest.raises(RecoveryError, match="residual nan above"):
+        recover_atoms(moment_matrix(generate_measure(2, 3, seed=0), 3))
+
+
 def test_flat_block_search_ranks_no_larger_matrix(monkeypatch):
     sizes = []
     real = recovery.numerical_rank
