@@ -47,11 +47,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_json(path: str) -> dict:
     try:
-        with open(path) as f:
-            data = json.load(f)
+        with open(path, "rb") as f:
+            raw = f.read()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        # from bytes, json detects UTF-8, -16 or -32 and skips a UTF-8 BOM
+        data = json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise _CliError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _CliError(f"{path} does not hold a JSON object")
@@ -63,8 +66,8 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w") as f:
-            f.write(text)
+        with open(path, "wb") as f:
+            f.write(text.encode())
     except OSError as exc:
         raise _CliError(f"cannot write {path}: {exc}") from exc
 

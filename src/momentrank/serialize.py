@@ -85,6 +85,13 @@ def _field(data: dict, key: str, kind: type = dict, of_objects: bool = False):
     return value
 
 
+def _integer(value, key: str) -> int:
+    """A JSON integer; a float, a string or a boolean is an error naming the key."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be an integer, got {reprlib.repr(value)}")
+    return value
+
+
 def pair(z: complex) -> list[float]:
     z = complex(z)
     return [float(z.real), float(z.imag)]
@@ -98,9 +105,24 @@ def unpair(value) -> complex:
         raise ValueError(f"expected a [re, im] pair of numbers, got {value!r}") from None
 
 
+class _Base64(str):
+    """Base64 text, which JSON never escapes: `dump_json` writes it as it is."""
+
+
+_JSON_FORMAT = {"sort_keys": True, "separators": (",", ": "), "indent": 1}
+
+
 def dump_json(payload: dict) -> str:
-    """Deterministic JSON encoding: sorted keys, fixed separators, indent 1."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """Deterministic JSON encoding: sorted keys, fixed separators, indent 1;
+    the base64 data of `matrix_to_dict` is joined in without a scan."""
+    entries = payload.get("entries")
+    data = entries.get("data") if isinstance(entries, dict) else None
+    if type(data) is not _Base64:
+        return json.dumps(payload, **_JSON_FORMAT) + "\n"
+    text = json.dumps({**payload, "entries": {**entries, "data": ""}}, **_JSON_FORMAT)
+    # indent 1 puts raw newlines only before items: 1 space marks a top-level key, 2 its child
+    at = text.index('\n  "data": "', text.index('\n "entries": {')) + len('\n  "data": "')
+    return "".join((text[:at], data, text[at:], "\n"))
 
 
 # -- measures ----------------------------------------------------------------
@@ -120,7 +142,7 @@ def measure_to_dict(m: DiscreteMeasure) -> dict:
 
 @_reader("measure")
 def measure_from_dict(data: dict) -> DiscreteMeasure:
-    dimension = int(data["dimension"])
+    dimension = _integer(data["dimension"], "dimension")
     atoms = tuple(
         Atom(
             ComplexPoint(tuple(unpair(c) for c in _field(entry, "location", list))),
@@ -141,7 +163,8 @@ def _polynomial_to_terms(g: PolynomialWeight) -> list[dict]:
 def _polynomial_from_terms(dimension: int, terms: list[dict]) -> PolynomialWeight:
     return PolynomialWeight(
         dimension,
-        {tuple(int(a) for a in _field(t, "alpha", list)): unpair(t["coeff"]) for t in terms},
+        {tuple(_integer(a, "alpha") for a in _field(t, "alpha", list)): unpair(t["coeff"])
+         for t in terms},
     )
 
 
@@ -169,7 +192,7 @@ def density_to_dict(m: DensityMeasure) -> dict:
 
 @_reader("density")
 def density_from_dict(data: dict) -> DensityMeasure:
-    dimension = int(data["dimension"])
+    dimension = _integer(data["dimension"], "dimension")
     domain = _polydisk_from_dict(_field(data, "domain"))
     density = _field(data, "density")
     kind = density["type"]
@@ -204,14 +227,14 @@ def matrix_to_dict(a: MomentMatrix) -> dict:
         "entries": {
             "encoding": _ENTRIES_ENCODING,
             "shape": [n, n, 2],
-            "data": base64.b64encode(data).decode("ascii"),
+            "data": _Base64(base64.b64encode(data).decode("ascii")),
         },
     }
 
 
 def _grlex_basis_and_entries(data: dict) -> tuple[IndexBasis, np.ndarray]:
     """The basis and entries of a matrix file, whose order must be grlex."""
-    dimension, max_degree = int(data["dimension"]), int(data["max_degree"])
+    dimension, max_degree = (_integer(data[k], k) for k in ("dimension", "max_degree"))
     if data["order"] != "grlex":
         raise ValueError(f"unsupported index order {data['order']!r}")
     # the size is checked before the basis is built: its tables grow as D^d

@@ -251,6 +251,14 @@ def test_bad_json_is_usage_error(tmp_path):
     assert run("rank", "--input", str(bad)) == 1
 
 
+def test_json_nested_too_deep_is_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    assert run("rank", "--input", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not valid JSON: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["moments", "rank", "recover", "galerkin", "spectrum", "verify"])
 def test_file_that_is_not_a_json_object_is_one_error_line(tmp_path, capsys, command):
     path, out = tmp_path / "in.json", tmp_path / "out"
@@ -515,6 +523,66 @@ def test_nested_value_of_the_wrong_type_names_its_key(tmp_path, capsys, argv, da
     path.write_text(json.dumps(data))
     assert run(*argv, "--input", str(path)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# every file is d = 2 and degree 2, so int() would read 2.7 and "2" as valid
+@pytest.mark.parametrize("bad", [2.7, "2", True], ids=["float", "string", "bool"])
+@pytest.mark.parametrize(
+    "argv, kind, path",
+    [
+        (("moments", "--degree", "2"), "measure", ("dimension",)),
+        (("moments", "--degree", "2"), "density", ("dimension",)),
+        (("moments", "--degree", "2"), "density", ("density", "terms", 1, "alpha", 0)),
+        (("rank",), "moment matrix", ("dimension",)),
+        (("rank",), "moment matrix", ("max_degree",)),
+        (("spectrum",), "Galerkin matrix", ("max_degree",)),
+    ],
+    ids=["measure-dimension", "density-dimension", "density-alpha", "matrix-dimension",
+         "matrix-max_degree", "galerkin-max_degree"],
+)
+def test_integer_field_that_is_not_a_json_integer_is_one_error_line(
+        tmp_path, capsys, argv, kind, path, bad):
+    m = generate_measure(2, 3, seed=1, separation=0.2)
+    doc = {
+        "measure": measure_to_dict(m),
+        "density": json.loads(DENSITIES_AT_DEGREE_6["polynomial"]),
+        "moment matrix": matrix_to_dict(moment_matrix(m, 2)),
+        "Galerkin matrix": galerkin_to_dict(galerkin_matrix(enclosing_kernel("bergman", m), m, 2)),
+    }[kind]
+    _at(doc, path[:-1])[path[-1]] = bad
+    key = [k for k in path if isinstance(k, str)][-1]
+    file, out = tmp_path / "in.json", tmp_path / "out"
+    file.write_text(json.dumps(doc))
+    assert run(*argv, "--input", str(file), "--output", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {kind} file: {key!r} must be an integer, got {bad!r}\n"
+    assert not out.exists()
+
+
+def test_measure_file_with_a_utf8_bom_is_read(tmp_path):
+    # RFC 8259 section 8.1 lets a parser ignore a byte order mark
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(dump_json(measure_to_dict(generate_measure(2, 3, seed=4))))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, marked):
+        out = tmp_path / f"A-{path.stem}.json"
+        assert run("moments", "--input", str(path), "--degree", "3", "--output", str(out)) == 0
+        outputs.append(json.loads(out.read_bytes())["entries"])
+    assert outputs[0] == outputs[1]
+
+
+def test_matrix_file_payload_is_not_scanned_for_escapes(tmp_path, monkeypatch):
+    # with indent set, json.dumps hands every string to this function
+    lengths = []
+    escape = json.encoder.encode_basestring_ascii
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii",
+                        lambda s: lengths.append(len(s)) or escape(s))
+    m_path, a_path = tmp_path / "m.json", tmp_path / "A.json"
+    assert run("gen", "--dimension", "3", "--atoms", "8", "--seed", "5", "--separation", "0.2",
+               "--output", str(m_path)) == 0
+    assert run("moments", "--input", str(m_path), "--degree", "9", "--output", str(a_path)) == 0
+    assert json.loads(a_path.read_bytes())["entries"]["shape"] == [220, 220, 2]
+    assert lengths and max(lengths) <= 10_000
 
 
 @functools.cache

@@ -1,7 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from momentrank import (
     Atom,
@@ -12,6 +15,7 @@ from momentrank import (
     KernelSpec,
     Polydisk,
     PolynomialWeight,
+    enclosing_kernel,
     galerkin_matrix,
     generate_measure,
     moment_matrix,
@@ -176,3 +180,56 @@ def test_matrix_entries_roundtrip_bits():
         back = read(json.loads(text)).entries
         assert back.view(float).tobytes() == matrix.entries.view(float).tobytes()
         assert back.dtype == np.complex128 and back.flags.writeable
+
+
+def _json_dumps(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+@functools.cache
+def _matrix_payload(kind, d, degree):
+    m = generate_measure(d, 3, seed=10 * d + degree, separation=0.2)
+    if kind == "moment":
+        return serialize.matrix_to_dict(moment_matrix(m, degree))
+    return serialize.galerkin_to_dict(galerkin_matrix(enclosing_kernel(kind, m), m, degree))
+
+
+# texts and keys that imitate the lines around the entries data of a matrix file
+_TEXT = st.text() | st.sampled_from(
+    ['"data": ""', '\n  "data": "', '\n "entries": {', "", '"', "\\", "\n"])
+_KEYS = st.text() | st.sampled_from(["a", "data", "entries", "z"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    base=st.tuples(st.sampled_from(["moment", "bargmann", "bergman"]),
+                   st.sampled_from([(1, 0), (1, 5), (2, 3), (3, 2), (3, 9)])),
+    run_spec=st.dictionaries(_TEXT, _JSON_VALUES, max_size=4),
+    extra=st.dictionaries(_KEYS, _JSON_VALUES, max_size=3),
+    extra_entries=st.dictionaries(_KEYS, _JSON_VALUES, max_size=2),
+    hand_built=st.none() | _TEXT,
+)
+# a "data" or "entries" key nested before the file's own, at every depth
+@example(base=("moment", (1, 5)), run_spec={}, extra={"a": {"entries": {}}, "b": {"data": ""}},
+         extra_entries={}, hand_built=None)
+@example(base=("bergman", (2, 3)), run_spec={}, extra={}, extra_entries={"a": {"data": "x"}},
+         hand_built=None)
+@example(base=("moment", (1, 0)), run_spec={"output": '"data": ""'}, extra={"data": {"data": ""}},
+         extra_entries={"": []}, hand_built=None)
+def test_dump_json_is_json_dumps_of_matrix_payloads(base, run_spec, extra, extra_entries,
+                                                    hand_built):
+    # extra keys land before, between and after the file's own keys, in the
+    # payload and in its entries; a hand-built data string is encoded as JSON
+    kind, (d, degree) = base
+    payload = _matrix_payload(kind, d, degree)
+    entries = {**extra_entries, **payload["entries"]}
+    if hand_built is not None:
+        entries["data"] = hand_built
+    p = {**extra, **payload, "entries": entries, "run_spec": run_spec}
+    assert serialize.dump_json(p) == _json_dumps(p)
+    assert serialize.dump_json(payload) == _json_dumps(payload)
