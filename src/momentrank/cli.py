@@ -176,7 +176,8 @@ def _add_common(parser: argparse.ArgumentParser, *, seed=False, rank_tol=False) 
     if seed:
         parser.add_argument("--seed", type=int, default=0)
     if rank_tol:
-        parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-8)
+        parser.add_argument("--rank-tol", dest="rank_tol", type=float,
+                            default=RecoveryConfig.rank_tol)
 
 
 @functools.lru_cache(maxsize=None)

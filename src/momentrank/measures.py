@@ -222,19 +222,6 @@ class PolynomialWeight:
             total += term
         return total
 
-    def __add__(self, other: "PolynomialWeight") -> "PolynomialWeight":
-        if other.dimension != self.dimension:
-            raise ValueError("dimension mismatch")
-        terms = dict(self.terms)
-        for alpha, coeff in other.terms.items():
-            terms[alpha] = terms.get(alpha, 0j) + coeff
-        return PolynomialWeight(self.dimension, terms)
-
-    def scaled(self, factor: complex) -> "PolynomialWeight":
-        return PolynomialWeight(
-            self.dimension, {a: factor * c for a, c in self.terms.items()}
-        )
-
 
 @dataclass(frozen=True)
 class DensitySpec:
@@ -392,8 +379,10 @@ def perturb_weight(seed: int, epsilon: float, dimension: int) -> PolynomialWeigh
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    ell = random_linear_polynomial(dimension, seed)
-    return PolynomialWeight.constant(dimension, 1.0) + ell.scaled(epsilon)
+    terms = {(0,) * dimension: 1 + 0j}
+    for alpha, coeff in random_linear_polynomial(dimension, seed).terms.items():
+        terms[alpha] = terms.get(alpha, 0j) + epsilon * coeff
+    return PolynomialWeight(dimension, terms)
 
 
 _MAX_ATTEMPTS = 10_000

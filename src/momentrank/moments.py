@@ -409,6 +409,7 @@ class RankResult(NamedTuple):
     ill_conditioned: bool
 
 
+_RANK_TOL = 1e-8  # the default relative rank threshold, also RecoveryConfig's
 _CONDITION_LIMIT = 1e12
 _SKETCH_MIN_SIZE = 64
 _SKETCH_RATIO = 8  # sketch width l = n // 8
@@ -489,7 +490,7 @@ def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
     return _rank_result(sigma, rel_tol)
 
 
-def numerical_rank(a: MomentMatrix | np.ndarray, rel_tol: float = 1e-8) -> RankResult:
+def numerical_rank(a: MomentMatrix | np.ndarray, rel_tol: float = _RANK_TOL) -> RankResult:
     """Count of singular values above rel_tol times the largest one.
 
     The all-zero matrix has rank 0.  The result is flagged ill-conditioned

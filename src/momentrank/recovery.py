@@ -55,6 +55,7 @@ from .moments import (
     MomentMatrix,
     NumericalError,
     RankResult,
+    _RANK_TOL,
     _full_rank_certificate,
     _gram,
     leading_truncation,
@@ -95,7 +96,7 @@ class RecoveryConfig:
     multiplication matrix.
     """
 
-    rank_tol: float = 1e-8
+    rank_tol: float = _RANK_TOL
     seed: int = 0
 
     def __post_init__(self):

@@ -4,8 +4,7 @@ Complex numbers are serialized as [re, im] pairs of doubles, except in a
 matrix's "entries": one object holding the whole (n, n, 2) array of pairs
 as base64 of its little-endian float64 bytes, row-major, so a file keeps
 every bit and is read without parsing a number per entry.  A Galerkin file
-is a matrix file with one more key, "kernel".  Readers also take the
-nested-list entries that earlier releases wrote.  All writers produce
+is a matrix file with one more key, "kernel".  All writers produce
 deterministic bytes (sorted keys, fixed separators), so a rerun with the
 same inputs reproduces files exactly.
 """
@@ -240,31 +239,19 @@ def _grlex_basis_and_entries(data: dict) -> tuple[IndexBasis, np.ndarray]:
     # the size is checked before the basis is built: its tables grow as D^d
     size = math.comb(max_degree + dimension, dimension)
     shape = (size, size, 2)
-    entries = data["entries"]
-    if isinstance(entries, dict):
-        if entries["encoding"] != _ENTRIES_ENCODING:
-            raise ValueError(f"unsupported entries encoding {entries['encoding']!r}")
-        if entries["shape"] != list(shape):
-            raise ValueError(
-                f"entries of shape {entries['shape']!r} do not match the basis: expected {shape}"
-            )
-        try:
-            raw = base64.b64decode(entries["data"], validate=True)
-        except ValueError as exc:  # binascii.Error, or a str that is not ASCII
-            raise ValueError(f"entries data is not base64: {exc}") from exc
-        if len(raw) != 16 * size**2:
-            raise ValueError(f"entries data holds {len(raw)} bytes: expected {16 * size**2}")
-        values = np.frombuffer(raw, dtype="<c16").astype(complex).reshape(size, size)
-    else:
-        # without a dtype, a null or a string makes an object or str array,
-        # and a ragged row raises, instead of becoming NaN
-        raw = np.asarray(entries)
-        if raw.dtype.kind not in "iuf":
-            raise ValueError("matrix entries must be numbers")
-        if raw.shape != shape:
-            raise ValueError(f"entries of shape {raw.shape} do not match the basis: expected {shape}")
-        # the complex view keeps every bit, -0.0 and infinities included
-        values = np.ascontiguousarray(raw, dtype=float).view(complex)[..., 0]
+    entries = _field(data, "entries")
+    if entries["encoding"] != _ENTRIES_ENCODING:
+        raise ValueError(f"unsupported entries encoding {entries['encoding']!r}")
+    stated = [_integer(n, "shape") for n in _field(entries, "shape", list)]
+    if stated != list(shape):
+        raise ValueError(f"entries of shape {stated!r} do not match the basis: expected {shape}")
+    try:
+        raw = base64.b64decode(entries["data"], validate=True)
+    except ValueError as exc:  # binascii.Error, or a str that is not ASCII
+        raise ValueError(f"entries data is not base64: {exc}") from exc
+    if len(raw) != 16 * size**2:
+        raise ValueError(f"entries data holds {len(raw)} bytes: expected {16 * size**2}")
+    values = np.frombuffer(raw, dtype="<c16").astype(complex).reshape(size, size)
     return IndexBasis(dimension, max_degree), values
 
 

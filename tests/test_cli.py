@@ -1,12 +1,13 @@
+import base64
 import contextlib
 import copy
 import functools
 import io
 import json
 import tempfile
-import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,15 @@ from momentrank.serialize import (any_measure_from_dict, density_to_dict, dump_j
 
 def run(*argv):
     return main(list(argv))
+
+
+def _entries(values, shape=None):
+    """A matrix file's "entries" object holding the complex `values` as the
+    base64 of their little-endian float64 [re, im] pairs; `shape` defaults
+    to the one those values fill."""
+    raw = np.asarray(values, dtype="<c16")
+    return {"encoding": "f64le-base64", "shape": shape or [*raw.shape, 2],
+            "data": base64.b64encode(raw.tobytes()).decode("ascii")}
 
 
 def test_gen_writes_measure(tmp_path):
@@ -42,6 +52,27 @@ def test_gen_deterministic_bytes(tmp_path):
     assert a.read_bytes().replace(str(a).encode(), b"") == b.read_bytes().replace(
         str(b).encode(), b""
     )
+
+
+def test_gen_without_output_prints_the_bytes_output_writes(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    gen = ("gen", "--dimension", "2", "--atoms", "3", "--seed", "5")
+    assert run(*gen) == 0
+    printed = capsys.readouterr().out
+    assert run(*gen, "--output", str(out)) == 0
+    # only the echoed flag differs
+    echoed = printed.replace('"output": null', f'"output": {json.dumps(str(out))}', 1)
+    assert echoed != printed and echoed.encode() == out.read_bytes()
+
+
+def test_output_into_a_missing_directory_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "m.json"
+    assert run("gen", "--dimension", "1", "--atoms", "2", "--output", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_pipeline_closure(tmp_path):
@@ -102,7 +133,6 @@ def test_rank_file_lists_every_value_at_basis_220(run_twice):
     assert values[8] <= 1e-8 * values[0] and values[-1] == 0.0
 
 
-@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["Infinity", "NaN"])
 @pytest.mark.parametrize("command", ["rank", "recover", "spectrum"])
 def test_non_finite_matrix_file_is_numerical_failure(tmp_path, capfd, command, bad):
@@ -116,17 +146,30 @@ def test_non_finite_matrix_file_is_numerical_failure(tmp_path, capfd, command, b
     data = json.loads(a_path.read_text())
     a = matrix_from_dict(data)
     a.entries[3, 5] = complex(bad, 0.0)
-    # the base64 payload of the file as written, and the nested lists of
-    # earlier releases
-    v2 = {**data, **matrix_to_dict(a)}
-    v1 = {**data, "entries": [[pair(v) for v in row] for row in a.entries]}
-    for payload in (v2, v1):
-        a_path.write_text(json.dumps(payload))
-        capfd.readouterr()
-        assert run(command, "--input", str(a_path)) == 3
-        err = capfd.readouterr().err
-        assert err.startswith("numerical failure: ")
-        assert err.count("\n") == 1
+    a_path.write_text(json.dumps({**data, **matrix_to_dict(a)}))
+    capfd.readouterr()
+    # a numpy warning would be a second stderr line; pytest turns it into an error
+    assert run(command, "--input", str(a_path)) == 3
+    err = capfd.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["rank", "recover", "spectrum"])
+def test_nested_list_matrix_file_is_one_error_line(tmp_path, capsys, command):
+    # entries as nested [re, im] lists instead of the base64 object
+    a = moment_matrix(generate_measure(1, 2, seed=3), 2)
+    doc = {**matrix_to_dict(a), "entries": [[pair(v) for v in row] for row in a.entries]}
+    if command == "spectrum":
+        doc["kernel"] = {"kind": "bargmann"}
+    kind = "Galerkin matrix" if command == "spectrum" else "moment matrix"
+    path, out = tmp_path / "a.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert run(command, "--input", str(path), "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} file: 'entries' must be an object, got [[")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_verify_passes_on_generated_measure(tmp_path):
@@ -221,9 +264,7 @@ def test_moments_quadrature_failure_exit_code(tmp_path, capsys, kind):
         "domain": {"center": [[0, 0]], "radii": [1e200]},
         "density": {"type": kind},
     }))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run("moments", "--input", str(d_path), "--degree", "2") == 2
+    assert run("moments", "--input", str(d_path), "--degree", "2") == 2
     err = capsys.readouterr().err
     assert err.startswith("failure: quadrature did not converge")
     assert err.count("\n") == 1
@@ -415,28 +456,37 @@ def test_recovery_failure_exit_code(tmp_path):
     assert run("recover", "--input", str(a_path)) == 2
 
 
+_GRAM_2 = [[1.0, 0.5], [0.5, 1.0]]
+
+
 @pytest.mark.parametrize(
-    "entries",
+    "entries, message",
     [
-        [[[1.0, 0.0], [0.5, None]], [[0.5, 0.0], [1.0, 0.0]]],  # null entry
-        [[[1.0, 0.0], [0.5]], [[0.5, 0.0], [1.0, 0.0]]],  # 1-element pair
-        [[[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]], [[0.5, 0.0, 0.0], [1.0, 0.0, 0.0]]],  # 3-element pairs
-        [[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0]]],  # ragged row
-        [[[1.0, 0.0]]],  # 1x1 entries for a basis of size 2
-        [[["1.0", "x"], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]],  # strings
+        ({**_entries(_GRAM_2), "data": None}, ""),  # the message is b64decode's
+        (_entries(np.ones(4), [2, 2, 1]),
+         "entries of shape [2, 2, 1] do not match the basis: expected (2, 2, 2)"),
+        (_entries(np.ones(6), [2, 2, 3]),
+         "entries of shape [2, 2, 3] do not match the basis: expected (2, 2, 2)"),
+        (_entries(np.ones(3), [2, 2, 2]), "entries data holds 48 bytes: expected 64"),
+        (_entries([[1.0]]), "entries of shape [1, 1, 2] do not match the basis: expected (2, 2, 2)"),
+        ({**_entries(_GRAM_2), "data": "1.0,x"}, "entries data is not base64: "),
     ],
     ids=["null", "short-pair", "long-pairs", "ragged", "size-mismatch", "strings"],
 )
 @pytest.mark.parametrize("command", ["rank", "recover", "spectrum"])
-def test_malformed_matrix_file_is_usage_error(tmp_path, capsys, entries, command):
-    # d=1, D=1: a basis of size 2
+def test_malformed_matrix_file_is_usage_error(tmp_path, capsys, entries, message, command):
+    # d=1, D=1: a basis of size 2; each entries object is the base64 form of
+    # a malformed nested list: a null, pairs of the wrong length, a ragged
+    # row, a smaller matrix, strings
     data = {"dimension": 1, "max_degree": 1, "order": "grlex", "entries": entries}
     if command == "spectrum":
         data["kernel"] = {"kind": "bargmann"}
+    kind = "Galerkin matrix" if command == "spectrum" else "moment matrix"
     path = tmp_path / "a.json"
     path.write_text(json.dumps(data))
     assert run(command, "--input", str(path)) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} file: {message}") and err.count("\n") == 1
 
 
 MEASURE = {"dimension": 1, "atoms": [{"location": [[0.5, 0]], "weight": [1, 0]}]}
@@ -452,7 +502,7 @@ MEASURE = {"dimension": 1, "atoms": [{"location": [[0.5, 0]], "weight": [1, 0]}]
         (("rank",), MEASURE, "moment matrix file: missing key 'max_degree'"),
         (("recover",), MEASURE, "moment matrix file: missing key 'max_degree'"),
         (("spectrum",),
-         {"dimension": 1, "max_degree": 0, "order": "grlex", "entries": [[[1.0, 0.0]]],
+         {"dimension": 1, "max_degree": 0, "order": "grlex", "entries": _entries([[1.0]]),
           "kernel": {}},
          "Galerkin matrix file: missing key 'kind'"),
     ],
@@ -473,11 +523,12 @@ def test_matrix_file_size_is_checked_before_its_basis_is_built(tmp_path, capsys,
     monkeypatch.setattr(moments, "_basis_tables", lambda *key: built.append(key) or tables(*key))
     path = tmp_path / "a.json"
     path.write_text(json.dumps(
-        {"dimension": 3, "max_degree": 10**6, "order": "grlex", "entries": [[[1.0, 0.0]]]}
+        {"dimension": 3, "max_degree": 10**6, "order": "grlex", "entries": _entries([[1.0]])}
     ))
     assert run("rank", "--input", str(path)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: moment matrix file: entries of shape [1, 1, 2] do not match")
+    assert err.count("\n") == 1
     assert built == []
 
 
@@ -506,7 +557,7 @@ def test_malformed_complex_pair_names_its_kind_and_the_value(tmp_path, capsys, d
     "argv, data, message",
     [
         (("spectrum",),
-         {"dimension": 1, "max_degree": 0, "order": "grlex", "entries": [[[1.0, 0.0]]],
+         {"dimension": 1, "max_degree": 0, "order": "grlex", "entries": _entries([[1.0]]),
           "kernel": "x"},
          "Galerkin matrix file: 'kernel' must be an object, got 'x'"),
         (("moments", "--degree", "2"), {"dimension": 1, "atoms": {}},
@@ -525,8 +576,10 @@ def test_nested_value_of_the_wrong_type_names_its_key(tmp_path, capsys, argv, da
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-# every file is d = 2 and degree 2, so int() would read 2.7 and "2" as valid
-@pytest.mark.parametrize("bad", [2.7, "2", True], ids=["float", "string", "bool"])
+# every file is d = 2 and degree 2, and a matrix shape is [6, 6, 2], so int()
+# would read 2.7 and "2" as valid, and 2.0 equals the integer it imitates
+@pytest.mark.parametrize("bad", [2.7, 2.0, "2", True],
+                         ids=["float", "integral-float", "string", "bool"])
 @pytest.mark.parametrize(
     "argv, kind, path",
     [
@@ -536,9 +589,11 @@ def test_nested_value_of_the_wrong_type_names_its_key(tmp_path, capsys, argv, da
         (("rank",), "moment matrix", ("dimension",)),
         (("rank",), "moment matrix", ("max_degree",)),
         (("spectrum",), "Galerkin matrix", ("max_degree",)),
+        (("rank",), "moment matrix", ("entries", "shape", 2)),
+        (("spectrum",), "Galerkin matrix", ("entries", "shape", 2)),
     ],
     ids=["measure-dimension", "density-dimension", "density-alpha", "matrix-dimension",
-         "matrix-max_degree", "galerkin-max_degree"],
+         "matrix-max_degree", "galerkin-max_degree", "matrix-shape", "galerkin-shape"],
 )
 def test_integer_field_that_is_not_a_json_integer_is_one_error_line(
         tmp_path, capsys, argv, kind, path, bad):

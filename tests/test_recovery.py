@@ -345,6 +345,55 @@ def test_false_plateau_goes_on_to_the_next_block():
     assert report.residual <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "n, seed", [(10, 2), (10, 6), (10, 9), (11, 0), (11, 2), (11, 6), (11, 9),
+                (12, 0), (12, 1), (12, 2), (12, 3), (12, 8), (12, 9)])
+def test_undercounted_rank_is_retried_one_or_two_higher(n, seed):
+    # at separation 0.1 and D = N + 1 the rank estimate of these d=1 inputs
+    # falls short of N, and only a fit one or two ranks higher passes the gate
+    truth = generate_measure(1, n, seed=seed, separation=0.1)
+    report = recover_atoms(moment_matrix(truth, n + 1), RecoveryConfig(seed=seed))
+    assert report.retries_used >= 1
+    matched = match_atoms(report.atoms, truth, 1e-6)
+    assert matched is not None
+    assert matched[0] <= 1e-6 and matched[1] <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("d, n, degree", [(1, 3, 4), (1, 5, 6), (2, 4, 4), (2, 6, 5), (3, 5, 4)])
+def test_fit_one_rank_too_high_prunes_the_spurious_atom(d, n, degree, seed):
+    # the pencil at rank N + 1 on an exact rank-N block gives one location
+    # whose weight is at the rounding floor; the fit drops it and re-solves
+    truth = generate_measure(d, n, seed=seed, separation=0.2)
+    a = moment_matrix(truth, degree)
+    block = int(a.basis.offsets[degree])
+    assert block > n
+    fitted, residual = recovery._fit(a, a, block, n + 1, RecoveryConfig(seed=seed))
+    assert fitted.atom_count == n and residual <= 1e-6
+    matched = match_atoms(fitted, truth, 1e-6)
+    assert matched is not None
+    assert matched[0] <= 1e-6 and matched[1] <= 1e-6
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_fit_on_a_basis_above_100_solves_the_spanning_equations(monkeypatch, n):
+    # d=2, degree 13: a basis of 105, so the weights and the polish use the
+    # first-row, first-column and diagonal equations, 3 * 105 rather than 105^2
+    used = []
+    pairs = recovery._equation_pairs
+    monkeypatch.setattr(recovery, "_equation_pairs",
+                        lambda size: used.append(len(pairs(size)[0])) or pairs(size))
+    for seed in range(5):
+        truth = generate_measure(2, n, seed=seed, separation=0.2)
+        a = moment_matrix(truth, 13)
+        assert a.basis.size == 105
+        block = int(a.basis.offsets[13])
+        fitted, residual = recovery._fit(a, a, block, n, RecoveryConfig(seed=seed))
+        assert residual <= 1e-6
+        assert match_atoms(fitted, truth, 1e-6) is not None
+    assert set(used) == {3 * 105}
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 10_000))
 def test_roundtrip_property(d, n, seed):

@@ -146,25 +146,6 @@ def test_dump_json_deterministic():
     assert json.loads(serialize.dump_json(payload)) == payload
 
 
-@pytest.mark.parametrize("d,degree", [(1, 0), (1, 4), (2, 6), (3, 9)])
-def test_nested_list_matrix_files_load_to_the_same_bits(d, degree):
-    # earlier releases wrote the entries as nested [re, im] lists through
-    # json.dumps; such a file reads back to the bits of the base64 file
-    m = generate_measure(d, 3, seed=d + degree)
-    a = moment_matrix(m, degree)
-    g = galerkin_matrix(KernelSpec("bargmann"), m, degree)
-    for data, matrix, read in [(serialize.matrix_to_dict(a), a, serialize.matrix_from_dict),
-                               (serialize.galerkin_to_dict(g), g, serialize.galerkin_from_dict)]:
-        n = matrix.basis.size
-        assert data["entries"]["encoding"] == "f64le-base64"
-        assert data["entries"]["shape"] == [n, n, 2]
-        nested = {**data, "entries": [[serialize.pair(v) for v in row] for row in matrix.entries]}
-        old_text = json.dumps(nested, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
-        new = read(json.loads(serialize.dump_json(data))).entries
-        old = read(json.loads(old_text)).entries
-        assert new.tobytes() == old.tobytes() == matrix.entries.tobytes()
-
-
 def test_matrix_entries_roundtrip_bits():
     edge = [-0.0, 5e-324, 0.1, 1e16, 1e-7, np.nan, np.inf, -np.inf]
     m = generate_measure(1, 2, seed=6)
