@@ -52,8 +52,7 @@ def _read_json(path: str) -> dict:
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
     try:
-        # from bytes, json detects UTF-8, -16 or -32 and skips a UTF-8 BOM
-        data = json.loads(raw)
+        data = serialize.load_bytes(raw)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise _CliError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -61,22 +60,20 @@ def _read_json(path: str) -> dict:
     return data
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write(path: str | None, data: bytes) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.buffer.write(data)
         return
     try:
         with open(path, "wb") as f:
-            f.write(text.encode())
+            f.write(data)
     except OSError as exc:
         raise _CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _run_spec(args: argparse.Namespace) -> dict:
     """The reproducibility header: command plus every parameter it used."""
-    skip = {"func"}
-    spec = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-    return spec
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 def _config_from_args(args: argparse.Namespace) -> RecoveryConfig:
@@ -92,7 +89,7 @@ def _cmd_gen(args) -> int:
         raise _CliError(str(exc)) from exc
     payload = serialize.measure_to_dict(m)
     payload["run_spec"] = _run_spec(args)
-    _write_text(args.output, serialize.dump_json(payload))
+    _write(args.output, serialize.dump_bytes(payload))
     return _EXIT_OK
 
 
@@ -101,7 +98,7 @@ def _cmd_moments(args) -> int:
     a = moment_matrix(measure, args.degree)
     payload = serialize.matrix_to_dict(a)
     payload["run_spec"] = _run_spec(args)
-    _write_text(args.output, serialize.dump_json(payload))
+    _write(args.output, serialize.dump_bytes(payload))
     return _EXIT_OK
 
 
@@ -114,7 +111,7 @@ def _cmd_rank(args) -> int:
         "ill_conditioned": result.ill_conditioned,
         "run_spec": _run_spec(args),
     }
-    _write_text(args.output, serialize.dump_json(payload))
+    _write(args.output, serialize.dump_bytes(payload))
     return _EXIT_OK
 
 
@@ -128,7 +125,7 @@ def _cmd_galerkin(args) -> int:
     g = galerkin_matrix(kernel, measure, args.degree)
     payload = serialize.galerkin_to_dict(g)
     payload["run_spec"] = _run_spec(args)
-    _write_text(args.output, serialize.dump_json(payload))
+    _write(args.output, serialize.dump_bytes(payload))
     return _EXIT_OK
 
 
@@ -136,20 +133,18 @@ def _cmd_spectrum(args) -> int:
     data = _read_json(args.input)
     if "kernel" not in data:
         raise _CliError(f"spectrum needs a Galerkin matrix file; {args.input} has no kernel")
-    g = serialize.galerkin_from_dict(data)
-    values = spectrum(g)
+    values = spectrum(serialize.galerkin_from_dict(data))
     header = json.dumps({"run_spec": _run_spec(args)}, sort_keys=True, separators=(",", ":"))
-    _write_text(args.output, serialize.spectrum_to_csv(values, header))
+    _write(args.output, serialize.spectrum_to_csv(values, header).encode())
     return _EXIT_OK
 
 
 def _cmd_recover(args) -> int:
     a = serialize.matrix_from_dict(_read_json(args.input))
-    cfg = _config_from_args(args)
-    report = recover_atoms(a, cfg)
+    report = recover_atoms(a, _config_from_args(args))
     payload = serialize.report_to_dict(report)
     payload["run_spec"] = _run_spec(args)
-    _write_text(args.output, serialize.dump_json(payload))
+    _write(args.output, serialize.dump_bytes(payload))
     return _EXIT_OK
 
 
@@ -164,7 +159,7 @@ def _cmd_verify(args) -> int:
         ],
         "run_spec": _run_spec(args),
     }
-    _write_text(args.output, serialize.dump_json(payload))
+    _write(args.output, serialize.dump_bytes(payload))
     return _EXIT_OK if verdict.passed else _EXIT_CHECK_FAILED
 
 

@@ -1,17 +1,16 @@
 """JSON and CSV schemas for measures, matrices, spectra, and recovery reports.
 
 Complex numbers are serialized as [re, im] pairs of doubles, except in a
-matrix's "entries": one object holding the whole (n, n, 2) array of pairs
-as base64 of its little-endian float64 bytes, row-major, so a file keeps
-every bit and is read without parsing a number per entry.  A Galerkin file
-is a matrix file with one more key, "kernel".  All writers produce
-deterministic bytes (sorted keys, fixed separators), so a rerun with the
-same inputs reproduces files exactly.
+matrix file: one compact JSON header line, then the (n, n, 2) pairs as raw
+little-endian float64 bytes, row-major (in memory, the entries' "data"), so
+a file keeps every bit and is read without parsing a number per entry.  A
+Galerkin file is a matrix file with one more key, "kernel".  All writers
+produce deterministic bytes (sorted keys, fixed separators), so a rerun
+with the same inputs reproduces files exactly.
 """
 
 from __future__ import annotations
 
-import base64
 import functools
 import json
 import math
@@ -47,6 +46,8 @@ __all__ = [
     "report_to_dict",
     "spectrum_to_csv",
     "dump_json",
+    "dump_bytes",
+    "load_bytes",
 ]
 
 
@@ -104,24 +105,36 @@ def unpair(value) -> complex:
         raise ValueError(f"expected a [re, im] pair of numbers, got {value!r}") from None
 
 
-class _Base64(str):
-    """Base64 text, which JSON never escapes: `dump_json` writes it as it is."""
-
-
-_JSON_FORMAT = {"sort_keys": True, "separators": (",", ": "), "indent": 1}
-
-
 def dump_json(payload: dict) -> str:
-    """Deterministic JSON encoding: sorted keys, fixed separators, indent 1;
-    the base64 data of `matrix_to_dict` is joined in without a scan."""
+    """Deterministic JSON encoding: sorted keys, fixed separators, indent 1."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+def dump_bytes(payload: dict) -> bytes:
+    """A file's bytes: a matrix payload, whose entries hold "data", as its
+    compact header line and then the data; any other payload as `dump_json`."""
     entries = payload.get("entries")
-    data = entries.get("data") if isinstance(entries, dict) else None
-    if type(data) is not _Base64:
-        return json.dumps(payload, **_JSON_FORMAT) + "\n"
-    text = json.dumps({**payload, "entries": {**entries, "data": ""}}, **_JSON_FORMAT)
-    # indent 1 puts raw newlines only before items: 1 space marks a top-level key, 2 its child
-    at = text.index('\n  "data": "', text.index('\n "entries": {')) + len('\n  "data": "')
-    return "".join((text[:at], data, text[at:], "\n"))
+    if not (isinstance(entries, dict) and "data" in entries):
+        return dump_json(payload).encode()
+    header = {**payload, "entries": {k: v for k, v in entries.items() if k != "data"}}
+    text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return b"".join((text.encode(), b"\n", entries["data"]))
+
+
+def load_bytes(raw: bytes) -> Any:
+    """The value a file's bytes hold, a UTF-8 byte-order mark skipped. A first
+    line holding a JSON object with an "entries" object is a matrix header, and
+    the bytes after it become the entries' "data", as a view; else one JSON value."""
+    end = raw.find(b"\n") + 1
+    try:
+        data = json.loads(raw[:end])
+    except (ValueError, RecursionError):  # no newline, or the first line of a JSON document
+        data = None
+    if not (isinstance(data, dict) and isinstance(data.get("entries"), dict)):
+        data, end = json.loads(raw), len(raw)
+    if isinstance(data, dict) and isinstance(data.get("entries"), dict):
+        data["entries"]["data"] = memoryview(raw)[end:]
+    return data
 
 
 # -- measures ----------------------------------------------------------------
@@ -213,12 +226,11 @@ def any_measure_from_dict(data: dict) -> DiscreteMeasure | DensityMeasure:
 
 # -- matrices ----------------------------------------------------------------
 
-_ENTRIES_ENCODING = "f64le-base64"
+_ENTRIES_ENCODING = "f64le"
 
 
 def matrix_to_dict(a: MomentMatrix) -> dict:
     n = a.basis.size
-    data = np.ascontiguousarray(a.entries, dtype="<c16").tobytes()
     return {
         "dimension": a.dimension,
         "max_degree": a.max_degree,
@@ -226,7 +238,7 @@ def matrix_to_dict(a: MomentMatrix) -> dict:
         "entries": {
             "encoding": _ENTRIES_ENCODING,
             "shape": [n, n, 2],
-            "data": _Base64(base64.b64encode(data).decode("ascii")),
+            "data": np.ascontiguousarray(a.entries, dtype="<c16").tobytes(),
         },
     }
 
@@ -245,13 +257,10 @@ def _grlex_basis_and_entries(data: dict) -> tuple[IndexBasis, np.ndarray]:
     stated = [_integer(n, "shape") for n in _field(entries, "shape", list)]
     if stated != list(shape):
         raise ValueError(f"entries of shape {stated!r} do not match the basis: expected {shape}")
-    try:
-        raw = base64.b64decode(entries["data"], validate=True)
-    except ValueError as exc:  # binascii.Error, or a str that is not ASCII
-        raise ValueError(f"entries data is not base64: {exc}") from exc
-    if len(raw) != 16 * size**2:
-        raise ValueError(f"entries data holds {len(raw)} bytes: expected {16 * size**2}")
-    values = np.frombuffer(raw, dtype="<c16").astype(complex).reshape(size, size)
+    payload = entries["data"]
+    if len(payload) != 16 * size**2:
+        raise ValueError(f"entries payload holds {len(payload)} bytes: expected {16 * size**2}")
+    values = np.frombuffer(payload, dtype="<c16").astype(complex).reshape(size, size)
     return IndexBasis(dimension, max_degree), values
 
 
@@ -296,11 +305,7 @@ def report_to_dict(report: RecoveryReport) -> dict:
 
 def spectrum_to_csv(values: np.ndarray, header_comment: str | None = None) -> str:
     """Eigenvalues as "index,re,im,modulus" lines, descending modulus."""
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
+    lines = [f"# {header_comment}"] if header_comment else []
     lines.append("index,re,im,modulus")
-    for i, v in enumerate(values):
-        v = complex(v)
-        lines.append(f"{i},{v.real!r},{v.imag!r},{abs(v)!r}")
+    lines += [f"{i},{v.real!r},{v.imag!r},{abs(v)!r}" for i, v in enumerate(map(complex, values))]
     return "\n".join(lines) + "\n"

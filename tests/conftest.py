@@ -46,14 +46,16 @@ def svd_spy(monkeypatch):
 @pytest.fixture(scope="session")
 def run_python():
     """Runs `python *args` in a fresh process that imports momentrank from
-    this checkout and draws a hash seed of its own; returns the finished
+    this checkout and draws a hash seed of its own, with `env` set on top of
+    this process's environment; returns the finished
     `subprocess.CompletedProcess` with its text output."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), base.get("PYTHONPATH")]))
 
-    def run(*args, cwd):
-        return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env,
-                              capture_output=True, text=True, timeout=300)
+    def run(*args, cwd, env=None):
+        return subprocess.run([sys.executable, *map(str, args)], cwd=cwd,
+                              env={**base, **(env or {})}, capture_output=True, text=True,
+                              timeout=300)
 
     return run
 

@@ -16,8 +16,8 @@ from momentrank import (ComplexPoint, DensityMeasure, DensitySpec, DiscreteMeasu
                         enclosing_kernel, galerkin_matrix, generate_measure, moment_matrix,
                         moments)
 from momentrank.cli import build_parser, main
-from momentrank.serialize import (any_measure_from_dict, density_to_dict, dump_json,
-                                  galerkin_to_dict, matrix_from_dict, matrix_to_dict,
+from momentrank.serialize import (any_measure_from_dict, density_to_dict, dump_bytes, dump_json,
+                                  galerkin_to_dict, load_bytes, matrix_from_dict, matrix_to_dict,
                                   measure_from_dict, measure_to_dict, pair)
 
 
@@ -26,12 +26,17 @@ def run(*argv):
 
 
 def _entries(values, shape=None):
-    """A matrix file's "entries" object holding the complex `values` as the
-    base64 of their little-endian float64 [re, im] pairs; `shape` defaults
-    to the one those values fill."""
+    """A matrix's "entries" object holding the complex `values` as the bytes
+    of their little-endian float64 [re, im] pairs; `shape` defaults to the
+    one those values fill."""
     raw = np.asarray(values, dtype="<c16")
-    return {"encoding": "f64le-base64", "shape": shape or [*raw.shape, 2],
-            "data": base64.b64encode(raw.tobytes()).decode("ascii")}
+    return {"encoding": "f64le", "shape": shape or [*raw.shape, 2], "data": raw.tobytes()}
+
+
+def _v3(header, payload):
+    """A matrix file written by hand: the header as one compact sorted JSON
+    line, a newline, then the payload bytes."""
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + payload
 
 
 def test_gen_writes_measure(tmp_path):
@@ -54,15 +59,24 @@ def test_gen_deterministic_bytes(tmp_path):
     )
 
 
-def test_gen_without_output_prints_the_bytes_output_writes(tmp_path, capsys):
-    out = tmp_path / "m.json"
-    gen = ("gen", "--dimension", "2", "--atoms", "3", "--seed", "5")
-    assert run(*gen) == 0
-    printed = capsys.readouterr().out
-    assert run(*gen, "--output", str(out)) == 0
-    # only the echoed flag differs
-    echoed = printed.replace('"output": null', f'"output": {json.dumps(str(out))}', 1)
-    assert echoed != printed and echoed.encode() == out.read_bytes()
+def test_gen_without_output_prints_the_bytes_output_writes(tmp_path, capfdbinary):
+    # gen writes indented JSON, moments and galerkin a header line and raw
+    # float64 bytes; stdout takes either through its binary buffer
+    m_path = tmp_path / "m.json"
+    commands = [
+        ("gen", "--dimension", "2", "--atoms", "3", "--seed", "5"),
+        ("moments", "--input", str(m_path), "--degree", "4"),
+        ("galerkin", "--input", str(m_path), "--degree", "4", "--kernel", "bergman"),
+    ]
+    for argv, sep in zip(commands, (b": ", b":", b":")):
+        out = m_path if argv[0] == "gen" else tmp_path / f"{argv[0]}.json"
+        assert run(*argv) == 0
+        printed = capfdbinary.readouterr().out
+        assert run(*argv, "--output", str(out)) == 0
+        # only the echoed flag differs
+        echoed = printed.replace(b'"output"' + sep + b"null",
+                                 b'"output"' + sep + json.dumps(str(out)).encode(), 1)
+        assert echoed != printed and echoed == out.read_bytes(), argv[0]
 
 
 def test_output_into_a_missing_directory_is_one_error_line(tmp_path, capsys):
@@ -107,7 +121,7 @@ def test_rank_and_spectrum_outputs(tmp_path):
     assert len(rank_data["singular_values"]) == 5
     assert run("galerkin", "--input", str(m_path), "--degree", "4",
                "--kernel", "bergman", "--output", str(g_path)) == 0
-    gal = json.loads(g_path.read_text())
+    gal = load_bytes(g_path.read_bytes())
     assert gal["kernel"]["kind"] == "bergman_polydisk"
     assert run("spectrum", "--input", str(g_path), "--output", str(s_path)) == 0
     lines = s_path.read_text().strip().split("\n")
@@ -143,10 +157,10 @@ def test_non_finite_matrix_file_is_numerical_failure(tmp_path, capfd, command, b
         run("galerkin", "--input", str(m_path), "--degree", "10", "--output", str(a_path))
     else:
         run("moments", "--input", str(m_path), "--degree", "4", "--output", str(a_path))
-    data = json.loads(a_path.read_text())
+    data = load_bytes(a_path.read_bytes())
     a = matrix_from_dict(data)
     a.entries[3, 5] = complex(bad, 0.0)
-    a_path.write_text(json.dumps({**data, **matrix_to_dict(a)}))
+    a_path.write_bytes(dump_bytes({**data, **matrix_to_dict(a)}))
     capfd.readouterr()
     # a numpy warning would be a second stderr line; pytest turns it into an error
     assert run(command, "--input", str(a_path)) == 3
@@ -456,37 +470,60 @@ def test_recovery_failure_exit_code(tmp_path):
     assert run("recover", "--input", str(a_path)) == 2
 
 
-_GRAM_2 = [[1.0, 0.5], [0.5, 1.0]]
+# d=1, D=1: a basis of size 2, whose 2 x 2 entries take 64 bytes
+_GRAM_2 = np.array([[1.0, 0.5], [0.5, 1.0]], dtype="<c16").tobytes()
+_NOT_JSON = "{path} is not valid JSON: "
+
+
+def _shaped(header, shape):
+    return {**header, "entries": {**header["entries"], "shape": shape}}
 
 
 @pytest.mark.parametrize(
-    "entries, message",
+    "make, message",
     [
-        ({**_entries(_GRAM_2), "data": None}, ""),  # the message is b64decode's
-        (_entries(np.ones(4), [2, 2, 1]),
-         "entries of shape [2, 2, 1] do not match the basis: expected (2, 2, 2)"),
-        (_entries(np.ones(6), [2, 2, 3]),
-         "entries of shape [2, 2, 3] do not match the basis: expected (2, 2, 2)"),
-        (_entries(np.ones(3), [2, 2, 2]), "entries data holds 48 bytes: expected 64"),
-        (_entries([[1.0]]), "entries of shape [1, 1, 2] do not match the basis: expected (2, 2, 2)"),
-        ({**_entries(_GRAM_2), "data": "1.0,x"}, "entries data is not base64: "),
+        (lambda h: _v3(h, b""), "{kind} file: entries payload holds 0 bytes: expected 64"),
+        (lambda h: _v3(_shaped(h, [2, 2, 1]), _GRAM_2[:32]),
+         "{kind} file: entries of shape [2, 2, 1] do not match the basis: expected (2, 2, 2)"),
+        (lambda h: _v3(_shaped(h, [2, 2, 3]), _GRAM_2 + _GRAM_2[:32]),
+         "{kind} file: entries of shape [2, 2, 3] do not match the basis: expected (2, 2, 2)"),
+        (lambda h: _v3(h, _GRAM_2[:48]),
+         "{kind} file: entries payload holds 48 bytes: expected 64"),
+        (lambda h: _v3(_shaped(h, [1, 1, 2]), _GRAM_2[:16]),
+         "{kind} file: entries of shape [1, 1, 2] do not match the basis: expected (2, 2, 2)"),
+        (lambda h: json.dumps({**h, "entries": {
+            "encoding": "f64le-base64", "shape": [2, 2, 2],
+            "data": base64.b64encode(_GRAM_2).decode()}}, indent=1).encode(),
+         "{kind} file: unsupported entries encoding 'f64le-base64'"),
+        (lambda h: _v3(h, _GRAM_2 + _GRAM_2[:16]),
+         "{kind} file: entries payload holds 80 bytes: expected 64"),
+        (lambda h: _v3(h, _GRAM_2).replace(b"}\n", b"}", 1), _NOT_JSON),
+        (lambda h: b"{not json\n" + _GRAM_2, _NOT_JSON),
+        (lambda h: b"[1, 2]\n" + _GRAM_2, _NOT_JSON),
+        (lambda h: b'{"x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}\n" + _GRAM_2, _NOT_JSON),
     ],
-    ids=["null", "short-pair", "long-pairs", "ragged", "size-mismatch", "strings"],
+    ids=["null", "short-pair", "long-pairs", "ragged", "size-mismatch", "strings", "over-long",
+         "no-newline", "header-not-json", "header-not-object", "header-too-deep"],
 )
 @pytest.mark.parametrize("command", ["rank", "recover", "spectrum"])
-def test_malformed_matrix_file_is_usage_error(tmp_path, capsys, entries, message, command):
-    # d=1, D=1: a basis of size 2; each entries object is the base64 form of
-    # a malformed nested list: a null, pairs of the wrong length, a ragged
-    # row, a smaller matrix, strings
-    data = {"dimension": 1, "max_degree": 1, "order": "grlex", "entries": entries}
+def test_malformed_matrix_file_is_usage_error(tmp_path, capsys, make, message, command):
+    # null: a header line with no payload after it; short-pair and long-pairs:
+    # pairs of the wrong length; ragged: a truncated payload; size-mismatch: a
+    # smaller matrix; strings: the old base64 text payload.  A file whose
+    # first line is not a matrix header is read as one JSON value, which its
+    # binary payload breaks
+    header = {"dimension": 1, "max_degree": 1, "order": "grlex",
+              "entries": {"encoding": "f64le", "shape": [2, 2, 2]}}
     if command == "spectrum":
-        data["kernel"] = {"kind": "bargmann"}
+        header["kernel"] = {"kind": "bargmann"}
     kind = "Galerkin matrix" if command == "spectrum" else "moment matrix"
-    path = tmp_path / "a.json"
-    path.write_text(json.dumps(data))
-    assert run(command, "--input", str(path)) == 1
+    path, out = tmp_path / "a.json", tmp_path / "out"
+    path.write_bytes(make(header))
+    assert run(command, "--input", str(path), "--output", str(out)) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {kind} file: {message}") and err.count("\n") == 1
+    assert err.startswith("error: " + message.format(kind=kind, path=path)), err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 MEASURE = {"dimension": 1, "atoms": [{"location": [[0.5, 0]], "weight": [1, 0]}]}
@@ -511,7 +548,7 @@ MEASURE = {"dimension": 1, "atoms": [{"location": [[0.5, 0]], "weight": [1, 0]}]
 )
 def test_file_missing_a_key_names_its_kind_and_the_key(tmp_path, capsys, argv, data, message):
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(data))
+    path.write_bytes(dump_bytes(data))
     assert run(*argv, "--input", str(path)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -522,7 +559,7 @@ def test_matrix_file_size_is_checked_before_its_basis_is_built(tmp_path, capsys,
     tables = moments._basis_tables
     monkeypatch.setattr(moments, "_basis_tables", lambda *key: built.append(key) or tables(*key))
     path = tmp_path / "a.json"
-    path.write_text(json.dumps(
+    path.write_bytes(dump_bytes(
         {"dimension": 3, "max_degree": 10**6, "order": "grlex", "entries": _entries([[1.0]])}
     ))
     assert run("rank", "--input", str(path)) == 1
@@ -571,7 +608,7 @@ def test_malformed_complex_pair_names_its_kind_and_the_value(tmp_path, capsys, d
 )
 def test_nested_value_of_the_wrong_type_names_its_key(tmp_path, capsys, argv, data, message):
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(data))
+    path.write_bytes(dump_bytes(data))
     assert run(*argv, "--input", str(path)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -607,7 +644,7 @@ def test_integer_field_that_is_not_a_json_integer_is_one_error_line(
     _at(doc, path[:-1])[path[-1]] = bad
     key = [k for k in path if isinstance(k, str)][-1]
     file, out = tmp_path / "in.json", tmp_path / "out"
-    file.write_text(json.dumps(doc))
+    file.write_bytes(dump_bytes(doc))
     assert run(*argv, "--input", str(file), "--output", str(out)) == 1
     assert capsys.readouterr().err == f"error: {kind} file: {key!r} must be an integer, got {bad!r}\n"
     assert not out.exists()
@@ -618,26 +655,28 @@ def test_measure_file_with_a_utf8_bom_is_read(tmp_path):
     plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
     plain.write_text(dump_json(measure_to_dict(generate_measure(2, 3, seed=4))))
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-    outputs = []
+    payloads = []
     for path in (plain, marked):
         out = tmp_path / f"A-{path.stem}.json"
         assert run("moments", "--input", str(path), "--degree", "3", "--output", str(out)) == 0
-        outputs.append(json.loads(out.read_bytes())["entries"])
-    assert outputs[0] == outputs[1]
+        header, payload = out.read_bytes().split(b"\n", 1)
+        assert json.loads(header)["entries"]["shape"] == [10, 10, 2]
+        payloads.append(payload)
+    assert len(payloads[0]) == 16 * 10**2 and payloads[0] == payloads[1]
 
 
-def test_matrix_file_payload_is_not_scanned_for_escapes(tmp_path, monkeypatch):
-    # with indent set, json.dumps hands every string to this function
-    lengths = []
-    escape = json.encoder.encode_basestring_ascii
-    monkeypatch.setattr(json.encoder, "encode_basestring_ascii",
-                        lambda s: lengths.append(len(s)) or escape(s))
-    m_path, a_path = tmp_path / "m.json", tmp_path / "A.json"
-    assert run("gen", "--dimension", "3", "--atoms", "8", "--seed", "5", "--separation", "0.2",
-               "--output", str(m_path)) == 0
-    assert run("moments", "--input", str(m_path), "--degree", "9", "--output", str(a_path)) == 0
-    assert json.loads(a_path.read_bytes())["entries"]["shape"] == [220, 220, 2]
-    assert lengths and max(lengths) <= 10_000
+def test_matrix_file_with_a_utf8_bom_is_read(tmp_path, capsys):
+    # the mark goes before the header line; the payload's offset counts it
+    m_path, plain, marked = tmp_path / "m.json", tmp_path / "plain.json", tmp_path / "marked.json"
+    run("gen", "--dimension", "2", "--atoms", "3", "--seed", "4", "--output", str(m_path))
+    run("moments", "--input", str(m_path), "--degree", "3", "--output", str(plain))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    capsys.readouterr()
+    ranks = []
+    for path in (plain, marked):
+        assert run("rank", "--input", str(path)) == 0
+        ranks.append(json.loads(capsys.readouterr().out)["singular_values"])
+    assert ranks[0] == ranks[1]
 
 
 @functools.cache
@@ -683,10 +722,12 @@ def _drop_or_replace(draw, doc, family):
 
 @st.composite
 def _mutants(draw):
-    """A command and a file it reads with one mutation of a fixed family."""
+    """A command and the bytes of a file it reads with one mutation of a
+    fixed family: of the header line, or of the payload after it."""
     command, valid = draw(st.sampled_from(_matrix_files()))
     doc = copy.deepcopy(valid)
     entries = doc["entries"]
+    payload = entries.pop("data")
     family = draw(st.sampled_from(["drop", "replace", "shape", "encoding", "data"]))
     if family in ("drop", "replace"):
         _drop_or_replace(draw, doc, family)
@@ -694,22 +735,21 @@ def _mutants(draw):
         entries["shape"] = draw(st.lists(st.integers(-1, 300), max_size=4)
                                 .filter(lambda shape: shape != entries["shape"]))
     elif family == "encoding":
-        entries["encoding"] = draw(st.text(max_size=20).filter(lambda e: e != "f64le-base64"))
+        entries["encoding"] = draw(st.text(max_size=20).filter(lambda e: e != "f64le"))
     else:
-        data = entries["data"]
-        cut = draw(st.integers(0, len(data) - 1))
+        cut = draw(st.integers(0, len(payload) - 1))
         if draw(st.booleans()):  # truncated
-            entries["data"] = data[:cut]
-        else:  # one character outside the base64 alphabet
-            entries["data"] = data[:cut] + draw(st.sampled_from("!-_.* \n\u00e9")) + data[cut:]
-    return command, doc
+            payload = payload[:cut]
+        else:  # 1 to 17 arbitrary bytes inserted
+            payload = payload[:cut] + draw(st.binary(min_size=1, max_size=17)) + payload[cut:]
+    return command, _v3(doc, payload)
 
 
-def _run_on(command, doc, *flags):
+def _run_on(command, raw, *flags):
     """Exit code, stderr and whether an output file appeared."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp, "in.json"), Path(tmp, "out")
-        path.write_text(json.dumps(doc))
+        path.write_bytes(raw)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([command, "--input", str(path), "--output", str(out), *flags])
@@ -718,7 +758,7 @@ def _run_on(command, doc, *flags):
 
 def test_unmutated_matrix_files_are_read():
     for command, doc in _matrix_files():
-        assert _run_on(command, doc) == (0, "", True), command
+        assert _run_on(command, dump_bytes(doc)) == (0, "", True), command
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -764,14 +804,15 @@ def _measure_mutants(draw):
 def test_unmutated_measure_files_are_read():
     for command, doc in _measure_files():
         assert _written_by_writer(doc), doc
-        assert _run_on(command, doc, "--degree", "2") == (0, "", True), (command, doc)
+        assert _run_on(command, json.dumps(doc).encode(), "--degree", "2") == (0, "", True), (
+            command, doc)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_measure_mutants())
 def test_mutated_measure_file_is_one_error_line(mutant):
     command, doc = mutant
-    code, err, wrote = _run_on(command, doc, "--degree", "2")
+    code, err, wrote = _run_on(command, json.dumps(doc).encode(), "--degree", "2")
     if _written_by_writer(doc):  # the mutant is itself a valid file
         assert err.count("\n") <= 1, err
         return

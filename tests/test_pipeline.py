@@ -1,6 +1,7 @@
 """The README's CLI pipeline and library example, and the example scripts,
 each run as a user would run them: in fresh Python processes."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -22,7 +23,23 @@ PIPELINE = [
 ]
 
 # the values the library example prints, each stated in its comments
-EXAMPLE_VALUES = ["4", "(3, 4, 4, 4, 4) True", "[21, 21, 2]"]
+EXAMPLE_VALUES = ["4", "(3, 4, 4, 4, 4) True", "[21, 21, 2]", "7056"]
+
+# the benchmark's `files` workload: d=3, 8 atoms, degree 9 (basis 220), seed 7
+FILES = [
+    ("gen", "--dimension", "3", "--atoms", "8", "--seed", "7", "--separation", "0.2",
+     "--output", "m.json"),
+    ("moments", "--input", "m.json", "--degree", "9", "--output", "A.json"),
+    ("rank", "--input", "A.json", "--output", "rank.json"),
+    ("recover", "--input", "A.json", "--seed", "7", "--output", "report.json"),
+    ("galerkin", "--input", "m.json", "--degree", "9", "--kernel", "bargmann",
+     "--output", "Gb.json"),
+    ("galerkin", "--input", "m.json", "--degree", "9", "--kernel", "bergman",
+     "--output", "Gp.json"),
+    ("spectrum", "--input", "Gb.json", "--output", "sb.csv"),
+    ("spectrum", "--input", "Gp.json", "--output", "sp.csv"),
+    ("verify", "--input", "m.json", "--seed", "7", "--output", "verdict.json"),
+]
 
 
 def test_readme_pipeline_reruns_byte_for_byte(run_twice):
@@ -47,6 +64,25 @@ def test_readme_library_example_prints_the_values_its_comments_state(tmp_path, r
     for value in EXAMPLE_VALUES:
         assert value in printed, value
         assert re.search(rf"^print\(.*\)\s+# {re.escape(value)}(:|$)", example, re.M), value
+
+
+def test_files_pipeline_is_byte_identical_at_one_and_two_blas_threads(tmp_path, run_python):
+    # singular values and eigenvalues may move in their last bits with the
+    # thread count, so only the rank file and the spectra may differ
+    script = ("import sys\nfrom momentrank.cli import main\n"
+              f"sys.exit(max(main(list(argv)) for argv in {FILES!r}))\n")
+    files = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        done = run_python("-c", script, cwd=cwd, env={"OPENBLAS_NUM_THREADS": threads})
+        assert done.returncode == 0, done.stderr
+        files[threads] = {p.name: p.read_bytes() for p in cwd.iterdir()}
+    one, two = files["1"], files["2"]
+    assert sorted(one) == sorted(two) == sorted(argv[-1] for argv in FILES)
+    for name in ("m.json", "A.json", "report.json", "Gb.json", "Gp.json", "verdict.json"):
+        assert one[name] == two[name], name
+    assert json.loads(one["rank.json"])["rank"] == json.loads(two["rank.json"])["rank"] == 8
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)

@@ -1,10 +1,7 @@
-import functools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from momentrank import (
     Atom,
@@ -157,60 +154,40 @@ def test_matrix_entries_roundtrip_bits():
     ]:
         matrix.entries.view(float)[0, :8] = edge
         matrix.entries.view(float)[1, :8] = edge[::-1]
-        text = serialize.dump_json(to_dict(matrix))
-        back = read(json.loads(text)).entries
+        raw = serialize.dump_bytes(to_dict(matrix))
+        back = read(serialize.load_bytes(raw)).entries
         assert back.view(float).tobytes() == matrix.entries.view(float).tobytes()
         assert back.dtype == np.complex128 and back.flags.writeable
 
 
-def _json_dumps(payload):
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
-
-
-@functools.cache
-def _matrix_payload(kind, d, degree):
-    m = generate_measure(d, 3, seed=10 * d + degree, separation=0.2)
+@pytest.mark.parametrize("kind", ["moment", "bergman"])
+def test_matrix_file_is_a_header_line_then_the_raw_payload(kind):
+    m = generate_measure(2, 3, seed=8)
     if kind == "moment":
-        return serialize.matrix_to_dict(moment_matrix(m, degree))
-    return serialize.galerkin_to_dict(galerkin_matrix(enclosing_kernel(kind, m), m, degree))
+        matrix = moment_matrix(m, 3)
+        payload = serialize.matrix_to_dict(matrix)
+    else:
+        matrix = galerkin_matrix(enclosing_kernel(kind, m), m, 3)
+        payload = serialize.galerkin_to_dict(matrix)
+    payload["run_spec"] = {"command": "x", "output": None}
+    raw = serialize.dump_bytes(payload)
+    header, data = raw.split(b"\n", 1)
+    entries = {"encoding": "f64le", "shape": [10, 10, 2]}
+    assert header == json.dumps({**payload, "entries": entries}, sort_keys=True,
+                                separators=(",", ":")).encode()
+    assert data == matrix.entries.astype("<c16").tobytes() and len(data) == 16 * 10**2
+    loaded = serialize.load_bytes(raw)
+    view = loaded["entries"].pop("data")
+    # the payload is a view into the file's bytes, not a copy of them
+    assert isinstance(view, memoryview) and view.obj is raw and view == data
+    assert loaded == {**payload, "entries": entries}
 
 
-# texts and keys that imitate the lines around the entries data of a matrix file
-_TEXT = st.text() | st.sampled_from(
-    ['"data": ""', '\n  "data": "', '\n "entries": {', "", '"', "\\", "\n"])
-_KEYS = st.text() | st.sampled_from(["a", "data", "entries", "z"])
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
-    max_leaves=8,
-)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    base=st.tuples(st.sampled_from(["moment", "bargmann", "bergman"]),
-                   st.sampled_from([(1, 0), (1, 5), (2, 3), (3, 2), (3, 9)])),
-    run_spec=st.dictionaries(_TEXT, _JSON_VALUES, max_size=4),
-    extra=st.dictionaries(_KEYS, _JSON_VALUES, max_size=3),
-    extra_entries=st.dictionaries(_KEYS, _JSON_VALUES, max_size=2),
-    hand_built=st.none() | _TEXT,
-)
-# a "data" or "entries" key nested before the file's own, at every depth
-@example(base=("moment", (1, 5)), run_spec={}, extra={"a": {"entries": {}}, "b": {"data": ""}},
-         extra_entries={}, hand_built=None)
-@example(base=("bergman", (2, 3)), run_spec={}, extra={}, extra_entries={"a": {"data": "x"}},
-         hand_built=None)
-@example(base=("moment", (1, 0)), run_spec={"output": '"data": ""'}, extra={"data": {"data": ""}},
-         extra_entries={"": []}, hand_built=None)
-def test_dump_json_is_json_dumps_of_matrix_payloads(base, run_spec, extra, extra_entries,
-                                                    hand_built):
-    # extra keys land before, between and after the file's own keys, in the
-    # payload and in its entries; a hand-built data string is encoded as JSON
-    kind, (d, degree) = base
-    payload = _matrix_payload(kind, d, degree)
-    entries = {**extra_entries, **payload["entries"]}
-    if hand_built is not None:
-        entries["data"] = hand_built
-    p = {**extra, **payload, "entries": entries, "run_spec": run_spec}
-    assert serialize.dump_json(p) == _json_dumps(p)
-    assert serialize.dump_json(payload) == _json_dumps(payload)
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("layout", ["indented", "one-line", "one-line-newline"])
+def test_json_files_load_as_json_loads(layout, bom):
+    payload = {**serialize.measure_to_dict(generate_measure(2, 2, seed=1)), "run_spec": {"a": 1}}
+    text = {"indented": serialize.dump_json(payload), "one-line": json.dumps(payload),
+            "one-line-newline": json.dumps(payload) + "\n"}[layout]
+    raw = bom + text.encode()
+    assert serialize.load_bytes(raw) == json.loads(raw) == payload
