@@ -419,6 +419,8 @@ def _rank_result(sigma: np.ndarray, rel_tol: float) -> RankResult:
     """Rank and conditioning read off non-increasing singular values."""
     if sigma.size == 0 or sigma[0] == 0.0:
         return RankResult(0, sigma, False)
+    if not np.isfinite(sigma[0]):
+        raise NumericalError(f"largest singular value {sigma[0]} is not finite")
     rank = int(np.count_nonzero(sigma > rel_tol * sigma[0]))
     ill = bool(rank > 0 and sigma[0] / sigma[rank - 1] > _CONDITION_LIMIT)
     return RankResult(rank, sigma, ill)
@@ -495,7 +497,7 @@ def numerical_rank(a: MomentMatrix | np.ndarray, rel_tol: float = _RANK_TOL) -> 
 
     The all-zero matrix has rank 0.  The result is flagged ill-conditioned
     when sigma_max / sigma_rank exceeds 1e12.  Non-finite entries raise
-    NumericalError before any LAPACK call.
+    NumericalError before any LAPACK call, and so does an overflowed sigma_max.
 
     A square matrix of size n >= 64 is first ranked from a sketch of width
     n // 8 with an exact a-posteriori residual (`_sketched_rank`): when the

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentrank import (ComplexPoint, DensityMeasure, DensitySpec, DiscreteMeasure, Polydisk,
-                        enclosing_kernel, galerkin_matrix, generate_measure, moment_matrix,
-                        moments)
+from momentrank import (ComplexPoint, DensityMeasure, DensitySpec, DiscreteMeasure, IndexBasis,
+                        MomentMatrix, Polydisk, enclosing_kernel, galerkin_matrix,
+                        generate_measure, moment_matrix, moments)
 from momentrank.cli import build_parser, main
 from momentrank.serialize import (any_measure_from_dict, density_to_dict, dump_bytes, dump_json,
                                   galerkin_to_dict, load_bytes, matrix_from_dict, matrix_to_dict,
@@ -167,6 +167,18 @@ def test_non_finite_matrix_file_is_numerical_failure(tmp_path, capfd, command, b
     err = capfd.readouterr().err
     assert err.startswith("numerical failure: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["rank", "recover"])
+def test_matrix_file_whose_singular_value_overflows_is_numerical_failure(tmp_path, capfd, command):
+    # finite entries, but the largest singular value 4.5e308 is not
+    a = MomentMatrix(IndexBasis(1, 2), np.full((3, 3), 1.5e308 + 0j))
+    path, out = tmp_path / "a.json", tmp_path / "out"
+    path.write_bytes(dump_bytes(matrix_to_dict(a)))
+    assert run(command, "--input", str(path), "--output", str(out)) == 3
+    err = capfd.readouterr().err
+    assert err == "numerical failure: largest singular value inf is not finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["rank", "recover", "spectrum"])

@@ -681,6 +681,13 @@ def test_rank_rejects_non_finite_entries(svd_spy, bad):
     assert shapes == []
 
 
+def test_rank_whose_largest_singular_value_overflows_is_numerical_error():
+    # every entry is finite, but sigma_1 = 3 * 1.5e308 is not
+    a = MomentMatrix(IndexBasis(1, 2), np.full((3, 3), 1.5e308 + 0j))
+    with pytest.raises(NumericalError, match="largest singular value inf is not finite"):
+        numerical_rank(a)
+
+
 # -- full-rank certificate -----------------------------------------------------
 
 def _svd_rank(entries, rel_tol=1e-8):

@@ -363,7 +363,8 @@ def test_undercounted_rank_is_retried_one_or_two_higher(n, seed):
 @pytest.mark.parametrize("d, n, degree", [(1, 3, 4), (1, 5, 6), (2, 4, 4), (2, 6, 5), (3, 5, 4)])
 def test_fit_one_rank_too_high_prunes_the_spurious_atom(d, n, degree, seed):
     # the pencil at rank N + 1 on an exact rank-N block gives one location
-    # whose weight is at the rounding floor; the fit drops it and re-solves
+    # whose pencil weight is at the rounding floor; the fit drops it, and
+    # the polish re-fits the weights of the atoms that are left
     truth = generate_measure(d, n, seed=seed, separation=0.2)
     a = moment_matrix(truth, degree)
     block = int(a.basis.offsets[degree])
@@ -377,8 +378,9 @@ def test_fit_one_rank_too_high_prunes_the_spurious_atom(d, n, degree, seed):
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_fit_on_a_basis_above_100_solves_the_spanning_equations(monkeypatch, n):
-    # d=2, degree 13: a basis of 105, so the weights and the polish use the
-    # first-row, first-column and diagonal equations, 3 * 105 rather than 105^2
+    # d=2, degree 13: a basis of 105, so the polish fits the pencil's atoms
+    # to the first-row, first-column and diagonal equations, 3 * 105
+    # rather than 105^2
     used = []
     pairs = recovery._equation_pairs
     monkeypatch.setattr(recovery, "_equation_pairs",
@@ -392,6 +394,35 @@ def test_fit_on_a_basis_above_100_solves_the_spanning_equations(monkeypatch, n):
         assert residual <= 1e-6
         assert match_atoms(fitted, truth, 1e-6) is not None
     assert set(used) == {3 * 105}
+
+
+@pytest.mark.parametrize("i", range(24))
+def test_pencil_weights_match_the_truth_before_prune_and_polish(i):
+    # one seed per (d, N) shape of the acceptance corpus, exact data at
+    # D = N + 1: the weights read off the pencil's own SVD and eigenvectors,
+    # with no solve, are already within 1e-7 of the truth
+    d, n, seed = [1, 2, 3][i % 3], 1 + i % 8, 1000 + i
+    truth = generate_measure(d, n, seed=seed, separation=0.1)
+    a = moment_matrix(truth, n + 1)
+    locations, weights = recovery._pencil_atoms(a, int(a.basis.offsets[n + 1]), n, seed)
+    assert weights.shape == (n,)
+    for t in truth.atoms:
+        k = np.argmin(np.linalg.norm(locations - np.array(t.location.coords), axis=1))
+        assert np.linalg.norm(locations[k] - np.array(t.location.coords)) <= 1e-6
+        assert abs(weights[k] - t.weight) <= 1e-7 * abs(t.weight)
+
+
+@pytest.mark.parametrize("seed", [4, 7])
+def test_d2_n24_recovers_with_the_weights_read_off_the_pencil(seed):
+    # every flat block of these inputs misses the 1e-6 residual gate when
+    # the weights are instead solved in least squares over the moment
+    # equations and only then polished
+    truth = generate_measure(2, 24, seed=seed, separation=0.1)
+    report = recover_atoms(moment_matrix(truth, 25), RecoveryConfig(seed=seed))
+    matched = match_atoms(report.atoms, truth, 1e-6)
+    assert matched is not None
+    assert matched[0] <= 1e-6 and matched[1] <= 1e-6
+    assert report.residual <= 1e-6
 
 
 @settings(deadline=None, max_examples=40)
