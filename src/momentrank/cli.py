@@ -8,6 +8,11 @@ the library modules: `verify` only serializes the checks of
 `recovery.verify_theorem`, so the command and the library run one
 invariant battery.
 
+An existing --output file is rewritten in place, not replaced by an atomic
+rename: a rerun reuses its blocks.  A write that is killed partway leaves a
+file whose first byte is NUL, which every command rejects as not valid
+JSON; a write that fails with an error leaves it empty.
+
 Exit codes: 0 ok, 1 usage or I/O error, 2 check/recovery failure,
 3 internal numerical failure.
 """
@@ -17,6 +22,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 
 from . import serialize
@@ -61,14 +68,44 @@ def _read_json(path: str) -> dict:
 
 
 def _write(path: str | None, data: bytes) -> None:
+    """Write data to path, or to stdout when path is None.
+
+    A regular file is opened without O_TRUNC, so the filesystem reuses an
+    existing file's blocks instead of freeing and allocating them again.
+    NUL goes first, then the rest of the data, the truncation to its length,
+    and the real first byte last: a killed write never leaves new bytes over
+    an old tail that still parses.  If any step raises, the file is
+    truncated to empty.  A FIFO, tty or /dev/null only receives the bytes.
+    """
     if path is None:
         sys.stdout.buffer.write(data)
         return
     try:
-        with open(path, "wb") as f:
-            f.write(data)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                _write_all(fd, data)
+                return
+            try:
+                _write_all(fd, b"\0")
+                _write_all(fd, memoryview(data)[1:])
+                os.ftruncate(fd, len(data))
+                os.lseek(fd, 0, os.SEEK_SET)
+                _write_all(fd, data[:1])
+            except BaseException:
+                os.ftruncate(fd, 0)
+                raise
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise _CliError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_all(fd: int, data) -> None:
+    """os.write until every byte is written: one call may write fewer."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def _run_spec(args: argparse.Namespace) -> dict:

@@ -440,29 +440,40 @@ class _RangeSketch(NamedTuple):
     q: np.ndarray
     b: np.ndarray
     residual: float
+    b_norm: float  # ||B||_F
 
 
 def _range_sketch(entries: np.ndarray, rel_tol: float) -> _RangeSketch | None:
-    """Q, B = Q^H A and ||A - Q B||_F for a square matrix A of size n >= 64,
-    or None for any other matrix and when the sketch has full rank.
+    """Q, B = Q^H A, ||A - Q B||_F and ||B||_F for a square matrix A of size
+    n >= 64, or None for any other matrix, when the sketch has full rank, and
+    when a finite A overflows the sketch.
 
     Y = A Omega for l = n // 8 complex Gaussian columns drawn from seed 0,
     and Q R = Y (Halko, Martinsson and Tropp, SIAM Review 2011).  A last
     diagonal entry of R above rel_tol |R_11| means Y has full rank, so A is
     not low-rank and neither B nor the residual is formed.  Otherwise the
-    residual is exact: A = Q B - gap, with gap formed in full.
+    residual is exact: A = Q B - gap, with gap formed in full.  Entries near
+    the float range overflow Y, R or the norms; the sketch then declines
+    without a warning and the caller's dense path decides.
     """
     if not (entries.ndim == 2 and entries.shape[0] == entries.shape[1] >= _SKETCH_MIN_SIZE):
         return None
     n = entries.shape[0]
     width = n // _SKETCH_RATIO
-    q, r = np.linalg.qr(entries @ _sketch_matrix(n, width))
-    if abs(r[-1, -1]) > rel_tol * abs(r[0, 0]):
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = entries @ _sketch_matrix(n, width)
+        if not np.all(np.isfinite(y)):
+            return None
+        q, r = np.linalg.qr(y)
+        if not np.all(np.isfinite(r)) or abs(r[-1, -1]) > rel_tol * abs(r[0, 0]):
+            return None
+        b = q.conj().T @ entries
+        gap = q @ b  # the only n x n temporary
+        gap -= entries
+        residual, b_norm = float(np.linalg.norm(gap)), float(np.linalg.norm(b))
+    if not (np.isfinite(residual) and np.isfinite(b_norm)):
         return None
-    b = q.conj().T @ entries
-    gap = q @ b  # the only n x n temporary
-    gap -= entries
-    return _RangeSketch(q, b, float(np.linalg.norm(gap)))
+    return _RangeSketch(q, b, residual, b_norm)
 
 
 def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
@@ -479,10 +490,10 @@ def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
     sketch = _range_sketch(entries, rel_tol)
     if sketch is None:
         return None
-    _, b, residual = sketch
+    _, b, residual, b_norm = sketch
     n = entries.shape[0]
     # ||A||_F from the orthogonal split A = Q B - gap, without another pass over A
-    err = residual + n * np.finfo(float).eps * np.hypot(residual, np.linalg.norm(b))
+    err = residual + n * np.finfo(float).eps * np.hypot(residual, b_norm)
     s = np.linalg.svd(b, compute_uv=False)
     low, high = rel_tol * (s[0] - err), rel_tol * (s[0] + err)
     if not err < low or np.any((s >= low - err) & (s <= high + err)):

@@ -203,7 +203,7 @@ def spectrum(gal: GalerkinMatrix) -> np.ndarray:
     tol = n * np.finfo(float).eps
     try:
         sketch = _range_sketch(entries, tol)
-        if sketch is not None and sketch.residual <= tol * np.linalg.norm(sketch.b):
+        if sketch is not None and sketch.residual <= tol * sketch.b_norm:
             values = np.zeros(n, dtype=complex)
             values[: sketch.b.shape[0]] = np.linalg.eigvals(sketch.b @ sketch.q)
         else:

@@ -1,9 +1,11 @@
 import base64
 import contextlib
 import copy
+import errno
 import functools
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -87,6 +89,129 @@ def test_output_into_a_missing_directory_is_one_error_line(tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert captured.err.count("\n") == 1
     assert not out.parent.exists()
+
+
+# -- output files: rewritten in place ------------------------------------------
+
+_REWRITES = [
+    ("moments", "--input", "m.json", "--degree", "4", "--output", "A.json"),
+    ("rank", "--input", "A.json", "--output", "rank.json"),
+    ("spectrum", "--input", "G.json", "--output", "spectrum.csv"),
+]
+
+
+def _measure_and_galerkin(directory):
+    run("gen", "--dimension", "2", "--atoms", "3", "--seed", "5",
+        "--output", str(directory / "m.json"))
+    run("galerkin", "--input", str(directory / "m.json"), "--degree", "4",
+        "--output", str(directory / "G.json"))
+
+
+@pytest.mark.parametrize("stale", [b"junk" * 2**18, b"{}"], ids=["longer", "shorter"])
+def test_output_over_an_existing_file_holds_the_bytes_of_a_fresh_one(
+        tmp_path, monkeypatch, capfdbinary, stale):
+    # the same relative names in both directories, so the run_specs agree
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    for directory in (fresh, reused):
+        directory.mkdir()
+        _measure_and_galerkin(directory)
+    for argv in _REWRITES:
+        (reused / argv[-1]).write_bytes(stale)
+    for argv in _REWRITES:
+        monkeypatch.chdir(fresh)
+        assert run(*argv) == 0
+        assert run(*argv[:-2]) == 0  # to stdout
+        printed = capfdbinary.readouterr().out
+        monkeypatch.chdir(reused)
+        assert run(*argv) == 0
+        written = (reused / argv[-1]).read_bytes()
+        assert written == (fresh / argv[-1]).read_bytes(), argv[0]
+        sep = b": " if argv[0] == "rank" else b":"
+        assert printed.replace(b'"output"' + sep + b"null",
+                               b'"output"' + sep + b'"' + argv[-1].encode() + b'"', 1) == written
+
+
+def test_output_to_dev_null_is_written(capsys):
+    # not a regular file: the bytes only, no truncation
+    assert run("gen", "--dimension", "1", "--atoms", "2", "--output", os.devnull) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_existing_output_keeps_its_inode(tmp_path):
+    _measure_and_galerkin(tmp_path)
+    out = tmp_path / "A.json"
+    out.write_bytes(b"junk" * 2**18)
+    inode = out.stat().st_ino
+    assert run("moments", "--input", str(tmp_path / "m.json"), "--degree", "4",
+               "--output", str(out)) == 0
+    assert out.stat().st_ino == inode
+    assert load_bytes(out.read_bytes())["max_degree"] == 4
+
+
+@pytest.mark.parametrize("command, name", [("moments", "m.json"), ("rank", "A.json"),
+                                           ("spectrum", "G.json")])
+def test_file_whose_first_byte_is_nul_is_one_error_line(tmp_path, capsys, command, name):
+    # what a write killed before its last step leaves behind
+    _measure_and_galerkin(tmp_path)
+    run("moments", "--input", str(tmp_path / "m.json"), "--degree", "4",
+        "--output", str(tmp_path / "A.json"))
+    path, out = tmp_path / name, tmp_path / "out"
+    path.write_bytes(b"\0" + path.read_bytes()[1:])
+    capsys.readouterr()
+    argv = ("--degree", "2") if command == "moments" else ()
+    assert run(command, "--input", str(path), *argv, "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_write_killed_before_its_first_byte_leaves_a_file_every_reader_rejects(
+        tmp_path, run_python):
+    # the process dies after the payload and the truncation: over a longer,
+    # valid matrix file the new bytes must not parse
+    _measure_and_galerkin(tmp_path)
+    argv = ("moments", "--input", "m.json", "--output", "A.json", "--degree")
+    assert run_python("-m", "momentrank.cli", *argv, "6", cwd=tmp_path).returncode == 0
+    stale = (tmp_path / "A.json").read_bytes()
+    killed = ("import os, sys\nfrom momentrank.cli import main\n"
+              "os.lseek = lambda *args: os._exit(9)\nsys.exit(main(sys.argv[1:]))\n")
+    assert run_python("-c", killed, *argv, "4", cwd=tmp_path).returncode == 9
+    left = (tmp_path / "A.json").read_bytes()
+    assert run_python("-m", "momentrank.cli", *argv, "4", cwd=tmp_path).returncode == 0
+    fresh = (tmp_path / "A.json").read_bytes()
+    assert len(fresh) < len(stale)
+    assert left == b"\0" + fresh[1:]
+    (tmp_path / "A.json").write_bytes(left)
+    done = run_python("-m", "momentrank.cli", "rank", "--input", "A.json", cwd=tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: A.json is not valid JSON: ")
+
+
+@pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                                     KeyboardInterrupt()], ids=["ENOSPC", "interrupt"])
+def test_write_that_raises_partway_leaves_an_empty_file(tmp_path, capsys, monkeypatch, failure):
+    _measure_and_galerkin(tmp_path)
+    out = tmp_path / "A.json"
+    out.write_bytes(b"junk" * 2**18)
+    write = os.write
+
+    def failing(fd, data):
+        if len(data) > 1:  # the payload: part of it lands, then the write fails
+            write(fd, bytes(data[:100]))
+            raise failure
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", failing)
+    argv = ("moments", "--input", str(tmp_path / "m.json"), "--degree", "4", "--output", str(out))
+    if isinstance(failure, OSError):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            run(*argv)
+    assert out.read_bytes() == b""
 
 
 def test_pipeline_closure(tmp_path):
@@ -179,6 +304,27 @@ def test_matrix_file_whose_singular_value_overflows_is_numerical_failure(tmp_pat
     err = capfd.readouterr().err
     assert err == "numerical failure: largest singular value inf is not finite\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rank", "spectrum"])
+def test_matrix_file_whose_entries_overflow_the_sketch_is_read_quietly(tmp_path, capfd, command):
+    # 84 x 84 (d=3, degree 6) entries of 1e200: finite and of rank one, but
+    # the sketch's norms overflow, so it declines and the dense path decides
+    m_path, a_path, out = tmp_path / "m.json", tmp_path / "a.json", tmp_path / "out"
+    run("gen", "--dimension", "3", "--atoms", "2", "--seed", "4", "--output", str(m_path))
+    source = "galerkin" if command == "spectrum" else "moments"
+    run(source, "--input", str(m_path), "--degree", "6", "--output", str(a_path))
+    data = load_bytes(a_path.read_bytes())
+    a_path.write_bytes(dump_bytes({**data, "entries": _entries(np.full((84, 84), 1e200))}))
+    capfd.readouterr()
+    assert run(command, "--input", str(a_path), "--output", str(out)) == 0
+    assert capfd.readouterr().err == ""
+    if command == "rank":
+        assert json.loads(out.read_text())["rank"] == 1
+    else:
+        moduli = [float(line.split(",")[3]) for line in out.read_text().splitlines()[2:]]
+        assert moduli[0] == pytest.approx(84e200)
+        assert max(moduli[1:]) <= 1e-8 * moduli[0]
 
 
 @pytest.mark.parametrize("command", ["rank", "recover", "spectrum"])

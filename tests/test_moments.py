@@ -688,6 +688,17 @@ def test_rank_whose_largest_singular_value_overflows_is_numerical_error():
         numerical_rank(a)
 
 
+def test_rank_of_entries_that_overflow_the_sketch_is_the_dense_one(svd_spy):
+    # ||B||_F of the rank-one 84 x 84 matrix of 1e155 overflows, sigma_1 does
+    # not; an overflow warning is an error here, so the sketch must decline
+    # quietly and leave the rank to the dense SVD
+    shapes = svd_spy()
+    result = numerical_rank(np.full((84, 84), 1e155 + 0j))
+    assert shapes == [(84, 84)]
+    assert result.rank == 1
+    assert result.singular_values[0] == pytest.approx(84e155)
+
+
 # -- full-rank certificate -----------------------------------------------------
 
 def _svd_rank(entries, rel_tol=1e-8):

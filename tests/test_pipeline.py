@@ -52,6 +52,26 @@ def test_readme_pipeline_reruns_byte_for_byte(run_twice):
     )
 
 
+def test_readme_pipeline_rerun_in_one_directory_writes_the_bytes_of_a_fresh_one(
+        tmp_path, run_python):
+    # outputs are rewritten in place: over stale files longer than the new
+    # ones, and then over its own, each pass must leave a fresh pass's bytes
+    script = ("import sys\nfrom momentrank.cli import main\n"
+              f"sys.exit(max(main(list(argv)) for argv in {PIPELINE!r}))\n")
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    for directory in (fresh, reused):
+        directory.mkdir()
+    done = run_python("-c", script, cwd=fresh)
+    assert done.returncode == 0, done.stderr
+    expected = {p.name: p.read_bytes() for p in fresh.iterdir()}
+    for name, data in expected.items():
+        (reused / name).write_bytes(b"stale " * (len(data) // 6 + 4096))
+    for _ in range(2):
+        done = run_python("-c", script, cwd=reused)
+        assert done.returncode == 0, done.stderr
+        assert {p.name: p.read_bytes() for p in reused.iterdir()} == expected
+
+
 def test_readme_library_example_prints_the_values_its_comments_state(tmp_path, run_python):
     blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
     example = "".join(blocks)
