@@ -25,7 +25,7 @@ def show(title, truth, report):
     print(f"  detected rank {report.detected_rank}, retries {report.retries_used}, "
           f"residual {report.residual:.2e}")
     matched = match_atoms(report.atoms, truth, 1e-6)
-    for true_atom, rec_atom in zip(truth.atoms, report.atoms.atoms):
+    for true_atom in truth.atoms:
         print(f"  true {true_atom.location.coords} w={true_atom.weight:.4f}")
     for rec_atom in report.atoms.atoms:
         print(f"  rec  {tuple(round(c.real, 6) + 1j * round(c.imag, 6) for c in rec_atom.location.coords)} "

@@ -9,9 +9,9 @@ parents), built once per (d, D); no other code works it out again.
 Every matrix comes from one Gram product of weighted points,
 sum_k w_k z_k^alpha conj(z_k)^beta, over a monomial value table built by
 iterative multiplication along the graded order (no complex pow calls).  The
-points are the atoms of a discrete measure (exact up to rounding), the
-recentred atoms of a Galerkin matrix (see operators), or the polar nodes of a
-density's per-coordinate disk tables (Gauss-Legendre in radius, trapezoid in
+points are the atoms of a discrete measure (exact up to rounding; a
+Galerkin matrix rescales that matrix, see operators), or the polar nodes of
+a density's per-coordinate disk tables (Gauss-Legendre in radius, trapezoid in
 angle): exact on the first level for uniform and polynomial densities, and
 refined for the Gaussian until the entries stabilize below 1e-10.
 
@@ -253,13 +253,6 @@ def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return entries
 
 
-def _discrete_moment_matrix(
-    points: np.ndarray, weights: np.ndarray, basis: IndexBasis
-) -> np.ndarray:
-    """Gram product sum_k lambda_k z_k^alpha conj(z_k)^beta of weighted points."""
-    return _gram(monomial_table(points, basis), weights)
-
-
 # -- density quadrature ------------------------------------------------------
 #
 # Every catalogued density is a polynomial density sum_gamma c_gamma z^gamma
@@ -321,7 +314,7 @@ def _disk_table(
             w = np.repeat(wr * (2.0 * np.pi / n_theta), n_theta)
             if radial_density is not None:
                 w = w * radial_density(z)
-            refined = _discrete_moment_matrix(z, w, basis)[:, : q_max + 1]
+            refined = _gram(monomial_table(z, basis), w)[:, : q_max + 1]
         if not np.all(np.isfinite(refined)):
             # finer levels cannot recover from an overflow; they only cost memory
             raise QuadratureError((errors[-1] if errors else math.inf, math.nan))
@@ -363,7 +356,7 @@ def moment_matrix(m: DiscreteMeasure | DensityMeasure, max_degree: int) -> Momen
         raise ValueError("max_degree must be >= 0")
     basis = IndexBasis(m.dimension, max_degree)
     if isinstance(m, DiscreteMeasure):
-        entries = _discrete_moment_matrix(m.locations_matrix(), m.weights_vector(), basis)
+        entries = _gram(monomial_table(m.locations_matrix(), basis), m.weights_vector())
     elif isinstance(m, DensityMeasure):
         entries = _density_moment_matrix(m, basis)
     else:

@@ -5,9 +5,9 @@ C^d with Gaussian weight (2 pi)^{-d} exp(-|z|^2/2) dm, and the Bergman kernel
 of a polydisk (product of per-coordinate disk kernels).  For an atomic
 measure the operator has finite rank and its Galerkin matrix on the
 orthonormalized monomial basis is a diagonal rescaling s A s of the moment
-matrix A, so the two ranks agree exactly.  `galerkin_matrix` scales the same
-Gram product that `moments` assembles A from (over recentred atoms for the
-polydisk), and its `GalerkinMatrix` is a `MomentMatrix` that also carries the
+matrix A, so the two ranks agree exactly.  `galerkin_matrix` rescales the
+entries of `moment_matrix` in place (a polydisk must be centred at the
+origin), and its `GalerkinMatrix` is a `MomentMatrix` that also carries the
 kernel, so everything that takes a moment matrix takes it too.
 `spectrum` reads the eigenvalues of a finite-rank Galerkin matrix off the
 small matrix B Q of the range sketch that also ranks it (see moments), when
@@ -29,8 +29,8 @@ from .moments import (
     IndexBasis,
     MomentMatrix,
     NumericalError,
-    _discrete_moment_matrix,
     _range_sketch,
+    moment_matrix,
 )
 
 __all__ = [
@@ -137,8 +137,8 @@ def _log_normalizers(kernel: KernelSpec, basis: IndexBasis) -> np.ndarray:
     """log of 1/||z^alpha|| for the kernel's monomial basis, per basis index.
 
     bargmann: ||z^alpha||^2 = 2^|alpha| alpha! under the Gaussian weight.
-    bergman polydisk: per coordinate ||(z_j - c_j)^a||^2 = pi r^(2a+2) / (a+1),
-    taken in the recentred coordinates (the atoms are recentred to match).
+    bergman polydisk: per coordinate ||z_j^a||^2 = pi r^(2a+2) / (a+1) on a
+    disk of radius r centred at the origin; the centre is not read.
     """
     if basis.max_degree > _FACTORIAL_CAP:
         raise ValueError(
@@ -162,20 +162,21 @@ def galerkin_matrix(
     """Galerkin matrix (T e_alpha, e_beta) = sum_k lambda_k e_alpha(zeta_k) conj(e_beta(zeta_k)).
 
     e_alpha = s_alpha z^alpha are the orthonormalized monomials of the
-    kernel's space, so the result is s A s for the moment matrix A (of the
-    recentred atoms in the polydisk case) and the positive scales s; the
-    ranks coincide.
+    kernel's space, so the result is s A s for the moment matrix A and the
+    positive scales s; the ranks coincide.  A polydisk must be centred at
+    the origin (ValueError otherwise), as `enclosing_kernel` builds it.
     """
     basis = IndexBasis(m.dimension, max_degree)
-    points = m.locations_matrix()
     if kernel.kind == "bergman_polydisk":
         if kernel.domain.dimension != m.dimension:
             raise ValueError("kernel domain dimension does not match measure")
+        if any(kernel.domain.center.coords):
+            raise ValueError("galerkin_matrix takes only polydisks centred at the origin")
         for atom in m.atoms:
             kernel.check_point(atom.location)
-        points = points - np.array(kernel.domain.center.coords, dtype=complex)
+    # the degree cap is checked before the n x n assembly
     scale = np.exp(_log_normalizers(kernel, basis))
-    entries = _discrete_moment_matrix(points, m.weights_vector(), basis)
+    entries = moment_matrix(m, max_degree).entries
     entries *= scale[:, np.newaxis]
     entries *= scale
     return GalerkinMatrix(kernel, basis, entries)

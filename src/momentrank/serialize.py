@@ -124,7 +124,10 @@ def dump_bytes(payload: dict) -> bytes:
 def load_bytes(raw: bytes) -> Any:
     """The value a file's bytes hold, a UTF-8 byte-order mark skipped. A first
     line holding a JSON object with an "entries" object is a matrix header, and
-    the bytes after it become the entries' "data", as a view; else one JSON value."""
+    the bytes after it become the entries' "data", as a view; else one JSON value.
+    A first byte NUL, which a killed CLI write leaves, is a ValueError."""
+    if raw[:1] == b"\0":
+        raise ValueError("first byte is NUL: the file is incomplete, as a killed write leaves it")
     end = raw.find(b"\n") + 1
     try:
         data = json.loads(raw[:end])

@@ -299,13 +299,13 @@ def test_quadrature_overflow_stops_refining(monkeypatch):
     # every finer level overflows too, so it must not be built: the last of
     # the 7 levels alone would hold a (nodes x (D+1)) table of ~10^6 rows
     levels = []
-    gram = moments._discrete_moment_matrix
+    gram = moments._gram
 
-    def counting(points, weights, basis):
-        levels.append(len(points))
-        return gram(points, weights, basis)
+    def counting(table, weights):
+        levels.append(len(table))
+        return gram(table, weights)
 
-    monkeypatch.setattr(moments, "_discrete_moment_matrix", counting)
+    monkeypatch.setattr(moments, "_gram", counting)
     dens = DensityMeasure(1, Polydisk(ComplexPoint((0j,)), (1e200,)), DensitySpec("uniform"))
     with pytest.raises(QuadratureError):
         moment_matrix(dens, 3)
@@ -570,13 +570,13 @@ def test_only_the_gaussian_refines(monkeypatch, spec, exact):
     # a polynomial integrand needs one level per coordinate disk; the
     # Gaussian factor needs at least one refinement to confirm convergence
     calls = []
-    gram = moments._discrete_moment_matrix
+    gram = moments._gram
 
-    def counting(points, weights, basis):
-        calls.append(len(points))
-        return gram(points, weights, basis)
+    def counting(table, weights):
+        calls.append(len(table))
+        return gram(table, weights)
 
-    monkeypatch.setattr(moments, "_discrete_moment_matrix", counting)
+    monkeypatch.setattr(moments, "_gram", counting)
     domain = Polydisk(ComplexPoint((0.3 + 0.1j, -0.2j)), (1.0, 0.8))
     moment_matrix(DensityMeasure(2, domain, spec), 4)
     if exact:

@@ -20,6 +20,7 @@ from momentrank import (
     moment_matrix,
     moments,
     numerical_rank,
+    operators,
     spectrum,
     toeplitz_apply,
 )
@@ -170,6 +171,7 @@ def test_bargmann_norms_against_quadrature_oracle():
 
 
 def test_galerkin_entries_are_rescaled_moments():
+    # d=1: the Bargmann scales against the closed form 1/sqrt(2^j j!)
     m = generate_measure(1, 3, seed=2)
     degree = 4
     a = moment_matrix(m, degree)
@@ -180,6 +182,23 @@ def test_galerkin_entries_are_rescaled_moments():
             assert g.entries[j, k] == pytest.approx(
                 a.entries[j, k] / norm, rel=1e-12, abs=1e-14
             )
+    # d=3, degree 9 (basis 220): bit for bit s A s under both kernels
+    m = generate_measure(3, 8, seed=3, separation=0.2)
+    a = moment_matrix(m, 9)
+    for kind in ("bargmann", "bergman"):
+        kernel = enclosing_kernel(kind, m)
+        scale = np.exp(operators._log_normalizers(kernel, a.basis))
+        expected = a.entries * scale[:, np.newaxis] * scale
+        g = galerkin_matrix(kernel, m, 9)
+        assert g.kernel == kernel and g.basis == a.basis
+        assert g.entries.tobytes() == expected.tobytes()
+
+
+def test_galerkin_rejects_a_polydisk_off_the_origin():
+    domain = Polydisk(ComplexPoint((0.5 + 0j, 0j)), (3.0, 3.0))
+    kernel = KernelSpec("bergman_polydisk", domain)
+    with pytest.raises(ValueError, match="centred at the origin"):
+        galerkin_matrix(kernel, measure(2, ([0.5, 0], 1)), 2)
 
 
 def test_galerkin_rank_equals_moment_rank_both_kernels():

@@ -1,12 +1,17 @@
 """The README's CLI pipeline and library example, and the example scripts,
-each run as a user would run them: in fresh Python processes."""
+each run as a user would run them: in fresh Python processes.  One test
+calls the recovery demo's printer directly."""
 
+import importlib.util
 import json
 import re
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from momentrank import DiscreteMeasure, generate_measure
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -123,3 +128,18 @@ def test_cli_runs_with_numpy_alone(tmp_path, run_python):
     result = run_python("-c", script, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "m.json").is_file()
+
+
+def test_recovery_demo_prints_every_true_atom_when_fewer_are_recovered(capsys):
+    spec = importlib.util.spec_from_file_location("recovery_demo",
+                                                  ROOT / "scripts" / "recovery_demo.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    truth = generate_measure(2, 3, seed=1)
+    short = SimpleNamespace(detected_rank=1, retries_used=0, residual=1.0,
+                            atoms=DiscreteMeasure(2, truth.atoms[:1]))
+    demo.show("short", truth, short)
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("  true ") for line in lines) == 3
+    assert sum(line.startswith("  rec  ") for line in lines) == 1
+    assert lines[-1] == "  NOT matched"
