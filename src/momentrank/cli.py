@@ -55,11 +55,9 @@ class _Parser(argparse.ArgumentParser):
 def _read_json(path: str) -> dict:
     try:
         with open(path, "rb") as f:
-            raw = f.read()
+            data = serialize.load_file(f)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = serialize.load_bytes(raw)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
         raise _CliError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -67,31 +65,37 @@ def _read_json(path: str) -> dict:
     return data
 
 
-def _write(path: str | None, data: bytes) -> None:
-    """Write data to path, or to stdout when path is None.
+def _write(path: str | None, chunks) -> None:
+    """Write the byte chunks in order to path, or to stdout when path is None.
 
+    The chunks are `serialize.dump_chunks`'s, sent as they are: a matrix
+    file's entries go from the matrix's own buffer, never joined into a copy.
     A regular file is opened without O_TRUNC, so the filesystem reuses an
     existing file's blocks instead of freeing and allocating them again.
-    NUL goes first, then the rest of the data, the truncation to its length,
-    and the real first byte last: a killed write never leaves new bytes over
-    an old tail that still parses.  If any step raises, the file is
-    truncated to empty.  A FIFO, tty or /dev/null only receives the bytes.
+    NUL goes first, then the rest of the bytes, the truncation to their
+    length, and the real first byte last: a killed write never leaves new
+    bytes over an old tail that still parses.  If any step raises, the file
+    is truncated to empty.  A FIFO, tty or /dev/null only receives the bytes.
     """
+    views = [memoryview(chunk) for chunk in chunks]  # bytes, or byte views
     if path is None:
-        sys.stdout.buffer.write(data)
+        for view in views:
+            sys.stdout.buffer.write(view)
         return
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
             if not stat.S_ISREG(os.fstat(fd).st_mode):
-                _write_all(fd, data)
+                for view in views:
+                    _write_all(fd, view)
                 return
             try:
                 _write_all(fd, b"\0")
-                _write_all(fd, memoryview(data)[1:])
-                os.ftruncate(fd, len(data))
+                for view in [views[0][1:], *views[1:]]:
+                    _write_all(fd, view)
+                os.ftruncate(fd, sum(len(view) for view in views))
                 os.lseek(fd, 0, os.SEEK_SET)
-                _write_all(fd, data[:1])
+                _write_all(fd, views[0][:1])
             except BaseException:
                 os.ftruncate(fd, 0)
                 raise
@@ -126,7 +130,7 @@ def _cmd_gen(args) -> int:
         raise _CliError(str(exc)) from exc
     payload = serialize.measure_to_dict(m)
     payload["run_spec"] = _run_spec(args)
-    _write(args.output, serialize.dump_bytes(payload))
+    _write(args.output, serialize.dump_chunks(payload))
     return _EXIT_OK
 
 
@@ -135,7 +139,7 @@ def _cmd_moments(args) -> int:
     a = moment_matrix(measure, args.degree)
     payload = serialize.matrix_to_dict(a)
     payload["run_spec"] = _run_spec(args)
-    _write(args.output, serialize.dump_bytes(payload))
+    _write(args.output, serialize.dump_chunks(payload))
     return _EXIT_OK
 
 
@@ -148,7 +152,7 @@ def _cmd_rank(args) -> int:
         "ill_conditioned": result.ill_conditioned,
         "run_spec": _run_spec(args),
     }
-    _write(args.output, serialize.dump_bytes(payload))
+    _write(args.output, serialize.dump_chunks(payload))
     return _EXIT_OK
 
 
@@ -162,7 +166,7 @@ def _cmd_galerkin(args) -> int:
     g = galerkin_matrix(kernel, measure, args.degree)
     payload = serialize.galerkin_to_dict(g)
     payload["run_spec"] = _run_spec(args)
-    _write(args.output, serialize.dump_bytes(payload))
+    _write(args.output, serialize.dump_chunks(payload))
     return _EXIT_OK
 
 
@@ -172,7 +176,7 @@ def _cmd_spectrum(args) -> int:
         raise _CliError(f"spectrum needs a Galerkin matrix file; {args.input} has no kernel")
     values = spectrum(serialize.galerkin_from_dict(data))
     header = json.dumps({"run_spec": _run_spec(args)}, sort_keys=True, separators=(",", ":"))
-    _write(args.output, serialize.spectrum_to_csv(values, header).encode())
+    _write(args.output, [serialize.spectrum_to_csv(values, header).encode()])
     return _EXIT_OK
 
 
@@ -181,7 +185,7 @@ def _cmd_recover(args) -> int:
     report = recover_atoms(a, _config_from_args(args))
     payload = serialize.report_to_dict(report)
     payload["run_spec"] = _run_spec(args)
-    _write(args.output, serialize.dump_bytes(payload))
+    _write(args.output, serialize.dump_chunks(payload))
     return _EXIT_OK
 
 
@@ -196,7 +200,7 @@ def _cmd_verify(args) -> int:
         ],
         "run_spec": _run_spec(args),
     }
-    _write(args.output, serialize.dump_bytes(payload))
+    _write(args.output, serialize.dump_chunks(payload))
     return _EXIT_OK if verdict.passed else _EXIT_CHECK_FAILED
 
 

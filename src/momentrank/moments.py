@@ -240,6 +240,20 @@ def moment_entry(m: DiscreteMeasure, alpha: MultiIndex, beta: MultiIndex) -> com
     return total
 
 
+_ROW_BLOCK_BYTES = 1 << 16
+_MIN_BLOCK_ROWS = 32
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Row slices of an n-column complex matrix, about 64 KB each but at
+    least 32 rows: the one block rule of every pass over an n x n matrix
+    that would otherwise form an n x n temporary.  (Without the floor, a
+    large n would get blocks of a few rows, each a BLAS call too small to
+    run at speed.)"""
+    step = max(_MIN_BLOCK_ROWS, _ROW_BLOCK_BYTES // (16 * n))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
 def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Gram product sum_k lambda_k t_k^alpha conj(t_k)^beta of a weighted
     monomial table; with real weights it is symmetrized to be exactly
@@ -247,9 +261,18 @@ def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
     entries = (table * weights[:, np.newaxis]).T @ table.conj()
     if np.all(weights.imag == 0):
         # real weights make the matrix Hermitian in exact arithmetic;
-        # symmetrizing removes the accumulation-order noise of the matmul
-        entries += entries.conj().T
-        entries *= 0.5
+        # symmetrizing, a_ij <- (a_ij + conj(a_ji)) / 2, removes the
+        # accumulation-order noise of the matmul.  Row block I and column
+        # block I, from the diagonal on, are averaged with each other's
+        # conjugate transposes, so the only temporaries are row blocks
+        for rows in _row_blocks(len(entries)):
+            tail = slice(rows.start, None)
+            upper = entries[rows, tail] + entries[tail, rows].conj().T
+            lower = entries[tail, rows] + entries[rows, tail].conj().T
+            upper *= 0.5
+            lower *= 0.5
+            entries[rows, tail] = upper
+            entries[tail, rows] = lower
     return entries
 
 
@@ -445,7 +468,8 @@ def _range_sketch(entries: np.ndarray, rel_tol: float) -> _RangeSketch | None:
     and Q R = Y (Halko, Martinsson and Tropp, SIAM Review 2011).  A last
     diagonal entry of R above rel_tol |R_11| means Y has full rank, so A is
     not low-rank and neither B nor the residual is formed.  Otherwise the
-    residual is exact: A = Q B - gap, with gap formed in full.  Entries near
+    residual is exact: A = Q B - gap, with gap formed one row block at a
+    time (`_row_blocks`), so no n x n temporary is made.  Entries near
     the float range overflow Y, R or the norms; the sketch then declines
     without a warning and the caller's dense path decides.
     """
@@ -461,9 +485,12 @@ def _range_sketch(entries: np.ndarray, rel_tol: float) -> _RangeSketch | None:
         if not np.all(np.isfinite(r)) or abs(r[-1, -1]) > rel_tol * abs(r[0, 0]):
             return None
         b = q.conj().T @ entries
-        gap = q @ b  # the only n x n temporary
-        gap -= entries
-        residual, b_norm = float(np.linalg.norm(gap)), float(np.linalg.norm(b))
+        gap_sq = 0.0
+        for rows in _row_blocks(n):
+            gap = q[rows] @ b
+            gap -= entries[rows]
+            gap_sq += float(np.vdot(gap, gap).real)
+        residual, b_norm = math.sqrt(gap_sq), float(np.linalg.norm(b))
     if not (np.isfinite(residual) and np.isfinite(b_norm)):
         return None
     return _RangeSketch(q, b, residual, b_norm)

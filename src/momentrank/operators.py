@@ -5,7 +5,8 @@ C^d with Gaussian weight (2 pi)^{-d} exp(-|z|^2/2) dm, and the Bergman kernel
 of a polydisk (product of per-coordinate disk kernels).  For an atomic
 measure the operator has finite rank and its Galerkin matrix on the
 orthonormalized monomial basis is a diagonal rescaling s A s of the moment
-matrix A, so the two ranks agree exactly.  `galerkin_matrix` rescales the
+matrix A, so the two ranks agree exactly; a density's Galerkin matrix is the
+same rescaling of its moment matrix.  `galerkin_matrix` rescales the
 entries of `moment_matrix` in place (a polydisk must be centred at the
 origin), and its `GalerkinMatrix` is a `MomentMatrix` that also carries the
 kernel, so everything that takes a moment matrix takes it too.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import ComplexPoint, DiscreteMeasure, Polydisk, PolynomialWeight
+from .measures import ComplexPoint, DensityMeasure, DiscreteMeasure, Polydisk, PolynomialWeight
 from .moments import (
     IndexBasis,
     MomentMatrix,
@@ -157,14 +158,17 @@ def _log_normalizers(kernel: KernelSpec, basis: IndexBasis) -> np.ndarray:
 
 
 def galerkin_matrix(
-    kernel: KernelSpec, m: DiscreteMeasure, max_degree: int
+    kernel: KernelSpec, m: DiscreteMeasure | DensityMeasure, max_degree: int
 ) -> GalerkinMatrix:
-    """Galerkin matrix (T e_alpha, e_beta) = sum_k lambda_k e_alpha(zeta_k) conj(e_beta(zeta_k)).
+    """Galerkin matrix (T e_alpha, e_beta) = integral of e_alpha conj(e_beta) d mu.
 
     e_alpha = s_alpha z^alpha are the orthonormalized monomials of the
     kernel's space, so the result is s A s for the moment matrix A and the
     positive scales s; the ranks coincide.  A polydisk must be centred at
     the origin (ValueError otherwise), as `enclosing_kernel` builds it.
+    Under it every atom must lie in the open polydisk, and a density's
+    polydisk inside the kernel's: |c_j| + r_j <= R_j for every coordinate j.
+    Anything else is a DomainError.
     """
     basis = IndexBasis(m.dimension, max_degree)
     if kernel.kind == "bergman_polydisk":
@@ -172,8 +176,16 @@ def galerkin_matrix(
             raise ValueError("kernel domain dimension does not match measure")
         if any(kernel.domain.center.coords):
             raise ValueError("galerkin_matrix takes only polydisks centred at the origin")
-        for atom in m.atoms:
-            kernel.check_point(atom.location)
+        if isinstance(m, DensityMeasure):
+            for c, r, outer in zip(m.domain.center.coords, m.domain.radii, kernel.domain.radii):
+                if abs(c) + r > outer:
+                    raise DomainError(
+                        f"the density's disk of radius {r} around {c} leaves the "
+                        f"kernel's disk of radius {outer} around 0"
+                    )
+        else:
+            for atom in m.atoms:
+                kernel.check_point(atom.location)
     # the degree cap is checked before the n x n assembly
     scale = np.exp(_log_normalizers(kernel, basis))
     entries = moment_matrix(m, max_degree).entries

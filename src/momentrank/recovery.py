@@ -58,6 +58,7 @@ from .moments import (
     _RANK_TOL,
     _full_rank_certificate,
     _gram,
+    _row_blocks,
     leading_truncation,
     moment_matrix,
     monomial_table,
@@ -80,7 +81,6 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-6
 _POLISH_ITERATIONS = 3
-_GAP_BLOCK_BYTES = 1 << 20
 
 
 class RecoveryError(RuntimeError):
@@ -225,18 +225,16 @@ def _pencil_atoms(
 
 def _moment_gap(locations: np.ndarray, weights: np.ndarray, whole: MomentMatrix) -> float:
     """max |A_fit - A| between the moments of the atoms (locations, weights)
-    and the input `whole`, one ~1 MB row block of the unsymmetrized Gram
-    product at a time (inputs up to n = 256 are one block); NaN if any
-    entry is NaN."""
+    and the input `whole`, one row block (`moments._row_blocks`: about
+    64 KB, at least 32 rows) of the unsymmetrized Gram product at a time, so
+    no n x n temporary is made; NaN if any entry is NaN."""
     table = monomial_table(locations, whole.basis)
     left = (table * weights[:, np.newaxis]).T
     right = table.conj()
-    n = whole.basis.size
-    step = max(1, _GAP_BLOCK_BYTES // (16 * n))
     gaps = []
-    for start in range(0, n, step):
-        block = left[start : start + step] @ right
-        block -= whole.entries[start : start + step]
+    for rows in _row_blocks(whole.basis.size):
+        block = left[rows] @ right
+        block -= whole.entries[rows]
         gaps.append(np.max(np.abs(block)))
     return float(np.max(gaps))
 
@@ -278,10 +276,12 @@ def recover_atoms(a: MomentMatrix, cfg: RecoveryConfig = RecoveryConfig()) -> Re
     while the fit fails and the next singular value of A_k is not
     numerically zero, at N + 1 and N + 2.  A fit is accepted only if its
     residual against the whole input is at most 1e-6; otherwise the search
-    goes on to the next flat step, and the whole matrix is fitted last.
+    goes on to the next flat step, and the whole matrix is fitted last.  A
+    fit whose pencil fails numerically (a singular eigenvector matrix, a
+    failed SVD) is a failed attempt like one that misses the gate.
     Raises RecoveryError when no block fits, e.g. when the degree-(D-1)
     block of the whole matrix is smaller than its rank, and NumericalError
-    on non-finite input.
+    on non-finite input or an overflowing largest singular value.
     """
     return _recover(a, {}, cfg)
 
@@ -321,7 +321,9 @@ def _recover(
             for rank in ranks:
                 try:
                     measure, residual = _fit(leading_truncation(a, k), a, block, rank, cfg)
-                except RecoveryError as exc:
+                except (RecoveryError, NumericalError) as exc:
+                    # a singular eigenvector matrix or a failed pencil SVD
+                    # fails this attempt, not the search
                     log.append(f"degree {k} attempt {len(log)}: {exc}")
                     continue
                 return RecoveryReport(
@@ -480,7 +482,9 @@ def verify_theorem(
     galerkin_measured = {}
     for kind in ("bargmann", "bergman"):
         scale = np.exp(_log_normalizers(enclosing_kernel(kind, m), a.basis))
-        g_rank = numerical_rank(a.entries * scale[:, np.newaxis] * scale, cfg.rank_tol).rank
+        galerkin = a.entries * scale[:, np.newaxis]
+        galerkin *= scale  # in place: one n x n buffer beside a
+        g_rank = numerical_rank(galerkin, cfg.rank_tol).rank
         galerkin_measured[kind] = {"galerkin_rank": g_rank, "moment_rank": base_rank}
     galerkin_ok = all(v["galerkin_rank"] == base_rank for v in galerkin_measured.values())
     checks.append(CheckResult("galerkin_rank_equality", galerkin_ok, galerkin_measured))

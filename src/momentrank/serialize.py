@@ -7,6 +7,13 @@ a file keeps every bit and is read without parsing a number per entry.  A
 Galerkin file is a matrix file with one more key, "kernel".  All writers
 produce deterministic bytes (sorted keys, fixed separators), so a rerun
 with the same inputs reproduces files exactly.
+
+A matrix command holds one n x n buffer, the matrix itself.  `load_file`
+reads the bytes after a header line into one fresh writable buffer, sized
+from the file (never from its header), and `matrix_from_dict` takes that
+buffer as the entries without copying it.  `matrix_to_dict` gives the
+entries as a read-only byte view, not a copy, and `dump_chunks` hands the
+header line and that view to the writer as they are.
 """
 
 from __future__ import annotations
@@ -14,8 +21,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import reprlib
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -46,8 +54,8 @@ __all__ = [
     "report_to_dict",
     "spectrum_to_csv",
     "dump_json",
-    "dump_bytes",
-    "load_bytes",
+    "dump_chunks",
+    "load_file",
 ]
 
 
@@ -110,34 +118,64 @@ def dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def dump_bytes(payload: dict) -> bytes:
-    """A file's bytes: a matrix payload, whose entries hold "data", as its
-    compact header line and then the data; any other payload as `dump_json`."""
+def dump_chunks(payload: dict) -> tuple:
+    """A file's bytes as chunks to write in order: a matrix payload, whose
+    entries hold "data", as its compact header line and then that data as it
+    is (`matrix_to_dict`'s view of the entries, not a copy); any other
+    payload as `dump_json`, in one chunk."""
     entries = payload.get("entries")
     if not (isinstance(entries, dict) and "data" in entries):
-        return dump_json(payload).encode()
+        return (dump_json(payload).encode(),)
     header = {**payload, "entries": {k: v for k, v in entries.items() if k != "data"}}
-    text = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    return b"".join((text.encode(), b"\n", entries["data"]))
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+    return text.encode(), entries["data"]
 
 
-def load_bytes(raw: bytes) -> Any:
-    """The value a file's bytes hold, a UTF-8 byte-order mark skipped. A first
-    line holding a JSON object with an "entries" object is a matrix header, and
-    the bytes after it become the entries' "data", as a view; else one JSON value.
-    A first byte NUL, which a killed CLI write leaves, is a ValueError."""
-    if raw[:1] == b"\0":
+def load_file(f: BinaryIO) -> Any:
+    """The value the binary stream f holds, a UTF-8 byte-order mark skipped.
+    A first line holding a JSON object with an "entries" object is a matrix
+    header, and the rest of the stream becomes the entries' "data", in one
+    fresh writable buffer; else the stream is one JSON value.  A first byte
+    NUL, which a killed CLI write leaves, is a ValueError."""
+    head = f.readline()
+    if head[:1] == b"\0":
         raise ValueError("first byte is NUL: the file is incomplete, as a killed write leaves it")
-    end = raw.find(b"\n") + 1
-    try:
-        data = json.loads(raw[:end])
-    except (ValueError, RecursionError):  # no newline, or the first line of a JSON document
-        data = None
+    data = None
+    if head.endswith(b"\n"):  # a stream without a newline is one JSON value
+        try:
+            data = json.loads(head)
+        except (ValueError, RecursionError):  # the first line of a JSON document
+            pass
+    rest = _read_rest(f)
     if not (isinstance(data, dict) and isinstance(data.get("entries"), dict)):
-        data, end = json.loads(raw), len(raw)
+        if rest or data is None:  # the first line is not the whole stream
+            data = json.loads(head + rest)
+        rest = bytearray()
     if isinstance(data, dict) and isinstance(data.get("entries"), dict):
-        data["entries"]["data"] = memoryview(raw)[end:]
+        data["entries"]["data"] = rest
     return data
+
+
+def _read_rest(f: BinaryIO) -> bytearray:
+    """The rest of the binary stream f in one fresh writable buffer.  A
+    stream that can seek is measured first, so its bytes land in a buffer of
+    their size; one that cannot, as a pipe, is read to its end."""
+    size = 0
+    if f.seekable():
+        here = f.tell()
+        size = f.seek(0, os.SEEK_END) - here
+        f.seek(here)
+    rest = bytearray(size)
+    filled = 0
+    with memoryview(rest) as view:
+        while filled < size:
+            got = f.readinto(view[filled:])
+            if not got:  # the file shrank since it was measured
+                break
+            filled += got
+    del rest[filled:]
+    rest += f.read()  # all of a stream that cannot seek; what a file grew by
+    return rest
 
 
 # -- measures ----------------------------------------------------------------
@@ -234,6 +272,7 @@ _ENTRIES_ENCODING = "f64le"
 
 def matrix_to_dict(a: MomentMatrix) -> dict:
     n = a.basis.size
+    values = np.ascontiguousarray(a.entries, dtype="<c16")
     return {
         "dimension": a.dimension,
         "max_degree": a.max_degree,
@@ -241,7 +280,8 @@ def matrix_to_dict(a: MomentMatrix) -> dict:
         "entries": {
             "encoding": _ENTRIES_ENCODING,
             "shape": [n, n, 2],
-            "data": np.ascontiguousarray(a.entries, dtype="<c16").tobytes(),
+            # a read-only byte view of the entries, which the writer sends as they are
+            "data": memoryview(values).cast("B").toreadonly(),
         },
     }
 
@@ -263,7 +303,10 @@ def _grlex_basis_and_entries(data: dict) -> tuple[IndexBasis, np.ndarray]:
     payload = entries["data"]
     if len(payload) != 16 * size**2:
         raise ValueError(f"entries payload holds {len(payload)} bytes: expected {16 * size**2}")
-    values = np.frombuffer(payload, dtype="<c16").astype(complex).reshape(size, size)
+    values = np.frombuffer(payload, dtype="<c16").reshape(size, size)
+    # a writable buffer, as `load_file`'s, becomes the entries as it is; a
+    # read-only one, as `matrix_to_dict`'s view of another matrix, is copied
+    values = values.astype(complex, copy=not values.flags.writeable)
     return IndexBasis(dimension, max_degree), values
 
 

@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import math
+
 import numpy as np
 import pytest
 
+from momentrank import IndexBasis, MomentMatrix
 from momentrank.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -95,3 +98,22 @@ def run_twice(tmp_path, monkeypatch, run_python):
         return first
 
     return run
+
+
+@pytest.fixture(scope="session")
+def line_moments():
+    """Returns the degree-D moment matrix of the uniform measure on the
+    complex line {z_2 = c z_1}, |z_1| < 1, c = 1/2: a_ab = pi c^a_2
+    conj(c)^b_2 / (|a| + 1) when |a| = |b|, and 0 otherwise."""
+
+    def build(degree: int, c: complex = 0.5) -> MomentMatrix:
+        basis = IndexBasis(2, degree)
+        exps = basis.entries_array()
+        total = exps.sum(axis=1)
+        powers = c ** exps[:, 1]
+        same = total[:, np.newaxis] == total[np.newaxis, :]
+        entries = np.where(same, math.pi * np.outer(powers, np.conj(powers))
+                           / (total[:, np.newaxis] + 1), 0)
+        return MomentMatrix(basis, entries.astype(complex))
+
+    return build

@@ -18,13 +18,24 @@ from momentrank import (ComplexPoint, DensityMeasure, DensitySpec, DiscreteMeasu
                         MomentMatrix, Polydisk, enclosing_kernel, galerkin_matrix,
                         generate_measure, moment_matrix, moments)
 from momentrank.cli import build_parser, main
-from momentrank.serialize import (any_measure_from_dict, density_to_dict, dump_bytes, dump_json,
-                                  galerkin_to_dict, load_bytes, matrix_from_dict, matrix_to_dict,
+from momentrank.serialize import (any_measure_from_dict, density_to_dict, dump_chunks, dump_json,
+                                  galerkin_to_dict, load_file, matrix_from_dict, matrix_to_dict,
                                   measure_from_dict, measure_to_dict, pair)
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def file_bytes(payload):
+    """The bytes the CLI writes for a payload: its chunks, joined."""
+    return b"".join(dump_chunks(payload))
+
+
+def load_path(path):
+    """The value the file at path holds, as every command reads it."""
+    with open(path, "rb") as f:
+        return load_file(f)
 
 
 def _entries(values, shape=None):
@@ -145,7 +156,7 @@ def test_existing_output_keeps_its_inode(tmp_path):
     assert run("moments", "--input", str(tmp_path / "m.json"), "--degree", "4",
                "--output", str(out)) == 0
     assert out.stat().st_ino == inode
-    assert load_bytes(out.read_bytes())["max_degree"] == 4
+    assert load_path(out)["max_degree"] == 4
 
 
 @pytest.mark.parametrize("command, name", [("moments", "m.json"), ("rank", "A.json"),
@@ -246,7 +257,7 @@ def test_rank_and_spectrum_outputs(tmp_path):
     assert len(rank_data["singular_values"]) == 5
     assert run("galerkin", "--input", str(m_path), "--degree", "4",
                "--kernel", "bergman", "--output", str(g_path)) == 0
-    gal = load_bytes(g_path.read_bytes())
+    gal = load_path(g_path)
     assert gal["kernel"]["kind"] == "bergman_polydisk"
     assert run("spectrum", "--input", str(g_path), "--output", str(s_path)) == 0
     lines = s_path.read_text().strip().split("\n")
@@ -282,10 +293,10 @@ def test_non_finite_matrix_file_is_numerical_failure(tmp_path, capfd, command, b
         run("galerkin", "--input", str(m_path), "--degree", "10", "--output", str(a_path))
     else:
         run("moments", "--input", str(m_path), "--degree", "4", "--output", str(a_path))
-    data = load_bytes(a_path.read_bytes())
+    data = load_path(a_path)
     a = matrix_from_dict(data)
     a.entries[3, 5] = complex(bad, 0.0)
-    a_path.write_bytes(dump_bytes({**data, **matrix_to_dict(a)}))
+    a_path.write_bytes(file_bytes({**data, **matrix_to_dict(a)}))
     capfd.readouterr()
     # a numpy warning would be a second stderr line; pytest turns it into an error
     assert run(command, "--input", str(a_path)) == 3
@@ -299,7 +310,7 @@ def test_matrix_file_whose_singular_value_overflows_is_numerical_failure(tmp_pat
     # finite entries, but the largest singular value 4.5e308 is not
     a = MomentMatrix(IndexBasis(1, 2), np.full((3, 3), 1.5e308 + 0j))
     path, out = tmp_path / "a.json", tmp_path / "out"
-    path.write_bytes(dump_bytes(matrix_to_dict(a)))
+    path.write_bytes(file_bytes(matrix_to_dict(a)))
     assert run(command, "--input", str(path), "--output", str(out)) == 3
     err = capfd.readouterr().err
     assert err == "numerical failure: largest singular value inf is not finite\n"
@@ -314,8 +325,8 @@ def test_matrix_file_whose_entries_overflow_the_sketch_is_read_quietly(tmp_path,
     run("gen", "--dimension", "3", "--atoms", "2", "--seed", "4", "--output", str(m_path))
     source = "galerkin" if command == "spectrum" else "moments"
     run(source, "--input", str(m_path), "--degree", "6", "--output", str(a_path))
-    data = load_bytes(a_path.read_bytes())
-    a_path.write_bytes(dump_bytes({**data, "entries": _entries(np.full((84, 84), 1e200))}))
+    data = load_path(a_path)
+    a_path.write_bytes(file_bytes({**data, "entries": _entries(np.full((84, 84), 1e200))}))
     capfd.readouterr()
     assert run(command, "--input", str(a_path), "--output", str(out)) == 0
     assert capfd.readouterr().err == ""
@@ -628,6 +639,52 @@ def test_recovery_failure_exit_code(tmp_path):
     assert run("recover", "--input", str(a_path)) == 2
 
 
+def test_recover_on_a_line_measure_is_a_failure_line(tmp_path, capfd, line_moments):
+    # every pencil fit of a non-atomic measure on a complex line meets a
+    # singular eigenvector matrix: failed attempts, so exit 2, not 3
+    path, out = tmp_path / "a.json", tmp_path / "out"
+    path.write_bytes(file_bytes(matrix_to_dict(line_moments(8))))
+    assert run("recover", "--input", str(path), "--output", str(out)) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("failure: no block fits the moments; log: ")
+    assert "pencil eigenproblem failed" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+_PIPE = """
+import subprocess, sys
+cli = [sys.executable, "-m", "momentrank.cli"]
+moments = subprocess.Popen(cli + ["moments", "--input", "m.json", "--degree", "6"],
+                           stdout=subprocess.PIPE)
+rank = subprocess.run(cli + ["rank", "--input", "/dev/stdin"], stdin=moments.stdout,
+                      capture_output=True)
+moments.stdout.close()
+sys.stderr.buffer.write(rank.stderr)
+sys.stdout.buffer.write(rank.stdout)
+sys.exit(moments.wait() or rank.returncode)
+"""
+
+
+def test_matrix_piped_into_rank_reads_as_the_file(tmp_path, run_python):
+    # /dev/stdin on a pipe cannot seek, so its size is not known up front;
+    # the 113 KB matrix is more than a pipe buffer holds
+    argv = ("-m", "momentrank.cli")
+    done = run_python(*argv, "gen", "--dimension", "3", "--atoms", "3", "--seed", "2",
+                      "--output", "m.json", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    piped = run_python("-c", _PIPE, cwd=tmp_path)
+    assert piped.returncode == 0 and piped.stderr == "", piped.stderr
+    for command in (("moments", "--input", "m.json", "--degree", "6", "--output", "A.json"),
+                    ("rank", "--input", "A.json", "--output", "rank.json")):
+        done = run_python(*argv, *command, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+    assert (tmp_path / "A.json").stat().st_size > 2**16
+    from_pipe = json.loads(piped.stdout)
+    from_file = json.loads((tmp_path / "rank.json").read_text())
+    assert from_pipe["rank"] == from_file["rank"] == 3
+    assert from_pipe["singular_values"] == from_file["singular_values"]
+
+
 # d=1, D=1: a basis of size 2, whose 2 x 2 entries take 64 bytes
 _GRAM_2 = np.array([[1.0, 0.5], [0.5, 1.0]], dtype="<c16").tobytes()
 _NOT_JSON = "{path} is not valid JSON: "
@@ -706,7 +763,7 @@ MEASURE = {"dimension": 1, "atoms": [{"location": [[0.5, 0]], "weight": [1, 0]}]
 )
 def test_file_missing_a_key_names_its_kind_and_the_key(tmp_path, capsys, argv, data, message):
     path = tmp_path / "in.json"
-    path.write_bytes(dump_bytes(data))
+    path.write_bytes(file_bytes(data))
     assert run(*argv, "--input", str(path)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -717,7 +774,7 @@ def test_matrix_file_size_is_checked_before_its_basis_is_built(tmp_path, capsys,
     tables = moments._basis_tables
     monkeypatch.setattr(moments, "_basis_tables", lambda *key: built.append(key) or tables(*key))
     path = tmp_path / "a.json"
-    path.write_bytes(dump_bytes(
+    path.write_bytes(file_bytes(
         {"dimension": 3, "max_degree": 10**6, "order": "grlex", "entries": _entries([[1.0]])}
     ))
     assert run("rank", "--input", str(path)) == 1
@@ -766,7 +823,7 @@ def test_malformed_complex_pair_names_its_kind_and_the_value(tmp_path, capsys, d
 )
 def test_nested_value_of_the_wrong_type_names_its_key(tmp_path, capsys, argv, data, message):
     path = tmp_path / "in.json"
-    path.write_bytes(dump_bytes(data))
+    path.write_bytes(file_bytes(data))
     assert run(*argv, "--input", str(path)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -802,7 +859,7 @@ def test_integer_field_that_is_not_a_json_integer_is_one_error_line(
     _at(doc, path[:-1])[path[-1]] = bad
     key = [k for k in path if isinstance(k, str)][-1]
     file, out = tmp_path / "in.json", tmp_path / "out"
-    file.write_bytes(dump_bytes(doc))
+    file.write_bytes(file_bytes(doc))
     assert run(*argv, "--input", str(file), "--output", str(out)) == 1
     assert capsys.readouterr().err == f"error: {kind} file: {key!r} must be an integer, got {bad!r}\n"
     assert not out.exists()
@@ -844,6 +901,8 @@ def _matrix_files():
     m = generate_measure(2, 3, seed=1, separation=0.2)
     a = matrix_to_dict(moment_matrix(m, 4))
     g = galerkin_to_dict(galerkin_matrix(enclosing_kernel("bergman", m), m, 4))
+    for doc in (a, g):  # the entries' view as bytes, which _mutants deep-copies and splices
+        doc["entries"]["data"] = bytes(doc["entries"]["data"])
     return [("rank", a), ("recover", a), ("spectrum", g)]
 
 
@@ -916,7 +975,7 @@ def _run_on(command, raw, *flags):
 
 def test_unmutated_matrix_files_are_read():
     for command, doc in _matrix_files():
-        assert _run_on(command, dump_bytes(doc)) == (0, "", True), command
+        assert _run_on(command, file_bytes(doc)) == (0, "", True), command
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -184,6 +184,31 @@ def test_hermitian_exact_for_real_weights():
     assert np.array_equal(a.entries, a.entries.conj().T)
 
 
+@pytest.mark.parametrize("n, step", [(1, 4096), (10, 409), (64, 64), (128, 32), (220, 32),
+                                     (2024, 32)])
+def test_row_blocks_are_about_64_kb_and_at_least_32_rows(n, step):
+    blocks = moments._row_blocks(n)
+    assert [(b.start, b.stop) for b in blocks] == [(i, i + step) for i in range(0, n, step)]
+
+
+def test_gram_symmetrized_in_row_blocks_holds_the_bits_of_the_whole_formula():
+    # basis 220, seven row blocks: the reference forms (E + E^H) / 2 in full
+    m = generate_measure(3, 8, seed=3, separation=0.2)
+    weights = np.abs(m.weights_vector())
+    table = moments.monomial_table(m.locations_matrix(), IndexBasis(3, 9))
+    whole = (table * weights[:, np.newaxis]).T @ table.conj()
+    whole += whole.conj().T
+    whole *= 0.5
+    assert moments._gram(table, weights).tobytes() == whole.tobytes()
+
+
+def test_sketch_residual_in_row_blocks_is_the_norm_of_the_whole_gap():
+    a = moment_matrix(generate_measure(3, 8, seed=3, separation=0.2), 9)
+    sketch = moments._range_sketch(a.entries, 1e-8)
+    whole = float(np.linalg.norm(sketch.q @ sketch.b - a.entries))
+    assert 0 < sketch.residual == pytest.approx(whole, rel=1e-12)
+
+
 # -- density quadrature ----------------------------------------------------------------
 
 def test_uniform_unit_disk_diagonal_closed_form():

@@ -8,6 +8,8 @@ from momentrank import (
     IndexBasis,
     Atom,
     ComplexPoint,
+    DensityMeasure,
+    DensitySpec,
     DiscreteMeasure,
     DomainError,
     KernelSpec,
@@ -226,6 +228,26 @@ def test_galerkin_rejects_atoms_outside_domain():
     k = KernelSpec("bergman_polydisk", unit_polydisk(2))
     with pytest.raises(DomainError):
         galerkin_matrix(k, measure(2, ([1.5, 0], 1)), 2)
+
+
+@pytest.mark.parametrize("radius", [2.0, 1.0])
+def test_galerkin_of_a_density_inside_a_bergman_polydisk(radius):
+    # uniform unit disk: a_pq = pi delta_pq / (p + 1), and on a disk of radius
+    # R, ||z^p||^2 = pi R^(2p + 2) / (p + 1), so s A s = diag(R^-(2p + 2))
+    dens = DensityMeasure(1, unit_polydisk(1), DensitySpec("uniform"))
+    kernel = KernelSpec("bergman_polydisk", unit_polydisk(1, radius))
+    g = galerkin_matrix(kernel, dens, 4)
+    expected = np.diag([radius ** -(2 * p + 2) for p in range(5)]).astype(complex)
+    np.testing.assert_allclose(g.entries, expected, rtol=1e-13, atol=1e-15)
+    assert isinstance(g, GalerkinMatrix) and g.kernel == kernel
+
+
+@pytest.mark.parametrize("center, radius", [(0j, 0.5), (0.5 + 0j, 1.4)],
+                         ids=["smaller", "off-centre"])
+def test_galerkin_rejects_a_density_leaving_the_bergman_polydisk(center, radius):
+    dens = DensityMeasure(1, Polydisk(ComplexPoint((center,)), (1.0,)), DensitySpec("uniform"))
+    with pytest.raises(DomainError):
+        galerkin_matrix(KernelSpec("bergman_polydisk", unit_polydisk(1, radius)), dens, 3)
 
 
 def test_galerkin_degree_cap():

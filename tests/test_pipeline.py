@@ -6,12 +6,14 @@ import importlib.util
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from momentrank import DiscreteMeasure, generate_measure
+from momentrank.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -114,6 +116,46 @@ def test_files_pipeline_is_byte_identical_at_one_and_two_blas_threads(tmp_path, 
 def test_example_script_exits_0(tmp_path, run_python, script):
     done = run_python(script, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_rank_dichotomy_prints_saturating_and_full_ranks(tmp_path, run_python):
+    # defaults: d = 2, 4 atoms, degrees 1..6
+    done = run_python(ROOT / "scripts" / "rank_dichotomy.py", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    start = lines.index(next(line for line in lines if line.split()[:1] == ["degree"])) + 1
+    rows = [[int(x) for x in line.split()] for line in lines[start:start + 6]]
+    assert [row[0] for row in rows] == [1, 2, 3, 4, 5, 6]
+    assert [row[2] for row in rows] == [3, 4, 4, 4, 4, 4]
+    assert [row[3] for row in rows] == [row[1] for row in rows] == [3, 6, 10, 15, 21, 28]
+    assert "detected rank 4" in done.stdout
+
+
+def test_files_commands_hold_under_two_matrices_of_memory(tmp_path, monkeypatch):
+    # each matrix command on the basis-220 files holds its one n x n matrix
+    # plus row blocks: no copy of it for reading, writing or a residual.  The
+    # second pass is measured, so the caches that outlive a command (basis
+    # tables, sketch matrices) are built already
+    monkeypatch.chdir(tmp_path)
+    matrix_bytes = 16 * 220**2
+    peaks = {}
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for measured in (False, True):
+            for argv in FILES:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert main(list(argv)) == 0, argv
+                if measured:
+                    peak = tracemalloc.get_traced_memory()[1] - before
+                    peaks[argv[-1]] = peak / matrix_bytes
+    finally:
+        if started:
+            tracemalloc.stop()
+    del peaks["m.json"]  # gen holds no matrix
+    assert all(peak < 2 for peak in peaks.values()), peaks
 
 
 def test_cli_runs_with_numpy_alone(tmp_path, run_python):

@@ -276,8 +276,9 @@ def test_recovered_atoms_come_out_in_coordinate_order(d, n, degree):
 
 @pytest.mark.parametrize("d, n, degree", [(1, 9, 10), (2, 6, 6), (2, 12, 20), (3, 10, 7)])
 def test_residual_is_the_gap_of_the_recovered_measure(d, n, degree):
-    # complex weights and n <= 256: the gate's one row block is the whole
-    # unsymmetrized Gram product that moment_matrix also forms
+    # complex weights: the gate forms, one row block at a time, the same
+    # unsymmetrized Gram product as moment_matrix, each entry one dot
+    # product over the atoms
     a = moment_matrix(generate_measure(d, n, seed=n, separation=0.1), degree)
     assert a.basis.size <= 256
     report = recover_atoms(a, RecoveryConfig(seed=n))
@@ -613,3 +614,12 @@ def test_uncertified_density_ranks_every_truncation(svd_spy):
     assert verdict.passed
     assert verdict.ranks == tuple(range(2, 10))
     assert shapes == [(k + 1, k + 1) for k in range(1, 9)]
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8, 10, 14, 20])
+def test_singular_pencil_is_a_failed_attempt_not_a_numerical_failure(line_moments, degree):
+    # the uniform measure on a complex line is not atomic: its pencil's
+    # eigenvector matrix is singular at every flat step, and the search
+    # logs each such fit and goes on
+    with pytest.raises(RecoveryError, match="pencil eigenproblem failed"):
+        recover_atoms(line_moments(degree))

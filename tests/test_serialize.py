@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -154,8 +155,8 @@ def test_matrix_entries_roundtrip_bits():
     ]:
         matrix.entries.view(float)[0, :8] = edge
         matrix.entries.view(float)[1, :8] = edge[::-1]
-        raw = serialize.dump_bytes(to_dict(matrix))
-        back = read(serialize.load_bytes(raw)).entries
+        raw = b"".join(serialize.dump_chunks(to_dict(matrix)))
+        back = read(serialize.load_file(io.BytesIO(raw))).entries
         assert back.view(float).tobytes() == matrix.entries.view(float).tobytes()
         assert back.dtype == np.complex128 and back.flags.writeable
 
@@ -170,17 +171,39 @@ def test_matrix_file_is_a_header_line_then_the_raw_payload(kind):
         matrix = galerkin_matrix(enclosing_kernel(kind, m), m, 3)
         payload = serialize.galerkin_to_dict(matrix)
     payload["run_spec"] = {"command": "x", "output": None}
-    raw = serialize.dump_bytes(payload)
-    header, data = raw.split(b"\n", 1)
+    header, data = serialize.dump_chunks(payload)
     entries = {"encoding": "f64le", "shape": [10, 10, 2]}
     assert header == json.dumps({**payload, "entries": entries}, sort_keys=True,
-                                separators=(",", ":")).encode()
+                                separators=(",", ":")).encode() + b"\n"
     assert data == matrix.entries.astype("<c16").tobytes() and len(data) == 16 * 10**2
-    loaded = serialize.load_bytes(raw)
+    # the writer gets a read-only view of the entries, not a copy of them
+    assert isinstance(data, memoryview) and data.readonly
+    assert np.shares_memory(np.frombuffer(data, dtype="<c16"), matrix.entries)
+    loaded = serialize.load_file(io.BytesIO(header + data))
     view = loaded["entries"].pop("data")
-    # the payload is a view into the file's bytes, not a copy of them
-    assert isinstance(view, memoryview) and view.obj is raw and view == data
+    # the reader puts the bytes after the header line in one fresh writable buffer
+    assert isinstance(view, bytearray) and view == data
     assert loaded == {**payload, "entries": entries}
+
+
+def test_matrix_read_back_from_a_dict_shares_no_memory():
+    a = moment_matrix(generate_measure(2, 3, seed=8), 3)
+    for data in (serialize.matrix_to_dict(a),
+                 serialize.load_file(io.BytesIO(b"".join(
+                     serialize.dump_chunks(serialize.matrix_to_dict(a)))))):
+        back = serialize.matrix_from_dict(data).entries
+        assert not np.shares_memory(back, a.entries)
+        assert back.dtype == np.complex128 and back.flags.writeable and back.flags.c_contiguous
+        assert back.tobytes() == a.entries.tobytes()
+
+
+def test_loaded_matrix_takes_the_read_buffer_as_its_entries():
+    a = moment_matrix(generate_measure(2, 3, seed=8), 3)
+    data = serialize.load_file(io.BytesIO(b"".join(
+        serialize.dump_chunks(serialize.matrix_to_dict(a)))))
+    buffer = data["entries"]["data"]
+    back = serialize.matrix_from_dict(data).entries
+    assert np.shares_memory(back, np.frombuffer(buffer, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
@@ -190,4 +213,4 @@ def test_json_files_load_as_json_loads(layout, bom):
     text = {"indented": serialize.dump_json(payload), "one-line": json.dumps(payload),
             "one-line-newline": json.dumps(payload) + "\n"}[layout]
     raw = bom + text.encode()
-    assert serialize.load_bytes(raw) == json.loads(raw) == payload
+    assert serialize.load_file(io.BytesIO(raw)) == json.loads(raw) == payload
