@@ -52,13 +52,17 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str, kind: str | None = None) -> dict:
+    """The JSON object in the file at path; read as a matrix file of `kind`,
+    one that does not parse has a first line that is not a matrix header."""
     try:
         with open(path, "rb") as f:
             data = serialize.load_file(f)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, deep nesting
+        if kind and isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
+            raise _CliError(f"{kind} file: first line of {path} is not a matrix header") from exc
         raise _CliError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _CliError(f"{path} does not hold a JSON object")
@@ -144,7 +148,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    a = serialize.matrix_from_dict(_read_json(args.input))
+    a = serialize.matrix_from_dict(_read_json(args.input, "moment matrix"))
     result = numerical_rank(a, args.rank_tol)
     payload = {
         "rank": result.rank,
@@ -171,7 +175,7 @@ def _cmd_galerkin(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    data = _read_json(args.input)
+    data = _read_json(args.input, "Galerkin matrix")
     if "kernel" not in data:
         raise _CliError(f"spectrum needs a Galerkin matrix file; {args.input} has no kernel")
     values = spectrum(serialize.galerkin_from_dict(data))
@@ -181,7 +185,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    a = serialize.matrix_from_dict(_read_json(args.input))
+    a = serialize.matrix_from_dict(_read_json(args.input, "moment matrix"))
     report = recover_atoms(a, _config_from_args(args))
     payload = serialize.report_to_dict(report)
     payload["run_spec"] = _run_spec(args)

@@ -17,18 +17,20 @@ refined for the Gaussian until the entries stabilize below 1e-10.
 
 `numerical_rank` counts singular values above a relative threshold.  A
 square matrix of size >= 64 is first compressed by one seeded randomized
-range sketch, A ~ Q B with B = Q^H A of width n // 8, whose residual
-||A - Q B||_F is computed exactly (`_range_sketch`; atomic moment and
-Galerkin matrices have rank N far below their size).  Two certificates read
-it: the rank's, when every singular value of B sits clear of the threshold
-by more than the residual (`_sketched_rank`), and the spectrum's, when the
-residual is within a dense eigensolver's own backward error
-(`operators.spectrum`).  When a certificate cannot settle its question, as
-for a density's full-rank matrix, the dense SVD or eigensolver decides.  A
-density's full rank is instead certified for all leading truncations at
-once by `_full_rank_certificate`: one Cholesky factorization of the
-matrix's shifted Hermitian part, which `recovery.verify_theorem` tries
-before ranking each truncation.
+range sketch, A ~ Q B with B = Q^H A, whose residual ||A - Q B||_F is
+computed exactly (`_range_sketch`; atomic moment and Galerkin matrices have
+rank N far below their size).  Its width starts at 16 and doubles while the
+sketch has full rank, up to n // 8.  Two certificates read it: the rank's,
+when every singular value sits clear of the threshold by more than the
+residual (`_block_rank`, which also ranks a leading block or a diagonal
+rescaling s A s of A off A's sketch, as `recovery.verify_theorem` does),
+and the spectrum's, when the residual is within a dense eigensolver's own
+backward error (`operators.spectrum`).  When a certificate cannot settle
+its question, as for a density's full-rank matrix, the dense SVD or
+eigensolver decides.  A density's full rank is instead certified for all
+leading truncations at once by `_full_rank_certificate`: one Cholesky
+factorization of the matrix's shifted Hermitian part, which
+`recovery.verify_theorem` tries before ranking each truncation.
 """
 
 from __future__ import annotations
@@ -360,16 +362,20 @@ def _density_moment_matrix(m: DensityMeasure, basis: IndexBasis) -> np.ndarray:
     if g is None:
         g = PolynomialWeight.constant(m.dimension)
     factor = _gaussian_factor if m.density.kind == "gaussian" else None
-    tables = [
-        _disk_table(c, r, D + g.degree, D, factor)
-        for c, r in zip(m.domain.center.coords, m.domain.radii)
+    # columns[j][p, k] = t_j[p, beta_kj]: each table's columns gathered once,
+    # so entry (i, k) of a term's j-th factor is row alpha_ij + gamma_j there
+    columns = [
+        _disk_table(c, r, D + g.degree, D, factor)[:, exps[:, j]]
+        for j, (c, r) in enumerate(zip(m.domain.center.coords, m.domain.radii))
     ]
     out = np.zeros((basis.size, basis.size), dtype=complex)
-    for gamma, coeff in g.terms.items():
-        term = np.ones((basis.size, basis.size), dtype=complex)
-        for j, table in enumerate(tables):
-            term *= table[exps[:, j, np.newaxis] + gamma[j], exps[np.newaxis, :, j]]
-        out += coeff * term
+    for rows in _row_blocks(basis.size):
+        alpha = exps[rows]
+        for gamma, coeff in g.terms.items():
+            term = np.ones((len(alpha), basis.size), dtype=complex)
+            for j, cols in enumerate(columns):
+                term *= cols[alpha[:, j] + gamma[j]]
+            out[rows] += coeff * term
     return out
 
 
@@ -428,7 +434,7 @@ class RankResult(NamedTuple):
 _RANK_TOL = 1e-8  # the default relative rank threshold, also RecoveryConfig's
 _CONDITION_LIMIT = 1e12
 _SKETCH_MIN_SIZE = 64
-_SKETCH_RATIO = 8  # sketch width l = n // 8
+_SKETCH_START, _SKETCH_RATIO = 16, 8  # widths 16, 32, ... while full rank, up to n // 8
 
 
 def _rank_result(sigma: np.ndarray, rel_tol: float) -> RankResult:
@@ -464,26 +470,32 @@ def _range_sketch(entries: np.ndarray, rel_tol: float) -> _RangeSketch | None:
     n >= 64, or None for any other matrix, when the sketch has full rank, and
     when a finite A overflows the sketch.
 
-    Y = A Omega for l = n // 8 complex Gaussian columns drawn from seed 0,
-    and Q R = Y (Halko, Martinsson and Tropp, SIAM Review 2011).  A last
-    diagonal entry of R above rel_tol |R_11| means Y has full rank, so A is
-    not low-rank and neither B nor the residual is formed.  Otherwise the
+    Y = A Omega and Q R = Y (Halko, Martinsson and Tropp, SIAM Review 2011)
+    for the first l columns of one seed-0 complex Gaussian Omega of n // 8
+    columns.  l starts at 16 and doubles, appending A Omega's next columns,
+    while |R_ll| > rel_tol |R_11| shows Y at full rank; at l = n // 8 A is
+    then not low-rank, and neither B nor the residual is formed.  The
     residual is exact: A = Q B - gap, with gap formed one row block at a
-    time (`_row_blocks`), so no n x n temporary is made.  Entries near
-    the float range overflow Y, R or the norms; the sketch then declines
-    without a warning and the caller's dense path decides.
+    time (`_row_blocks`), so no n x n temporary is made.  Entries near the
+    float range overflow Y, R or the norms; the sketch then declines without
+    a warning and the caller's dense path decides.
     """
     if not (entries.ndim == 2 and entries.shape[0] == entries.shape[1] >= _SKETCH_MIN_SIZE):
         return None
     n = entries.shape[0]
-    width = n // _SKETCH_RATIO
+    omega = _sketch_matrix(n, n // _SKETCH_RATIO)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = entries @ _sketch_matrix(n, width)
-        if not np.all(np.isfinite(y)):
-            return None
-        q, r = np.linalg.qr(y)
-        if not np.all(np.isfinite(r)) or abs(r[-1, -1]) > rel_tol * abs(r[0, 0]):
-            return None
+        y = entries @ omega[:, :_SKETCH_START]
+        while True:
+            if not np.all(np.isfinite(y)):
+                return None
+            q, r = np.linalg.qr(y)
+            full = abs(r[-1, -1]) > rel_tol * abs(r[0, 0])  # Y has full rank
+            if not np.all(np.isfinite(r)) or (full and y.shape[1] == omega.shape[1]):
+                return None
+            if not full:
+                break
+            y = np.hstack([y, entries @ omega[:, y.shape[1] : 2 * y.shape[1]]])
         b = q.conj().T @ entries
         gap_sq = 0.0
         for rows in _row_blocks(n):
@@ -496,31 +508,36 @@ def _range_sketch(entries: np.ndarray, rel_tol: float) -> _RangeSketch | None:
     return _RangeSketch(q, b, residual, b_norm)
 
 
-def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
-    """The rank of a square matrix from the certified range sketch of
-    `_range_sketch`, or None when the certificate cannot settle it.
-
-    With err = ||A - Q B||_F + n eps ||A||_F, every sigma_i(A) lies within
-    err of s_i = sigma_i(B), taken as 0 past l (Weyl), and the threshold
-    rel_tol sigma_1(A) within rel_tol err of rel_tol s_1.  The count is
-    accepted only if err lies below that threshold and no s_i lies within
-    err of where the threshold can fall, so the dense SVD would count the
-    same.
+def _block_rank(sketch, size: int, rel_tol: float, scale=None) -> RankResult | None:
+    """The rank of S A_k S, for the leading size-block A_k of the sketched A
+    and S = diag(scale) > 0 (S = I when None), or None when the certificate
+    cannot settle it.  With S Q_k = Q_x R_x, S A_k S = Q_x (R_x B_k S) -
+    S E_k S for E = Q B - A, and ||S E_k S||_F <= max(s)^2 ||E||_F.  So with
+    err = max(s)^2 (||E||_F + n eps ||A||_F), every sigma_i(S A_k S) lies
+    within err of s_i = sigma_i(R_x B_k S), taken as 0 past l (Weyl), and
+    the threshold rel_tol sigma_1 within rel_tol err of rel_tol s_1.  The
+    count is accepted only if err lies below that threshold and no s_i lies
+    within err of where it can fall, so the dense SVD would count the same.
     """
-    sketch = _range_sketch(entries, rel_tol)
-    if sketch is None:
-        return None
-    _, b, residual, b_norm = sketch
-    n = entries.shape[0]
+    q, b, residual, b_norm = sketch
+    n, q, b, bound = len(q), q[:size], b[:, :size], 1.0
+    if scale is not None:
+        q, b, bound = q * scale[:, np.newaxis], b * scale, float(np.max(scale)) ** 2
+    if size < n or scale is not None:  # else Q_x = Q, R_x = I
+        b = np.linalg.qr(q, mode="r") @ b
     # ||A||_F from the orthogonal split A = Q B - gap, without another pass over A
-    err = residual + n * np.finfo(float).eps * np.hypot(residual, b_norm)
+    err = bound * (residual + n * np.finfo(float).eps * np.hypot(residual, b_norm))
     s = np.linalg.svd(b, compute_uv=False)
     low, high = rel_tol * (s[0] - err), rel_tol * (s[0] + err)
     if not err < low or np.any((s >= low - err) & (s <= high + err)):
         return None
-    sigma = np.zeros(n)
-    sigma[: s.size] = s
-    return _rank_result(sigma, rel_tol)
+    return _rank_result(np.concatenate([s, np.zeros(size - s.size)]), rel_tol)
+
+
+def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
+    """The rank of a square matrix read off its own `_range_sketch`, or None."""
+    sketch = _range_sketch(entries, rel_tol)
+    return None if sketch is None else _block_rank(sketch, len(entries), rel_tol)
 
 
 def numerical_rank(a: MomentMatrix | np.ndarray, rel_tol: float = _RANK_TOL) -> RankResult:
@@ -531,12 +548,12 @@ def numerical_rank(a: MomentMatrix | np.ndarray, rel_tol: float = _RANK_TOL) -> 
     NumericalError before any LAPACK call, and so does an overflowed sigma_max.
 
     A square matrix of size n >= 64 is first ranked from a sketch of width
-    n // 8 with an exact a-posteriori residual (`_sketched_rank`): when the
-    residual certifies that every singular value sits clear of the
-    threshold, that count is returned, with the sketch's singular values
-    and zeros past its width.  Otherwise, and for every smaller or
-    rectangular matrix, the dense SVD decides, so both paths give the same
-    rank.
+    16, doubled up to n // 8 while it has full rank, with an exact
+    a-posteriori residual (`_sketched_rank`): when the residual certifies
+    that every singular value sits clear of the threshold, that count is
+    returned, with the sketch's singular values and zeros past its width.
+    Otherwise, and for every smaller or rectangular matrix, the dense SVD
+    decides, so both paths give the same rank.
     """
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie in (0, 1)")

@@ -199,8 +199,8 @@ def spectrum(gal: GalerkinMatrix) -> np.ndarray:
 
     Complex atom weights make the matrix non-Hermitian in general, so the
     values come from a nonsymmetric solver.  A matrix of size n >= 64 is
-    first compressed by the range sketch that also ranks it
-    (`moments._range_sketch`, width l = n // 8, at tolerance n eps).  When
+    first compressed by the range sketch that also ranks it, of width l
+    (`moments._range_sketch` at tolerance n eps; l <= n // 8).  When
     its exact residual ||A - Q B||_F is at most n eps ||B||_F, the backward
     error the dense solver has anyway, the values are the l eigenvalues of
     the l x l matrix B Q, which are the nonzero eigenvalues of Q B = A - E

@@ -56,8 +56,11 @@ from .moments import (
     NumericalError,
     RankResult,
     _RANK_TOL,
+    _SKETCH_MIN_SIZE,
+    _block_rank,
     _full_rank_certificate,
     _gram,
+    _range_sketch,
     _row_blocks,
     leading_truncation,
     moment_matrix,
@@ -405,6 +408,20 @@ class TheoremVerdict:
         return all(c.passed for c in self.checks)
 
 
+def _leading_rank(entries, sketch, size: int, rel_tol: float, scale=None) -> RankResult:
+    """`numerical_rank` of S A_k S (A_k the leading size-block of A = entries,
+    S = diag(scale), I when None), read off A's range sketch (or None) when
+    size >= 64 and `moments._block_rank` settles it, else off the formed block."""
+    found = sketch and size >= _SKETCH_MIN_SIZE and _block_rank(sketch, size, rel_tol, scale)
+    if found:
+        return found
+    block = entries[:size, :size]
+    if scale is not None:
+        block = block * scale[:, np.newaxis]
+        block *= scale
+    return numerical_rank(block, rel_tol)
+
+
 def verify_theorem(
     m: DiscreteMeasure | DensityMeasure,
     degrees: list[int],
@@ -428,6 +445,7 @@ def verify_theorem(
       and the measured degree is that of the block the atoms came from;
     - galerkin_rank_equality: the Galerkin matrices s A s of the degree-D
       block A under both kernels (`enclosing_kernel`) have the rank of A;
+      they, and A's blocks of size >= 64, are ranked off one sketch of A;
     - reweighting_rank_monotonicity: |g|^2 mu, for a linear g drawn from
       cfg.seed, has rank at most N, and exactly N when g vanishes on no atom;
     - submatrix_consistency (d >= 2): the alpha_1 = beta_1 = 0 block equals
@@ -450,7 +468,9 @@ def verify_theorem(
         check = CheckResult("rank_growth", list(ranks) == expected, measured)
         return TheoremVerdict("density", tuple(degrees), ranks, (check,))
 
-    estimates = [numerical_rank(t, cfg.rank_tol) for t in truncations]
+    a = truncations[-1]
+    sketch = _range_sketch(a.entries, cfg.rank_tol)
+    estimates = [_leading_rank(a.entries, sketch, t.basis.size, cfg.rank_tol) for t in truncations]
     ranks = tuple(e.rank for e in estimates)
     n = m.atom_count
     saturation_ok = all(r == n for d, r in zip(degrees, ranks) if d >= max(n - 1, 0))
@@ -478,13 +498,11 @@ def verify_theorem(
         measured = {"degree": top, "error": str(exc)}
     checks.append(CheckResult("recovery_roundtrip", ok, measured))
 
-    a, base_rank = truncations[-1], ranks[-1]
+    base_rank = ranks[-1]
     galerkin_measured = {}
     for kind in ("bargmann", "bergman"):
         scale = np.exp(_log_normalizers(enclosing_kernel(kind, m), a.basis))
-        galerkin = a.entries * scale[:, np.newaxis]
-        galerkin *= scale  # in place: one n x n buffer beside a
-        g_rank = numerical_rank(galerkin, cfg.rank_tol).rank
+        g_rank = _leading_rank(a.entries, sketch, a.basis.size, cfg.rank_tol, scale).rank
         galerkin_measured[kind] = {"galerkin_rank": g_rank, "moment_rank": base_rank}
     galerkin_ok = all(v["galerkin_rank"] == base_rank for v in galerkin_measured.values())
     checks.append(CheckResult("galerkin_rank_equality", galerkin_ok, galerkin_measured))

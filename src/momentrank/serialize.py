@@ -144,8 +144,8 @@ def load_file(f: BinaryIO) -> Any:
     if head.endswith(b"\n"):  # a stream without a newline is one JSON value
         try:
             data = json.loads(head)
-        except (ValueError, RecursionError):  # the first line of a JSON document
-            pass
+        except ValueError:  # the first line of a JSON document; one nested
+            pass  # too deep (RecursionError) is as deep in the whole stream
     rest = _read_rest(f)
     if not (isinstance(data, dict) and isinstance(data.get("entries"), dict)):
         if rest or data is None:  # the first line is not the whole stream

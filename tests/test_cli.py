@@ -688,6 +688,7 @@ def test_matrix_piped_into_rank_reads_as_the_file(tmp_path, run_python):
 # d=1, D=1: a basis of size 2, whose 2 x 2 entries take 64 bytes
 _GRAM_2 = np.array([[1.0, 0.5], [0.5, 1.0]], dtype="<c16").tobytes()
 _NOT_JSON = "{path} is not valid JSON: "
+_NOT_A_HEADER = "{kind} file: first line of {path} is not a matrix header\n"
 
 
 def _shaped(header, shape):
@@ -712,9 +713,9 @@ def _shaped(header, shape):
          "{kind} file: unsupported entries encoding 'f64le-base64'"),
         (lambda h: _v3(h, _GRAM_2 + _GRAM_2[:16]),
          "{kind} file: entries payload holds 80 bytes: expected 64"),
-        (lambda h: _v3(h, _GRAM_2).replace(b"}\n", b"}", 1), _NOT_JSON),
-        (lambda h: b"{not json\n" + _GRAM_2, _NOT_JSON),
-        (lambda h: b"[1, 2]\n" + _GRAM_2, _NOT_JSON),
+        (lambda h: _v3(h, _GRAM_2).replace(b"}\n", b"}", 1), _NOT_A_HEADER),
+        (lambda h: b"{not json\n" + _GRAM_2, _NOT_A_HEADER),
+        (lambda h: b"[1, 2]\n" + _GRAM_2, _NOT_A_HEADER),
         (lambda h: b'{"x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}\n" + _GRAM_2, _NOT_JSON),
     ],
     ids=["null", "short-pair", "long-pairs", "ragged", "size-mismatch", "strings", "over-long",
@@ -726,7 +727,7 @@ def test_malformed_matrix_file_is_usage_error(tmp_path, capsys, make, message, c
     # pairs of the wrong length; ragged: a truncated payload; size-mismatch: a
     # smaller matrix; strings: the old base64 text payload.  A file whose
     # first line is not a matrix header is read as one JSON value, which its
-    # binary payload breaks
+    # binary payload breaks, or too deep a one for the parser
     header = {"dimension": 1, "max_degree": 1, "order": "grlex",
               "entries": {"encoding": "f64le", "shape": [2, 2, 2]}}
     if command == "spectrum":

@@ -337,6 +337,40 @@ def test_quadrature_overflow_stops_refining(monkeypatch):
     assert 1 <= len(levels) <= 2
 
 
+def _density_moments_by_whole_terms(m, basis):
+    """The n x n form of the density assembly: one whole term per gamma,
+    each factor a 2-D gather from the disk tables; the reference that the
+    row-blocked assembly must match bit for bit."""
+    exps = basis.entries_array()
+    g = m.density.polynomial
+    if g is None:
+        g = PolynomialWeight.constant(m.dimension)
+    factor = moments._gaussian_factor if m.density.kind == "gaussian" else None
+    tables = [moments._disk_table(c, r, basis.max_degree + g.degree, basis.max_degree, factor)
+              for c, r in zip(m.domain.center.coords, m.domain.radii)]
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    for gamma, coeff in g.terms.items():
+        term = np.ones((basis.size, basis.size), dtype=complex)
+        for j, table in enumerate(tables):
+            term *= table[exps[:, j, np.newaxis] + gamma[j], exps[np.newaxis, :, j]]
+        out += coeff * term
+    return out
+
+
+def test_density_assembly_in_row_blocks_keeps_every_bit(verify_inputs):
+    # the 18 densities of the verify benchmark at its degree 8 (basis 165 at
+    # d = 3, six row blocks)
+    densities = 0
+    for name, payload in verify_inputs(0):
+        m = any_measure_from_dict(payload)
+        if isinstance(m, DensityMeasure):
+            basis = IndexBasis(m.dimension, 8)
+            expected = _density_moments_by_whole_terms(m, basis)
+            assert moments._density_moment_matrix(m, basis).tobytes() == expected.tobytes(), name
+            densities += 1
+    assert densities == 18
+
+
 def test_polynomial_density_shifts_uniform_moments():
     # rho(z) = 2 z over the unit disk: a_{jk} = 2 * uniform_{j+1, k}
     g = PolynomialWeight(1, {(1,): 2.0})
@@ -648,13 +682,31 @@ def test_sketched_rank_matches_dense_svd(svd_spy, verify_inputs):
         assert gap <= 1e-12 * sigma[0], label
         size = len(entries)
         if atomic and size >= 64:
-            assert shapes == [(size // 8, size)], f"{label}: reached the dense SVD"
+            # every rank here is at most 8, so the first width serves
+            assert shapes == [(min(16, size // 8), size)], f"{label}: reached the dense SVD"
             sketched += 1
         else:
             assert shapes == [(size, size)], label
     # four matrices of each of the 33 corpus measures with d = 3, N >= 5, and
     # the 6 atomic d = 3 files at degrees 6, 7 and 8
     assert sketched == 4 * 33 + 6 * 3
+
+
+def test_rank_20_is_certified_by_a_grown_sketch(svd_spy):
+    # d=3, N=20, D=21 (basis 2024): Y has full rank at the first width, 16,
+    # so the sketch doubles once to 32 columns and certifies rank 20
+    # without the dense 2024 x 2024 SVD
+    truth = generate_measure(3, 20, 0, separation=0.1)
+    a = moment_matrix(truth, 21)
+    shapes = svd_spy()
+    result = numerical_rank(a)
+    assert shapes == [(32, 2024)]
+    assert result.rank == 20 and np.all(result.singular_values[32:] == 0)
+    # A = T^T diag(w) conj(T) for the 20 x 2024 monomial table T, so with
+    # T^T = Q R its singular values are those of the 20 x 20 R diag(w) R^H
+    r = np.linalg.qr(moments.monomial_table(truth.locations_matrix(), a.basis).T, mode="r")
+    sigma = np.linalg.svd((r * truth.weights_vector()) @ r.conj().T, compute_uv=False)
+    assert np.max(np.abs(result.singular_values[:20] - sigma)) <= 1e-12 * sigma[0]
 
 
 def _unitary(rng, n):

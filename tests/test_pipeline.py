@@ -158,6 +158,37 @@ def test_files_commands_hold_under_two_matrices_of_memory(tmp_path, monkeypatch)
     assert all(peak < 2 for peak in peaks.values()), peaks
 
 
+_D3_TERMS = [{"alpha": alpha, "coeff": coeff} for alpha, coeff in [
+    ([0, 0, 0], [1.0, 0.0]), ([1, 0, 0], [0.2, 0.1]), ([0, 1, 0], [0.0, -0.15]),
+    ([0, 0, 1], [0.1, 0.0])]]
+
+
+@pytest.mark.parametrize("density", [{"type": "uniform"},
+                                     {"type": "polynomial", "terms": _D3_TERMS}],
+                         ids=["uniform", "polynomial"])
+def test_density_moments_hold_under_two_matrices_of_memory(tmp_path, monkeypatch, density):
+    # `moments` on a d=3 density at degree 9 (basis 220) assembles the matrix
+    # it writes in row blocks: no n x n term or table factor beside it.  The
+    # second run is measured, so the basis tables are built already
+    monkeypatch.chdir(tmp_path)
+    domain = {"center": [[0.1, -0.2], [0.0, 0.0], [-0.3, 0.1]], "radii": [1.0, 0.9, 1.1]}
+    Path("d.json").write_text(json.dumps({"dimension": 3, "domain": domain, "density": density}))
+    argv = ["moments", "--input", "d.json", "--degree", "9", "--output", "A.json"]
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 2 * 16 * 220**2, peak / (16 * 220**2)
+
+
 def test_cli_runs_with_numpy_alone(tmp_path, run_python):
     # numpy is the only runtime dependency; scipy and hypothesis are test extras
     script = (

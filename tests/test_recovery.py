@@ -17,9 +17,11 @@ from momentrank import (
     Polydisk,
     RecoveryConfig,
     RecoveryError,
+    enclosing_kernel,
     generate_measure,
     match_atoms,
     moment_matrix,
+    numerical_rank,
     perturb_weight,
     pushforward_drop_coord,
     random_unitary,
@@ -30,7 +32,7 @@ from momentrank import (
     verify_theorem,
     weight_by_g,
 )
-from momentrank import operators, recovery
+from momentrank import moments, operators, recovery
 from momentrank.serialize import any_measure_from_dict, dump_json, report_to_dict
 
 
@@ -560,6 +562,111 @@ def test_verify_theorem_ranks_each_matrix_once(monkeypatch):
     assert len(seen) == len(set(seen))
     # six degrees, two Galerkin kernels, one reweighted measure
     assert len(seen) == 6 + 2 + 1
+
+
+# -- atomic verdicts through one sketch of the top matrix ------------------------
+
+def _d3_atomic_tops(verify_inputs):
+    """(label, measure, matrix): the d = 3 measures of the acceptance corpus
+    whose criterion-1 matrix (degree N + 1) reaches size 64, N >= 5, and the
+    six d = 3 atomic inputs of the verify benchmark at degree 8."""
+    for i in range(2, 200, 3):
+        n = 1 + i % 8
+        if n >= 5:
+            m = generate_measure(3, n, seed=1000 + i, separation=0.1)
+            yield f"corpus {1000 + i}", m, moment_matrix(m, n + 1)
+    for name, payload in verify_inputs(0):
+        if name.startswith("d3-atoms"):
+            m = any_measure_from_dict(payload)
+            yield name, m, moment_matrix(m, 8)
+
+
+def test_block_ranks_off_one_sketch_match_dense_svd(verify_inputs):
+    # every leading block of size >= 64 and both kernels' rescalings s A s
+    # are ranked off the one sketch of A: the certificate settles each, the
+    # count is the dense SVD's, and the leading values lie within the
+    # certified error max(s)^2 (||A - Q B||_F + n eps ||A||_F)
+    derived = 0
+    for label, m, a in _d3_atomic_tops(verify_inputs):
+        sketch = moments._range_sketch(a.entries, 1e-8)
+        n = a.basis.size
+        err = sketch.residual + n * np.finfo(float).eps * np.hypot(sketch.residual, sketch.b_norm)
+        cases = [(int(size), None) for size in a.basis.offsets[1:] if size >= 64]
+        for kind in ("bargmann", "bergman"):
+            scale = np.exp(operators._log_normalizers(enclosing_kernel(kind, m), a.basis))
+            cases.append((n, scale))
+        for size, scale in cases:
+            block, bound = a.entries[:size, :size], 1.0
+            if scale is not None:
+                block, bound = block * np.outer(scale, scale), np.max(scale) ** 2
+            sigma = np.linalg.svd(block, compute_uv=False)
+            rank = int(np.count_nonzero(sigma > 1e-8 * sigma[0]))
+            found = moments._block_rank(sketch, size, 1e-8, scale)
+            assert found is not None, f"{label} size {size}"
+            assert found.rank == rank, f"{label} size {size}"
+            assert len(found.singular_values) == size
+            gap = np.max(np.abs(found.singular_values[:rank] - sigma[:rank]))
+            assert gap <= bound * err, f"{label} size {size}"
+            derived += 1
+    # 33 corpus measures (8 of each N = 5, 7, 8, 9 of N = 6) and the six
+    # verify inputs, whose blocks of size >= 64 are those of degrees
+    # 6 .. N + 1 and 6 .. 8, plus two rescalings each
+    assert derived == 8 * 3 + 9 * 4 + 8 * 5 + 8 * 6 + 6 * 5
+
+
+def test_verify_ranks_its_large_blocks_off_one_sketch(svd_spy, monkeypatch, verify_inputs):
+    # degree 8 at d = 3 (basis 165): the top matrix's sketch answers the
+    # blocks of size >= 64 and both Galerkin checks; the only other sketch
+    # is the |g|^2-reweighted matrix's, and no dense SVD of size >= 64 runs
+    sketched = []
+    real = moments._range_sketch
+
+    def recording(entries, rel_tol):
+        if len(entries) >= 64:
+            sketched.append(len(entries))
+        return real(entries, rel_tol)
+
+    monkeypatch.setattr(moments, "_range_sketch", recording)
+    monkeypatch.setattr(recovery, "_range_sketch", recording)
+    shapes = svd_spy()
+    for label, m, _ in list(_d3_atomic_tops(verify_inputs))[-6:]:
+        assert verify_theorem(m, list(range(1, 9))).passed, label
+    assert sketched == [165, 165] * 6
+    assert not [shape for shape in shapes if shape[0] == shape[1] >= 64]
+
+
+@pytest.mark.parametrize("size", [100, 128])
+def test_leading_rank_the_certificate_declines_is_numerical_rank(size):
+    # rank 5 with row and column 99 zero: a scale of 1e5 there leaves s A s
+    # = A but lifts the certified error max(s)^2 (...) past the threshold,
+    # so the formed block goes to numerical_rank
+    rng = np.random.default_rng(5)
+    x, y = (rng.standard_normal((128, 5)) + 1j * rng.standard_normal((128, 5)) for _ in "xy")
+    x[99] = y[99] = 0
+    entries = x @ y.conj().T
+    sketch = moments._range_sketch(entries, 1e-8)
+    scale = np.ones(size)
+    scale[99] = 1e5
+    assert moments._block_rank(sketch, size, 1e-8).rank == 5
+    assert moments._block_rank(sketch, size, 1e-8, scale) is None
+    block = entries[:size, :size] * scale[:, np.newaxis]
+    block *= scale
+    expected = numerical_rank(block)
+    found = recovery._leading_rank(entries, sketch, size, 1e-8, scale)
+    assert found.rank == expected.rank == 5
+    assert found.singular_values.tobytes() == expected.singular_values.tobytes()
+    assert found.ill_conditioned is expected.ill_conditioned
+
+
+def test_atomic_verdicts_do_not_depend_on_the_block_certificate(monkeypatch, verify_inputs):
+    # the derived ranks only skip sketches and SVDs: with every one forced
+    # to decline, each block is formed and ranked, and the verdict must come
+    # out the same
+    cases = [(label, m) for label, m, _ in list(_d3_atomic_tops(verify_inputs))[-6:]]
+    derived = [verify_theorem(m, list(range(1, 9))) for _, m in cases]
+    monkeypatch.setattr(recovery, "_block_rank", lambda *args: None)
+    for (label, m), verdict in zip(cases, derived):
+        assert verify_theorem(m, list(range(1, 9))) == verdict, label
 
 
 # -- density verdicts through the full-rank certificate --------------------------
