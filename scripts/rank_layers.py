@@ -20,6 +20,15 @@ Each section also reports the widths of the range sketches it formed on
 matrices of size >= 64 (0 for a sketch that declined) and, for verify, the
 number formed per measure.
 
+A density section times the quadrature layer that feeds verify's
+rank_growth check:
+
+  * density_moments_ms: `moment_matrix(m, 8)` over the 18 densities of the
+    same input set, the median per input;
+  * density_level_nodes: per density kind, the distinct sequences of node
+    counts of one disk table's levels (one level for uniform and
+    polynomial densities, the Gaussian's refinements after it).
+
     python3 scripts/rank_layers.py [--repeats R]
 """
 
@@ -38,6 +47,7 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from momentrank import (  # noqa: E402
+    DensityMeasure,
     enclosing_kernel,
     galerkin_matrix,
     generate_measure,
@@ -102,6 +112,33 @@ def _time_rank_layer(calls: list) -> None:
         setattr(recovery, name, timed)
 
 
+def _level_nodes(densities) -> dict:
+    """Per density kind, the distinct sequences of node counts of one disk
+    table's levels, read by wrapping `moments._disk_table` and
+    `moments._gram` while each density's degree-8 moments are assembled."""
+    tables: list = []
+    disk_table, gram = moments._disk_table, moments._gram
+
+    def counted_table(*args):
+        tables.append([])
+        return disk_table(*args)
+
+    def counted_gram(table, weights):
+        tables[-1].append(len(table))
+        return gram(table, weights)
+
+    moments._disk_table, moments._gram = counted_table, counted_gram
+    found: dict = {}
+    try:
+        for x in densities:
+            tables.clear()
+            moment_matrix(x, 8)
+            found.setdefault(x.density.kind, set()).update(map(tuple, tables))
+    finally:
+        moments._disk_table, moments._gram = disk_table, gram
+    return {kind: sorted(map(list, seqs)) for kind, seqs in sorted(found.items())}
+
+
 def _median_ms(run, repeats: int) -> float:
     times = []
     for _ in range(repeats):
@@ -139,8 +176,14 @@ def main():
     )
     result["spectrum_220_widths"] = sorted(set(widths))
 
-    measures = [any_measure_from_dict(payload) for name, payload in _verify_inputs()
-                if name.startswith("d3-atoms")]
+    inputs = [(name, any_measure_from_dict(payload)) for name, payload in _verify_inputs()]
+    densities = [x for _, x in inputs if isinstance(x, DensityMeasure)]
+    result["density_level_nodes"] = _level_nodes(densities)
+    result["density_moments_ms"] = _median_ms(
+        lambda: [moment_matrix(x, 8) for x in densities], args.repeats
+    ) / len(densities)
+
+    measures = [x for name, x in inputs if name.startswith("d3-atoms")]
     degrees = list(range(1, 9))
     for x in measures:
         if not verify_theorem(x, degrees).passed:

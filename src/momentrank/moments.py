@@ -12,8 +12,10 @@ iterative multiplication along the graded order (no complex pow calls).  The
 points are the atoms of a discrete measure (exact up to rounding; a
 Galerkin matrix rescales that matrix, see operators), or the polar nodes of
 a density's per-coordinate disk tables (Gauss-Legendre in radius, trapezoid in
-angle): exact on the first level for uniform and polynomial densities, and
-refined for the Gaussian until the entries stabilize below 1e-10.
+angle).  The first level has q_max + 1 radii and p_max + 1 angles, the
+fewest that are exact for uniform and polynomial densities, which stop
+there; the Gaussian starts no coarser than its unit width needs and doubles
+both counts until the entries stabilize below 1e-10.
 
 `numerical_rank` counts singular values above a relative threshold.  A
 square matrix of size >= 64 is first compressed by one seeded randomized
@@ -287,16 +289,29 @@ def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
 # dm(z).  Each table is the Gram product of weighted polar nodes; with real
 # node weights it comes out exactly Hermitian.
 #
-# Without the radial factor the integrand of t_j[p, q] is a polynomial: in
-# polar form about the disk's centre it has radial degree <= p + q + 1 (the
-# Jacobian r included) and angular frequencies |k| <= p + q.  The first
-# level's p_max + q_max + 2 Gauss-Legendre nodes are exact up to radial
-# degree 2 (p_max + q_max) + 3, and its n = 4 (p_max + q_max + 1) trapezoid
-# nodes are exact for every frequency |k| < n, so uniform and polynomial
-# tables are exact on the first level.  Only the Gaussian is refined.
+# Without the radial factor the integrand of t_j[p, q] is a polynomial.  About
+# the disk's centre c, z = c + s e^{i theta} and z^p conj(z)^q is a sum of
+# s^(a+b) e^{i (a - b) theta} over a <= p, b <= q, so its angular frequencies
+# run from -q_max to p_max.  The n-point trapezoid rule integrates e^{ik theta}
+# exactly for 0 < |k| < n (Trefethen and Weideman, SIAM Review 56, 2014), so
+# n_theta = p_max + 1 angles (with q_max <= p_max) sum it exactly, leaving
+# the a = b terms s^(2a) with a <= min(p, q) <= q_max.  With the Jacobian s
+# that is radial degree <= 2 q_max + 1, which n_r = q_max + 1 Gauss-Legendre
+# radii integrate exactly.  So uniform and polynomial tables are exact on the
+# first level, (q_max + 1)(p_max + 1) nodes.
+#
+# Only the Gaussian is refined, doubling both counts per level.  Its factor
+# exp(-|z|^2 / 2) varies on a unit length, so before two levels can be
+# compared the first must see it: a rule whose nodes all miss the bump
+# agrees with its refinement at ~0 and stops with wrong moments.  Its first
+# level therefore also keeps the node spacing at most 2: Gauss-Legendre's
+# widest gap, pi r / (2 n_r), and the trapezoid's, 2 pi / n_theta, against
+# the factor's angular width 1 / sqrt(s |c|) on the circle of radius s <= r.
+# No level may exceed _MAX_NODES; a Gaussian disk too large for two levels
+# within it raises QuadratureError at once.
 
 _QUAD_TOL = 1e-10
-_MAX_REFINEMENTS = 6
+_MAX_NODES = 1 << 23  # nodes of one level at most: a 128 MB node array
 
 
 @functools.lru_cache(maxsize=64)
@@ -317,18 +332,27 @@ def _disk_table(
 ) -> np.ndarray:
     """Table of disk moments t[p, q], p <= p_max, q <= q_max (p_max >= q_max).
 
-    Exact for a polynomial integrand (`radial_density` None: the uniform and
-    polynomial densities), so the first level is returned as it is; with a
-    radial density (the Gaussian) the rule is refined until stable.  Raises
-    QuadratureError if refinement does not settle, and at once when a level
-    overflows to a non-finite table.
+    The first level has q_max + 1 Gauss-Legendre radii and p_max + 1
+    trapezoid angles, exact for a polynomial integrand (`radial_density`
+    None: the uniform and polynomial densities), so it is returned as it is.
+    With a radial density (the Gaussian) the first level also resolves the
+    factor's unit width, and both counts double until two levels agree
+    within 1e-10.  Raises QuadratureError if refinement does not settle
+    within _MAX_NODES nodes, and at once when a level overflows to a
+    non-finite table.
     """
     basis = IndexBasis(1, p_max)
+    n_r, n_theta = q_max + 1, p_max + 1
+    if radial_density is not None:  # node spacing <= 2 of the factor's width
+        need_r = math.pi * radius / 4
+        need_theta = math.pi * math.sqrt(radius * abs(center))
+        n_r = max(n_r, math.ceil(min(need_r, _MAX_NODES)))
+        n_theta = max(n_theta, math.ceil(min(need_theta, _MAX_NODES)))
+        if 4 * n_r * n_theta > _MAX_NODES:  # no two levels to compare
+            raise QuadratureError((math.inf, math.nan))
     current = None
     errors: list[float] = []
-    for level in range(_MAX_REFINEMENTS + 1):
-        n_r = (p_max + q_max + 2) << level
-        n_theta = 4 * (p_max + q_max + 1) << level
+    while n_r * n_theta <= _MAX_NODES:
         nodes, gl_weights = _gauss_legendre(n_r)
         # an overflow shows as a non-finite table, which is reported below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -352,7 +376,10 @@ def _disk_table(
             if err <= _QUAD_TOL * scale:
                 return refined
         current = refined
-    raise QuadratureError((errors[-2] if len(errors) > 1 else math.inf, errors[-1]))
+        n_r, n_theta = 2 * n_r, 2 * n_theta
+    raise QuadratureError(
+        (errors[-2] if len(errors) > 1 else math.inf, errors[-1] if errors else math.nan)
+    )
 
 
 def _density_moment_matrix(m: DensityMeasure, basis: IndexBasis) -> np.ndarray:
@@ -540,6 +567,19 @@ def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
     return None if sketch is None else _block_rank(sketch, len(entries), rel_tol)
 
 
+def _dense_rank(entries: np.ndarray, rel_tol: float) -> RankResult:
+    """The rank read off the dense SVD: the one path that decides whenever no
+    sketch settles a rank.  Non-finite entries raise NumericalError before
+    any LAPACK call."""
+    if not np.all(np.isfinite(entries)):
+        raise NumericalError("matrix has non-finite entries")
+    try:
+        sigma = np.linalg.svd(entries, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed: {exc}") from exc
+    return _rank_result(np.sort(sigma)[::-1], rel_tol)
+
+
 def numerical_rank(a: MomentMatrix | np.ndarray, rel_tol: float = _RANK_TOL) -> RankResult:
     """Count of singular values above rel_tol times the largest one.
 
@@ -553,21 +593,16 @@ def numerical_rank(a: MomentMatrix | np.ndarray, rel_tol: float = _RANK_TOL) -> 
     that every singular value sits clear of the threshold, that count is
     returned, with the sketch's singular values and zeros past its width.
     Otherwise, and for every smaller or rectangular matrix, the dense SVD
-    decides, so both paths give the same rank.
+    decides (`_dense_rank`), so both paths give the same rank.
     """
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie in (0, 1)")
     entries = a.entries if isinstance(a, MomentMatrix) else np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(entries)):
-        raise NumericalError("matrix has non-finite entries")
-    try:
+    try:  # non-finite entries make the sketch decline and _dense_rank raise
         sketched = _sketched_rank(entries, rel_tol)
-        if sketched is not None:
-            return sketched
-        sigma = np.linalg.svd(entries, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
-    return _rank_result(np.sort(sigma)[::-1], rel_tol)
+    return _dense_rank(entries, rel_tol) if sketched is None else sketched
 
 
 def _full_rank_certificate(entries: np.ndarray, rel_tol: float) -> bool:

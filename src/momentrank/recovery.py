@@ -58,6 +58,7 @@ from .moments import (
     _RANK_TOL,
     _SKETCH_MIN_SIZE,
     _block_rank,
+    _dense_rank,
     _full_rank_certificate,
     _gram,
     _range_sketch,
@@ -411,10 +412,15 @@ class TheoremVerdict:
 def _leading_rank(entries, sketch, size: int, rel_tol: float, scale=None) -> RankResult:
     """`numerical_rank` of S A_k S (A_k the leading size-block of A = entries,
     S = diag(scale), I when None), read off A's range sketch (or None) when
-    size >= 64 and `moments._block_rank` settles it, else off the formed block."""
+    size >= 64 and `moments._block_rank` settles it, else off the formed block.
+    When that block is A itself, of size >= 64, `sketch` (A's own) has
+    already declined or left the rank open, so the dense SVD decides without
+    sketching A again."""
     found = sketch and size >= _SKETCH_MIN_SIZE and _block_rank(sketch, size, rel_tol, scale)
     if found:
         return found
+    if scale is None and size == len(entries) >= _SKETCH_MIN_SIZE:
+        return _dense_rank(entries, rel_tol)
     block = entries[:size, :size]
     if scale is not None:
         block = block * scale[:, np.newaxis]

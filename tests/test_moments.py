@@ -644,6 +644,103 @@ def test_only_the_gaussian_refines(monkeypatch, spec, exact):
         assert len(calls) >= 4
 
 
+def _gram_node_counts(monkeypatch) -> list[int]:
+    """Installs a spy on `moments._gram` and returns the list it appends
+    each call's node count to."""
+    calls = []
+    gram = moments._gram
+
+    def counting(table, weights):
+        calls.append(len(table))
+        return gram(table, weights)
+
+    monkeypatch.setattr(moments, "_gram", counting)
+    return calls
+
+
+@pytest.mark.parametrize("q_max", [0, 1, 8])
+def test_polynomial_disk_table_is_one_level_of_the_fewest_exact_nodes(monkeypatch, q_max):
+    # q_max + 1 radii and p_max + 1 angles are exact for z^p conj(z)^q
+    calls = _gram_node_counts(monkeypatch)
+    center, radius, p_max = 0.4 - 0.3j, 0.9, q_max + 1
+    table = moments._disk_table(center, radius, p_max, q_max, None)
+    assert calls == [(q_max + 1) * (p_max + 1)]
+    expected = np.array([[offcenter_disk_moment(p, q, center, radius) for q in range(q_max + 1)]
+                         for p in range(p_max + 1)])
+    assert np.max(np.abs(table - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    # through the assembly: one call per coordinate disk, the polynomial
+    # density's tables one row longer than the uniform's
+    calls.clear()
+    domain = Polydisk(ComplexPoint((0.3 + 0.1j, -0.2j)), (1.0, 0.8))
+    moment_matrix(DensityMeasure(2, domain, DensitySpec("uniform")), q_max)
+    g = PolynomialWeight(2, {(0, 0): 1.0, (1, 0): 0.2j})
+    moment_matrix(DensityMeasure(2, domain, DensitySpec("polynomial", g)), q_max)
+    assert calls == [(q_max + 1) ** 2] * 2 + [(q_max + 1) * (q_max + 2)] * 2
+
+
+def _gaussian_disk_oracle(center, radius, degree):
+    """scipy's adaptive quadrature of t[p, q], p, q <= degree, of the
+    Gaussian factor over |z - c| < r, in polar coordinates about c."""
+    from scipy.integrate import dblquad
+
+    def integrand(theta, s, p, q, part):
+        z = center + s * np.exp(1j * theta)
+        return part(z**p * np.conj(z) ** q * np.exp(-abs(z) ** 2 / 2) / (2 * np.pi) * s)
+
+    return np.array([[complex(*(
+        dblquad(integrand, 0.0, radius, 0.0, 2 * np.pi, args=(p, q, part),
+                epsabs=1e-14, epsrel=1e-13)[0]
+        for part in (np.real, np.imag)))
+        for q in range(degree + 1)] for p in range(degree + 1)])
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize(
+    "center, radius, min_radii",
+    [
+        # small enough that the exact rule alone starts the refinement (at
+        # degree 0 a 1-node rule)
+        (0.2 + 0.1j, 0.4, 1),
+        # radius 3: at least ceil(3 pi / 4) = 3 radii to see the unit width
+        (0j, 3.0, 3),
+    ],
+)
+def test_gaussian_disk_table_against_adaptive_quadrature(
+    monkeypatch, degree, center, radius, min_radii
+):
+    calls = _gram_node_counts(monkeypatch)
+    table = moments._disk_table(center, radius, degree, degree, moments._gaussian_factor)
+    assert calls[0] == max(degree + 1, min_radii) * (degree + 1)
+    assert len(calls) >= 2
+    expected = _gaussian_disk_oracle(center, radius, degree)
+    assert np.max(np.abs(table - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "center, radius, degree",
+    [
+        (5 + 5j, 20.0, 2),  # needs late levels of the refinement
+        (0j, 40.0, 0),  # the 1- and 4-node rules both miss the bump
+        (15.3 + 12.9j, 30.0, 1),  # off-centre: the exact rules see ~0
+    ],
+)
+def test_wide_gaussian_disks_give_the_whole_plane_moments(center, radius, degree):
+    # each disk holds the disk of radius 10 about the origin, past which
+    # the factor's moments up to |z|^4 sum to below 1e-17, so the table is
+    # the whole plane's: t[p, q] = 2^p p! [p = q]
+    table = moments._disk_table(center, radius, degree, degree, moments._gaussian_factor)
+    expected = np.diag([2.0**p * math.factorial(p) for p in range(degree + 1)])
+    assert np.max(np.abs(table - expected)) <= 1e-10 * np.max(expected)
+
+
+def test_gaussian_disk_too_wide_for_two_levels_raises_at_once(monkeypatch):
+    calls = _gram_node_counts(monkeypatch)
+    with pytest.raises(QuadratureError):
+        moments._disk_table(0j, 1e7, 2, 2, moments._gaussian_factor)
+    assert calls == []
+
+
 # -- certified sketched rank ---------------------------------------------------
 
 def test_sketched_rank_matches_dense_svd(svd_spy, verify_inputs):

@@ -635,6 +635,32 @@ def test_verify_ranks_its_large_blocks_off_one_sketch(svd_spy, monkeypatch, veri
     assert not [shape for shape in shapes if shape[0] == shape[1] >= 64]
 
 
+def test_a_declined_top_sketch_is_not_built_again(monkeypatch):
+    # d = 3, N = 12 at degrees 1..6: the top block (84) fills the sketch's
+    # cap, so its sketch declines and the dense SVD ranks it without a second
+    # sketch of the same matrix; going through numerical_rank instead builds
+    # that repeat and reaches the same verdict, bit for bit
+    sketched = []
+    real = moments._range_sketch
+
+    def recording(entries, rel_tol):
+        sketch = real(entries, rel_tol)
+        if len(entries) >= 64:
+            sketched.append((len(entries), sketch is None))
+        return sketch
+
+    monkeypatch.setattr(moments, "_range_sketch", recording)
+    monkeypatch.setattr(recovery, "_range_sketch", recording)
+    m = generate_measure(3, 12, seed=2, separation=0.2)
+    verdict = verify_theorem(m, list(range(1, 7)))
+    assert verdict.passed
+    assert sketched == [(84, True)] * 4
+    sketched.clear()
+    monkeypatch.setattr(recovery, "_dense_rank", recovery.numerical_rank)
+    assert repr(verify_theorem(m, list(range(1, 7)))) == repr(verdict)
+    assert sketched == [(84, True)] * 5
+
+
 @pytest.mark.parametrize("size", [100, 128])
 def test_leading_rank_the_certificate_declines_is_numerical_rank(size):
     # rank 5 with row and column 99 zero: a scale of 1e5 there leaves s A s
