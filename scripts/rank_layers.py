@@ -115,19 +115,20 @@ def _time_rank_layer(calls: list) -> None:
 def _level_nodes(densities) -> dict:
     """Per density kind, the distinct sequences of node counts of one disk
     table's levels, read by wrapping `moments._disk_table` and
-    `moments._gram` while each density's degree-8 moments are assembled."""
+    `moments._polar_level` while each density's degree-8 moments are
+    assembled."""
     tables: list = []
-    disk_table, gram = moments._disk_table, moments._gram
+    disk_table, polar_level = moments._disk_table, moments._polar_level
 
     def counted_table(*args):
         tables.append([])
         return disk_table(*args)
 
-    def counted_gram(table, weights):
-        tables[-1].append(len(table))
-        return gram(table, weights)
+    def counted_level(center, radius, n_r, n_theta, *rest):
+        tables[-1].append(n_r * n_theta)
+        return polar_level(center, radius, n_r, n_theta, *rest)
 
-    moments._disk_table, moments._gram = counted_table, counted_gram
+    moments._disk_table, moments._polar_level = counted_table, counted_level
     found: dict = {}
     try:
         for x in densities:
@@ -135,7 +136,7 @@ def _level_nodes(densities) -> dict:
             moment_matrix(x, 8)
             found.setdefault(x.density.kind, set()).update(map(tuple, tables))
     finally:
-        moments._disk_table, moments._gram = disk_table, gram
+        moments._disk_table, moments._polar_level = disk_table, polar_level
     return {kind: sorted(map(list, seqs)) for kind, seqs in sorted(found.items())}
 
 

@@ -15,7 +15,9 @@ a density's per-coordinate disk tables (Gauss-Legendre in radius, trapezoid in
 angle).  The first level has q_max + 1 radii and p_max + 1 angles, the
 fewest that are exact for uniform and polynomial densities, which stop
 there; the Gaussian starts no coarser than its unit width needs and doubles
-both counts until the entries stabilize below 1e-10.
+both counts until the entries stabilize below 1e-10, within 2048 radii and
+2^23 nodes a level.  A level is summed over blocks of nodes, so its memory
+stays bounded.
 
 `numerical_rank` counts singular values above a relative threshold.  A
 square matrix of size >= 64 is first compressed by one seeded randomized
@@ -304,14 +306,24 @@ def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
 # exp(-|z|^2 / 2) varies on a unit length, so before two levels can be
 # compared the first must see it: a rule whose nodes all miss the bump
 # agrees with its refinement at ~0 and stops with wrong moments.  Its first
-# level therefore also keeps the node spacing at most 2: Gauss-Legendre's
-# widest gap, pi r / (2 n_r), and the trapezoid's, 2 pi / n_theta, against
-# the factor's angular width 1 / sqrt(s |c|) on the circle of radius s <= r.
-# No level may exceed _MAX_NODES; a Gaussian disk too large for two levels
-# within it raises QuadratureError at once.
+# level therefore also keeps the node spacing at most 2 on the circles that
+# pass within rho = sqrt(p_max + q_max) + 8 of the origin, radius s in
+# [|c| - rho, |c| + rho]; past rho the factor's moments up to |z|^(p + q)
+# are below e^-32 of their peak.  Gauss-Legendre radii lie
+# pi sqrt(s (r - s)) / n_r apart about s, closest at the ends of [0, r], and
+# the trapezoid's angles 2 pi / n_theta apart, against the factor's angular
+# width 1 / sqrt(s |c|) on the circle of radius s.
+# A Gaussian level may hold at most _MAX_RADII radii, which bounds the cost
+# of numpy's leggauss (a dense eigenproblem, ~0.7 s at 2048 radii on a 2-core
+# Xeon VM), and at most _MAX_NODES nodes, which bounds its time; a Gaussian
+# disk too large for two levels within both raises QuadratureError at once.
+# Each level is summed over blocks of nodes whose monomial table holds at
+# most _BLOCK_BYTES, so a level's memory does not grow with its node count.
 
 _QUAD_TOL = 1e-10
-_MAX_NODES = 1 << 23  # nodes of one level at most: a 128 MB node array
+_MAX_RADII = 1 << 11
+_MAX_NODES = 1 << 23
+_BLOCK_BYTES = 1 << 23
 
 
 @functools.lru_cache(maxsize=64)
@@ -327,6 +339,36 @@ def _gaussian_factor(z: np.ndarray) -> np.ndarray:
     return np.exp(-np.abs(z) ** 2 / 2) / (2 * np.pi)
 
 
+def _polar_level(
+    center: complex, radius: float, n_r: int, n_theta: int, basis: IndexBasis, q_max: int,
+    radial_density,
+) -> np.ndarray:
+    """One level of the disk table: n_r Gauss-Legendre radii times n_theta
+    trapezoid angles, node k at radius k // n_theta and angle k % n_theta.
+    The Gram products of blocks of nodes are summed; a level of at most
+    _BLOCK_BYTES / (16 (p_max + 1)) nodes is one block."""
+    nodes, gl_weights = _gauss_legendre(n_r)
+    n_nodes = n_r * n_theta
+    block = max(1, _BLOCK_BYTES // (16 * basis.size))
+    table = None
+    # an overflow shows as a non-finite table, which the caller reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = 0.5 * radius * (nodes + 1.0)
+        # node weights by radius, the polar Jacobian folded in
+        wr = 0.5 * radius * gl_weights * r * (2.0 * np.pi / n_theta)
+        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        ring = np.exp(1j * theta)
+        for start in range(0, n_nodes, block):
+            radii, angles = np.divmod(np.arange(start, min(start + block, n_nodes)), n_theta)
+            z = center + r[radii] * ring[angles]
+            w = wr[radii]
+            if radial_density is not None:
+                w = w * radial_density(z)
+            part = _gram(monomial_table(z, basis), w)[:, : q_max + 1]
+            table = part if table is None else table + part
+    return table
+
+
 def _disk_table(
     center: complex, radius: float, p_max: int, q_max: int, radial_density
 ) -> np.ndarray:
@@ -338,34 +380,29 @@ def _disk_table(
     With a radial density (the Gaussian) the first level also resolves the
     factor's unit width, and both counts double until two levels agree
     within 1e-10.  Raises QuadratureError if refinement does not settle
-    within _MAX_NODES nodes, and at once when a level overflows to a
-    non-finite table.
+    within _MAX_RADII radii and _MAX_NODES nodes, at once if not even two
+    levels fit, and at once when a level overflows to a non-finite table.
     """
     basis = IndexBasis(1, p_max)
     n_r, n_theta = q_max + 1, p_max + 1
-    if radial_density is not None:  # node spacing <= 2 of the factor's width
-        need_r = math.pi * radius / 4
-        need_theta = math.pi * math.sqrt(radius * abs(center))
+    if radial_density is not None:  # node spacing <= 2 where the factor's moments live
+        rho = math.sqrt(p_max + q_max) + 8.0
+        lo, hi = max(0.0, abs(center) - rho), min(radius, abs(center) + rho)
+        need_r = need_theta = 0.0
+        if lo < hi:
+            s = min(max(radius / 2, lo), hi)  # where the radii are widest apart
+            need_r = math.pi / 2 * math.sqrt(s * (radius - s))
+            need_theta = math.pi * math.sqrt(hi * abs(center))
         n_r = max(n_r, math.ceil(min(need_r, _MAX_NODES)))
         n_theta = max(n_theta, math.ceil(min(need_theta, _MAX_NODES)))
-        if 4 * n_r * n_theta > _MAX_NODES:  # no two levels to compare
+        if 2 * n_r > _MAX_RADII or 4 * n_r * n_theta > _MAX_NODES:  # no two levels
             raise QuadratureError((math.inf, math.nan))
     current = None
     errors: list[float] = []
-    while n_r * n_theta <= _MAX_NODES:
-        nodes, gl_weights = _gauss_legendre(n_r)
-        # an overflow shows as a non-finite table, which is reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = 0.5 * radius * (nodes + 1.0)
-            wr = 0.5 * radius * gl_weights * r  # polar Jacobian folded in
-            theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-            z = (center + r[:, np.newaxis] * np.exp(1j * theta)[np.newaxis, :]).ravel()
-            w = np.repeat(wr * (2.0 * np.pi / n_theta), n_theta)
-            if radial_density is not None:
-                w = w * radial_density(z)
-            refined = _gram(monomial_table(z, basis), w)[:, : q_max + 1]
+    while True:
+        refined = _polar_level(center, radius, n_r, n_theta, basis, q_max, radial_density)
         if not np.all(np.isfinite(refined)):
-            # finer levels cannot recover from an overflow; they only cost memory
+            # finer levels cannot recover from an overflow; they only cost time
             raise QuadratureError((errors[-1] if errors else math.inf, math.nan))
         if radial_density is None:
             return refined
@@ -377,6 +414,8 @@ def _disk_table(
                 return refined
         current = refined
         n_r, n_theta = 2 * n_r, 2 * n_theta
+        if n_r > _MAX_RADII or n_r * n_theta > _MAX_NODES:
+            break
     raise QuadratureError(
         (errors[-2] if len(errors) > 1 else math.inf, errors[-1] if errors else math.nan)
     )

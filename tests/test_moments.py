@@ -321,8 +321,8 @@ def test_quadrature_overflow_raises(kind):
 
 
 def test_quadrature_overflow_stops_refining(monkeypatch):
-    # every finer level overflows too, so it must not be built: the last of
-    # the 7 levels alone would hold a (nodes x (D+1)) table of ~10^6 rows
+    # every finer level overflows too, so it must not be built: the levels
+    # of a refinement run on up to _MAX_NODES nodes each
     levels = []
     gram = moments._gram
 
@@ -723,6 +723,9 @@ def test_gaussian_disk_table_against_adaptive_quadrature(
         (5 + 5j, 20.0, 2),  # needs late levels of the refinement
         (0j, 40.0, 0),  # the 1- and 4-node rules both miss the bump
         (15.3 + 12.9j, 30.0, 1),  # off-centre: the exact rules see ~0
+        # 172 radii space the bump 2 apart near the centre, where they
+        # crowd; pi r / 4 = 1179 would space them so over the whole radius
+        (0j, 1500.0, 0),
     ],
 )
 def test_wide_gaussian_disks_give_the_whole_plane_moments(center, radius, degree):
@@ -739,6 +742,63 @@ def test_gaussian_disk_too_wide_for_two_levels_raises_at_once(monkeypatch):
     with pytest.raises(QuadratureError):
         moments._disk_table(0j, 1e7, 2, 2, moments._gaussian_factor)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "center, radius",
+    [
+        # the bump at an end of the radii, where they lie closest: still
+        # more than _MAX_RADII / 2 of them to space them 2 apart there
+        (0j, 1e5),
+        # the bump in the middle, where they lie pi r / (2 n_r) apart
+        (2000 + 0j, 4000.0),
+    ],
+)
+def test_gaussian_disk_needing_too_many_radii_raises_before_any_rule(
+    monkeypatch, center, radius
+):
+    # leggauss solves a dense n x n eigenproblem, so no rule past
+    # _MAX_RADII radii may be asked for, not even to fail on it
+    calls = _gram_node_counts(monkeypatch)
+    radii = []
+    gauss_legendre = moments._gauss_legendre
+
+    def counting(n):
+        radii.append(n)
+        return gauss_legendre(n)
+
+    monkeypatch.setattr(moments, "_gauss_legendre", counting)
+    with pytest.raises(QuadratureError):
+        moments._disk_table(center, radius, 0, 0, moments._gaussian_factor)
+    assert calls == [] and radii == []
+
+
+@pytest.mark.parametrize("factor", [None, moments._gaussian_factor])
+def test_a_level_summed_in_blocks_is_the_whole_level(monkeypatch, factor):
+    # blocks of 7 nodes cut rings of 9 angles; the sum of their Gram
+    # products is the one-block table up to summation order
+    whole = moments._disk_table(1 + 1j, 2.0, 8, 8, factor)
+    calls = _gram_node_counts(monkeypatch)
+    monkeypatch.setattr(moments, "_BLOCK_BYTES", 7 * 16 * 9)
+    blocked = moments._disk_table(1 + 1j, 2.0, 8, 8, factor)
+    assert max(calls) == 7 and len(calls) > 81 // 7
+    assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+    assert np.array_equal(blocked, blocked.conj().T)
+
+
+def test_a_level_of_a_million_nodes_holds_one_block_at_a_time():
+    # the whole level's degree-8 monomial table would take 151 MB
+    import tracemalloc
+
+    basis = moments.IndexBasis(1, 8)
+    moments._gauss_legendre(1024)
+    tracemalloc.start()
+    try:
+        moments._polar_level(0.5, 3.0, 1024, 1024, basis, 8, moments._gaussian_factor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * moments._BLOCK_BYTES
 
 
 # -- certified sketched rank ---------------------------------------------------
