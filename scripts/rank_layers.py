@@ -11,10 +11,10 @@ Times the median over --repeats runs of:
     measures of the `verify` benchmark's first input set, per measure;
   * verify_rank_ms: the part of verify_ms spent in the rank calls the
     battery makes (`numerical_rank` and the sketch functions recovery
-    imports from moments), per measure, and verify_large_rank_ms the part
-    of that on matrices of size >= 64: the top matrix's blocks, its two
-    Galerkin rescalings and the separately assembled |g|^2-reweighted
-    matrix.
+    imports from moments), per measure, each timed at its outermost call,
+    and verify_large_rank_ms the part of that on matrices of size >= 64:
+    the top matrix's blocks, its two Galerkin rescalings and the separately
+    assembled |g|^2-reweighted matrix.
 
 Each section also reports the widths of the range sketches it formed on
 matrices of size >= 64 (0 for a sketch that declined) and, for verify, the
@@ -26,8 +26,9 @@ rank_growth check:
   * density_moments_ms: `moment_matrix(m, 8)` over the 18 densities of the
     same input set, the median per input;
   * density_level_nodes: per density kind, the distinct sequences of node
-    counts of one disk table's levels (one level for uniform and
-    polynomial densities, the Gaussian's refinements after it).
+    counts of one disk table's levels: one level of polar nodes for
+    uniform and polynomial densities, and the Gaussian's radial
+    Gauss-Legendre rules, doubling until two agree.
 
     python3 scripts/rank_layers.py [--repeats R]
 """
@@ -91,44 +92,68 @@ def _count_sketches(widths: list) -> None:
 
 
 def _time_rank_layer(calls: list) -> None:
-    """Wraps the rank functions recovery calls, so that each call appends
-    the size of the matrix it ranks and the seconds it took to calls."""
+    """Wraps the rank functions recovery calls, so that each outermost call
+    appends the size of the matrix it ranks and the seconds it took to
+    calls.  A rank call made inside another (`numerical_rank` inside
+    `_leading_rank`) is part of the outer call's time, not an entry of its
+    own."""
+    depth = [0]
     for name in RANK_LAYER:
         function = getattr(recovery, name, None)
         if function is None:
             continue
 
         def timed(*args, _function=function, _name=name, **kwargs):
+            if depth[0]:
+                return _function(*args, **kwargs)
             if _name == "_leading_rank":  # (entries, sketch, size, ...)
                 size = args[2]
             else:  # a MomentMatrix or an array
                 size = len(getattr(args[0], "entries", args[0]))
+            depth[0] += 1
             start = time.perf_counter()
             try:
                 return _function(*args, **kwargs)
             finally:
                 calls.append((size, time.perf_counter() - start))
+                depth[0] -= 1
 
         setattr(recovery, name, timed)
 
 
 def _level_nodes(densities) -> dict:
     """Per density kind, the distinct sequences of node counts of one disk
-    table's levels, read by wrapping `moments._disk_table` and
-    `moments._polar_level` while each density's degree-8 moments are
-    assembled."""
+    table's levels, read while each density's degree-8 moments are
+    assembled: for a uniform or polynomial table the polar nodes of its one
+    exact level (the rows of its `_gram` blocks), for the Gaussian the
+    radial Gauss-Legendre nodes of each of its levels."""
     tables: list = []
-    disk_table, polar_level = moments._disk_table, moments._polar_level
+    saved = (moments._disk_table, moments._gaussian_disk_table, moments._gram,
+             moments._gauss_legendre)
+    disk_table, gaussian_table, gram, gauss_legendre = saved
 
     def counted_table(*args):
-        tables.append([])
+        tables.append([0])
         return disk_table(*args)
 
-    def counted_level(center, radius, n_r, n_theta, *rest):
-        tables[-1].append(n_r * n_theta)
-        return polar_level(center, radius, n_r, n_theta, *rest)
+    def counted_gram(table, weights):
+        tables[-1][0] += len(table)
+        return gram(table, weights)
 
-    moments._disk_table, moments._polar_level = counted_table, counted_level
+    def counted_rule(n):
+        tables[-1].append(n)
+        return gauss_legendre(n)
+
+    def counted_gaussian(*args):
+        tables.append([])
+        moments._gauss_legendre = counted_rule
+        try:
+            return gaussian_table(*args)
+        finally:
+            moments._gauss_legendre = gauss_legendre
+
+    moments._disk_table, moments._gaussian_disk_table = counted_table, counted_gaussian
+    moments._gram = counted_gram
     found: dict = {}
     try:
         for x in densities:
@@ -136,7 +161,8 @@ def _level_nodes(densities) -> dict:
             moment_matrix(x, 8)
             found.setdefault(x.density.kind, set()).update(map(tuple, tables))
     finally:
-        moments._disk_table, moments._polar_level = disk_table, polar_level
+        (moments._disk_table, moments._gaussian_disk_table, moments._gram,
+         moments._gauss_legendre) = saved
     return {kind: sorted(map(list, seqs)) for kind, seqs in sorted(found.items())}
 
 

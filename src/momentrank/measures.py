@@ -77,7 +77,7 @@ class ComplexPoint:
         return len(self.coords)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coords))
+        return math.hypot(*map(abs, self.coords))  # no overflow past 1e154
 
     def distance(self, other: "ComplexPoint") -> float:
         if other.dimension != self.dimension:
@@ -255,7 +255,8 @@ class DensitySpec:
             return 1.0 + 0j
         if self.kind == "gaussian":
             d = point.dimension
-            return (2 * math.pi) ** (-d) * math.exp(-point.norm() ** 2 / 2) + 0j
+            norm = point.norm()  # norm * norm, unlike norm ** 2, overflows to inf quietly
+            return (2 * math.pi) ** (-d) * math.exp(-norm * norm / 2) + 0j
         return self.polynomial.evaluate(point)
 
 

@@ -6,18 +6,18 @@ principal submatrix of the degree-(D+1) matrix.  `IndexBasis` owns that
 layout as read-only integer arrays (exponents, +-e_j shifts, degree offsets,
 parents), built once per (d, D); no other code works it out again.
 
-Every matrix comes from one Gram product of weighted points,
+A discrete measure's matrix is one Gram product of weighted points,
 sum_k w_k z_k^alpha conj(z_k)^beta, over a monomial value table built by
-iterative multiplication along the graded order (no complex pow calls).  The
-points are the atoms of a discrete measure (exact up to rounding; a
-Galerkin matrix rescales that matrix, see operators), or the polar nodes of
-a density's per-coordinate disk tables (Gauss-Legendre in radius, trapezoid in
-angle).  The first level has q_max + 1 radii and p_max + 1 angles, the
-fewest that are exact for uniform and polynomial densities, which stop
-there; the Gaussian starts no coarser than its unit width needs and doubles
-both counts until the entries stabilize below 1e-10, within 2048 radii and
-2^23 nodes a level.  A level is summed over blocks of nodes, so its memory
-stays bounded.
+iterative multiplication along the graded order (no complex pow calls); it
+is exact up to rounding, and a Galerkin matrix rescales it (see operators).
+A density's matrix is assembled from per-coordinate disk tables.  Uniform
+and polynomial tables are the Gram product of one exact polar rule about the
+disk's centre, q_max + 1 Gauss-Legendre radii times p_max + 1 trapezoid
+angles, summed over blocks of nodes so that its memory stays bounded.  The
+Gaussian factor depends only on |z|, so its table is integrated about the
+origin: exactly in angle over each circle's arc inside the disk, and by
+Gauss-Legendre in radius, doubling up to 2048 nodes until the entries
+stabilize below 1e-10.
 
 `numerical_rank` counts singular values above a relative threshold.  A
 square matrix of size >= 64 is first compressed by one seeded randomized
@@ -285,44 +285,41 @@ def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
 # -- density quadrature ------------------------------------------------------
 #
 # Every catalogued density is a polynomial density sum_gamma c_gamma z^gamma
-# (uniform is {0: 1}) times a per-coordinate factor (the Gaussian's
-# exp(-|z_j|^2 / 2) / (2 pi), or 1), so the tensor-product rule reduces to
-# 1-D tables t_j[p, q] = integral over the j-th disk of z^p conj(z)^q rho_j(z)
-# dm(z).  Each table is the Gram product of weighted polar nodes; with real
-# node weights it comes out exactly Hermitian.
+# (uniform is {0: 1}), or the Gaussian prod_j exp(-|z_j|^2 / 2) / (2 pi), so
+# the tensor-product rule reduces to 1-D tables t_j[p, q] = integral over the
+# j-th disk of z^p conj(z)^q rho_j(z) dm(z).
 #
-# Without the radial factor the integrand of t_j[p, q] is a polynomial.  About
-# the disk's centre c, z = c + s e^{i theta} and z^p conj(z)^q is a sum of
-# s^(a+b) e^{i (a - b) theta} over a <= p, b <= q, so its angular frequencies
-# run from -q_max to p_max.  The n-point trapezoid rule integrates e^{ik theta}
-# exactly for 0 < |k| < n (Trefethen and Weideman, SIAM Review 56, 2014), so
-# n_theta = p_max + 1 angles (with q_max <= p_max) sum it exactly, leaving
-# the a = b terms s^(2a) with a <= min(p, q) <= q_max.  With the Jacobian s
-# that is radial degree <= 2 q_max + 1, which n_r = q_max + 1 Gauss-Legendre
-# radii integrate exactly.  So uniform and polynomial tables are exact on the
-# first level, (q_max + 1)(p_max + 1) nodes.
+# Without the Gaussian factor the integrand of t_j[p, q] is a polynomial, and
+# each table is the Gram product of weighted polar nodes about the disk's
+# centre c; with real node weights it comes out exactly Hermitian.  With
+# z = c + s e^{i theta}, z^p conj(z)^q is a sum of s^(a+b) e^{i (a - b) theta}
+# over a <= p, b <= q, so its angular frequencies run from -q_max to p_max.
+# The n-point trapezoid rule integrates e^{ik theta} exactly for 0 < |k| < n
+# (Trefethen and Weideman, SIAM Review 56, 2014), so n_theta = p_max + 1
+# angles (with q_max <= p_max) sum it exactly, leaving the a = b terms s^(2a)
+# with a <= min(p, q) <= q_max.  With the Jacobian s that is radial degree
+# <= 2 q_max + 1, which n_r = q_max + 1 Gauss-Legendre radii integrate
+# exactly.  So uniform and polynomial tables take one level of
+# (q_max + 1)(p_max + 1) nodes, summed over blocks of nodes whose monomial
+# table holds at most _BLOCK_BYTES, so its memory does not grow with its
+# node count.
 #
-# Only the Gaussian is refined, doubling both counts per level.  Its factor
-# exp(-|z|^2 / 2) varies on a unit length, so before two levels can be
-# compared the first must see it: a rule whose nodes all miss the bump
-# agrees with its refinement at ~0 and stops with wrong moments.  Its first
-# level therefore also keeps the node spacing at most 2 on the circles that
-# pass within rho = sqrt(p_max + q_max) + 8 of the origin, radius s in
-# [|c| - rho, |c| + rho]; past rho the factor's moments up to |z|^(p + q)
-# are below e^-32 of their peak.  Gauss-Legendre radii lie
-# pi sqrt(s (r - s)) / n_r apart about s, closest at the ends of [0, r], and
-# the trapezoid's angles 2 pi / n_theta apart, against the factor's angular
-# width 1 / sqrt(s |c|) on the circle of radius s.
-# A Gaussian level may hold at most _MAX_RADII radii, which bounds the cost
-# of numpy's leggauss (a dense eigenproblem, ~0.7 s at 2048 radii on a 2-core
-# Xeon VM), and at most _MAX_NODES nodes, which bounds its time; a Gaussian
-# disk too large for two levels within both raises QuadratureError at once.
-# Each level is summed over blocks of nodes whose monomial table holds at
-# most _BLOCK_BYTES, so a level's memory does not grow with its node count.
+# The Gaussian factor depends only on |z|, so its table is integrated in polar
+# coordinates about the origin, z = rho e^{i phi}, where z^p conj(z)^q =
+# rho^n e^{ik phi} with n = p + q, k = p - q.  The integral over phi of each
+# circle's part inside the disk is exact: a whole circle (rho < r - |c|)
+# gives 2 pi [k = 0], and an arc |phi - arg c| < beta gives e^{ik arg c}
+# S_k(beta), S_k(beta) = 2 sin(k beta) / k, S_0 = 2 beta.  One smooth radial
+# integral is left per piece, taken by Gauss-Legendre rules doubling to
+# _MAX_RADII nodes (numpy's leggauss solves a dense eigenproblem, ~0.7 s at
+# 2048) until two agree within 1e-10.  Only radii within sqrt(2 degree) + 8
+# of the disk's point nearest the origin are kept: past them the factor's
+# moments up to rho^(2 degree) are below e^-32 of their value there.  The
+# powers are formed as exp(n log rho - rho^2 / 2) and |c| r as g^2 with
+# g = sqrt(|c|) sqrt(r), so disks out to 1e300 do not overflow.
 
 _QUAD_TOL = 1e-10
 _MAX_RADII = 1 << 11
-_MAX_NODES = 1 << 23
 _BLOCK_BYTES = 1 << 23
 
 
@@ -335,23 +332,21 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _gaussian_factor(z: np.ndarray) -> np.ndarray:
-    return np.exp(-np.abs(z) ** 2 / 2) / (2 * np.pi)
-
-
-def _polar_level(
-    center: complex, radius: float, n_r: int, n_theta: int, basis: IndexBasis, q_max: int,
-    radial_density,
-) -> np.ndarray:
-    """One level of the disk table: n_r Gauss-Legendre radii times n_theta
-    trapezoid angles, node k at radius k // n_theta and angle k % n_theta.
-    The Gram products of blocks of nodes are summed; a level of at most
-    _BLOCK_BYTES / (16 (p_max + 1)) nodes is one block."""
+def _disk_table(center: complex, radius: float, p_max: int, q_max: int) -> np.ndarray:
+    """Table of disk moments t[p, q] = integral over |z - c| < r of
+    z^p conj(z)^q dm(z), p <= p_max, q <= q_max (p_max >= q_max), from the
+    exact rule of q_max + 1 Gauss-Legendre radii times p_max + 1 trapezoid
+    angles about c, node k at radius k // n_theta and angle k % n_theta.
+    The Gram products of blocks of at most _BLOCK_BYTES / (16 (p_max + 1))
+    nodes are summed.  Raises QuadratureError when the monomials overflow.
+    """
+    basis = IndexBasis(1, p_max)
+    n_r, n_theta = q_max + 1, p_max + 1
     nodes, gl_weights = _gauss_legendre(n_r)
     n_nodes = n_r * n_theta
     block = max(1, _BLOCK_BYTES // (16 * basis.size))
     table = None
-    # an overflow shows as a non-finite table, which the caller reports
+    # an overflow shows as a non-finite table, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         r = 0.5 * radius * (nodes + 1.0)
         # node weights by radius, the polar Jacobian folded in
@@ -361,61 +356,59 @@ def _polar_level(
         for start in range(0, n_nodes, block):
             radii, angles = np.divmod(np.arange(start, min(start + block, n_nodes)), n_theta)
             z = center + r[radii] * ring[angles]
-            w = wr[radii]
-            if radial_density is not None:
-                w = w * radial_density(z)
-            part = _gram(monomial_table(z, basis), w)[:, : q_max + 1]
+            part = _gram(monomial_table(z, basis), wr[radii])[:, : q_max + 1]
             table = part if table is None else table + part
+    if not np.all(np.isfinite(table)):
+        raise QuadratureError((math.inf, math.nan))
     return table
 
 
-def _disk_table(
-    center: complex, radius: float, p_max: int, q_max: int, radial_density
-) -> np.ndarray:
-    """Table of disk moments t[p, q], p <= p_max, q <= q_max (p_max >= q_max).
-
-    The first level has q_max + 1 Gauss-Legendre radii and p_max + 1
-    trapezoid angles, exact for a polynomial integrand (`radial_density`
-    None: the uniform and polynomial densities), so it is returned as it is.
-    With a radial density (the Gaussian) the first level also resolves the
-    factor's unit width, and both counts double until two levels agree
-    within 1e-10.  Raises QuadratureError if refinement does not settle
-    within _MAX_RADII radii and _MAX_NODES nodes, at once if not even two
-    levels fit, and at once when a level overflows to a non-finite table.
+def _gaussian_disk_table(center: complex, radius: float, degree: int) -> np.ndarray:
+    """Table of t[p, q] = integral over |z - c| < r of z^p conj(z)^q
+    exp(-|z|^2 / 2) / (2 pi) dm(z), p, q <= degree, in polar coordinates
+    about the origin.  The whole circles rho < r - |c| are integrated in
+    rho, the arcs |r - |c|| < rho < r + |c| in psi, the angle at the centre
+    from the origin's side: rho^2 = (r - |c|)^2 + (2 g sin(psi / 2))^2 with
+    g^2 = |c| r, so rho drho = g^2 sin(psi) dpsi.  Both take Gauss-Legendre
+    rules from 2 degree + 16 nodes, doubling until two levels agree within
+    1e-10 max(1, max |t|).  Entry (p, q) is R[p + q, |p - q|] e^{i (p - q)
+    arg c} for a real R, so the table is Hermitian bit for bit.  Raises
+    QuadratureError when no two levels within _MAX_RADII nodes agree.
     """
-    basis = IndexBasis(1, p_max)
-    n_r, n_theta = q_max + 1, p_max + 1
-    if radial_density is not None:  # node spacing <= 2 where the factor's moments live
-        rho = math.sqrt(p_max + q_max) + 8.0
-        lo, hi = max(0.0, abs(center) - rho), min(radius, abs(center) + rho)
-        need_r = need_theta = 0.0
-        if lo < hi:
-            s = min(max(radius / 2, lo), hi)  # where the radii are widest apart
-            need_r = math.pi / 2 * math.sqrt(s * (radius - s))
-            need_theta = math.pi * math.sqrt(hi * abs(center))
-        n_r = max(n_r, math.ceil(min(need_r, _MAX_NODES)))
-        n_theta = max(n_theta, math.ceil(min(need_theta, _MAX_NODES)))
-        if 2 * n_r > _MAX_RADII or 4 * n_r * n_theta > _MAX_NODES:  # no two levels
-            raise QuadratureError((math.inf, math.nan))
-    current = None
-    errors: list[float] = []
-    while True:
-        refined = _polar_level(center, radius, n_r, n_theta, basis, q_max, radial_density)
-        if not np.all(np.isfinite(refined)):
-            # finer levels cannot recover from an overflow; they only cost time
-            raise QuadratureError((errors[-1] if errors else math.inf, math.nan))
-        if radial_density is None:
-            return refined
+    a, g = abs(center), math.sqrt(abs(center)) * math.sqrt(radius)
+    window = max(0.0, a - radius) + math.sqrt(2 * degree) + 8.0
+    whole, top, gap = min(radius - a, window), min(radius + a, window), abs(radius - a)
+    half = 0.0  # psi / 2 where the arcs leave the window
+    if a > 0 and top > gap:
+        edge = math.sqrt((top - gap) / g / 2) * math.sqrt((top + gap) / g / 2)
+        half = math.asin(min(1.0, edge))
+    p, q = np.indices((degree + 1, degree + 1))
+    phase = np.exp(1j * np.abs(p - q) * np.angle(center))
+    phase = np.where(p >= q, phase, phase.conj())
+    powers, k = np.arange(2 * degree + 1)[:, np.newaxis], np.arange(1, degree + 1)
+    current, errors, n = None, [], 2 * degree + 16
+    while n <= _MAX_RADII:
+        x, w = _gauss_legendre(n)
+        radial = np.zeros((2 * degree + 1, degree + 1))  # R[p + q, |p - q|]
+        with np.errstate(over="ignore"):  # rho^2 past the float range: exp(-inf) = 0
+            if whole > 0:  # the angle's integral 2 pi [k = 0], times 1 / (2 pi)
+                rho = 0.5 * whole * (x + 1.0)
+                radial[:, 0] = np.exp(powers * np.log(rho) - rho**2 / 2) @ (0.5 * whole * w * rho)
+            if half > 0:  # the arc |phi - arg c| < beta: e^{ik arg c} S_k(beta)
+                psi = half * (x + 1.0)
+                sine = np.sin(psi / 2)
+                rho = np.hypot(gap, g * (2 * sine))
+                beta = np.arctan2(radius * np.sin(psi), (a - radius) + radius * (2 * sine**2))
+                arcs = np.hstack([2 * beta[:, np.newaxis], 2 * np.sin(np.outer(beta, k)) / k])
+                arcs *= ((g * np.sin(psi)) * (g * half * w) / (2 * np.pi))[:, np.newaxis]
+                radial += np.exp(powers * np.log(rho) - rho**2 / 2) @ arcs
+        refined = radial[p + q, np.abs(p - q)] * phase
         if current is not None:
             err = float(np.max(np.abs(refined - current)))
             errors.append(err)
-            scale = max(1.0, float(np.max(np.abs(refined))))
-            if err <= _QUAD_TOL * scale:
+            if err <= _QUAD_TOL * max(1.0, float(np.max(np.abs(refined)))):
                 return refined
-        current = refined
-        n_r, n_theta = 2 * n_r, 2 * n_theta
-        if n_r > _MAX_RADII or n_r * n_theta > _MAX_NODES:
-            break
+        current, n = refined, 2 * n
     raise QuadratureError(
         (errors[-2] if len(errors) > 1 else math.inf, errors[-1] if errors else math.nan)
     )
@@ -427,11 +420,13 @@ def _density_moment_matrix(m: DensityMeasure, basis: IndexBasis) -> np.ndarray:
     g = m.density.polynomial
     if g is None:
         g = PolynomialWeight.constant(m.dimension)
-    factor = _gaussian_factor if m.density.kind == "gaussian" else None
+    gaussian = m.density.kind == "gaussian"
     # columns[j][p, k] = t_j[p, beta_kj]: each table's columns gathered once,
     # so entry (i, k) of a term's j-th factor is row alpha_ij + gamma_j there
     columns = [
-        _disk_table(c, r, D + g.degree, D, factor)[:, exps[:, j]]
+        (_gaussian_disk_table(c, r, D) if gaussian else _disk_table(c, r, D + g.degree, D))[
+            :, exps[:, j]
+        ]
         for j, (c, r) in enumerate(zip(m.domain.center.coords, m.domain.radii))
     ]
     out = np.zeros((basis.size, basis.size), dtype=complex)

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentrank import (ComplexPoint, DensityMeasure, DensitySpec, DiscreteMeasure, IndexBasis,
-                        MomentMatrix, Polydisk, enclosing_kernel, galerkin_matrix,
+from momentrank import (Atom, ComplexPoint, DensityMeasure, DensitySpec, DiscreteMeasure,
+                        IndexBasis, MomentMatrix, Polydisk, enclosing_kernel, galerkin_matrix,
                         generate_measure, moment_matrix, moments)
 from momentrank.cli import build_parser, main
 from momentrank.serialize import (any_measure_from_dict, density_to_dict, dump_chunks, dump_json,
@@ -373,6 +373,31 @@ def test_verify_passes_on_generated_measure(tmp_path):
     }
 
 
+@pytest.mark.parametrize("drop_an_atom", [False, True])
+def test_verify_submatrix_gate_scales_with_the_entries(tmp_path, monkeypatch, drop_an_atom):
+    # max |zeta_j| = 2.00: entries up to 1.2e5 at degree 8, and the block
+    # and the pushforward's matrix differ by rounding, 1.5e-11, which is
+    # relative 1e-16; a pushforward that loses an atom still fails
+    from momentrank import recovery
+
+    m = generate_measure(3, 6, seed=11, separation=0.2)
+    m = DiscreteMeasure(3, tuple(
+        Atom(ComplexPoint(tuple(1.75 * z for z in a.location.coords)), a.weight)
+        for a in m.atoms))
+    if drop_an_atom:
+        pushforward = recovery.pushforward_drop_coord
+        monkeypatch.setattr(recovery, "pushforward_drop_coord", lambda x, axis: DiscreteMeasure(
+            2, pushforward(x, axis).atoms[1:]))
+    m_path, v_path = tmp_path / "m.json", tmp_path / "v.json"
+    m_path.write_text(dump_json(measure_to_dict(m)))
+    code = run("verify", "--input", str(m_path), "--degree", "8", "--output", str(v_path))
+    checks = {c["name"]: c for c in json.loads(v_path.read_text())["checks"]}
+    assert code == (2 if drop_an_atom else 0)
+    assert checks["submatrix_consistency"]["passed"] is not drop_an_atom
+    if not drop_an_atom:
+        assert checks["submatrix_consistency"]["measured"]["max_entry_gap"] > 1e-12
+
+
 def _density(dimension, center, radii, density):
     return json.dumps({"dimension": dimension, "domain": {"center": center, "radii": radii},
                        "density": density})
@@ -441,12 +466,20 @@ def test_galerkin_on_density_file_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
 def test_moments_quadrature_failure_exit_code(tmp_path, capsys, kind):
-    d_path = tmp_path / "d.json"
+    # about the origin, radius 1e200: the uniform monomials overflow, while
+    # the Gaussian's table is the whole plane's, t[p, q] = 2^p p! [p = q]
+    d_path, a_path = tmp_path / "d.json", tmp_path / "A.json"
     d_path.write_text(json.dumps({
         "dimension": 1,
         "domain": {"center": [[0, 0]], "radii": [1e200]},
         "density": {"type": kind},
     }))
+    if kind == "gaussian":
+        assert run("moments", "--input", str(d_path), "--degree", "2",
+                   "--output", str(a_path)) == 0
+        entries = matrix_from_dict(load_path(a_path)).entries
+        assert np.max(np.abs(entries - np.diag([1.0, 2.0, 8.0]))) <= 1e-10 * 8
+        return
     assert run("moments", "--input", str(d_path), "--degree", "2") == 2
     err = capsys.readouterr().err
     assert err.startswith("failure: quadrature did not converge")

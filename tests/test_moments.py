@@ -313,16 +313,21 @@ def test_linear_polynomial_density_on_bidisk_shifts_uniform_moments():
 
 @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
 def test_quadrature_overflow_raises(kind):
-    # monomials of a radius-1e200 disk overflow, so refinement never settles;
-    # an overflow warning on the way would fail the test as an error
+    # monomials of a radius-1e200 disk overflow, so the uniform rule raises;
+    # the Gaussian's table, taken about the origin, is the whole plane's,
+    # t[p, q] = 2^p p! [p = q].  A warning on the way would fail the test
     dens = DensityMeasure(1, Polydisk(ComplexPoint((0j,)), (1e200,)), DensitySpec(kind))
+    if kind == "gaussian":
+        a = moment_matrix(dens, 2)
+        assert np.max(np.abs(a.entries - np.diag([1.0, 2.0, 8.0]))) <= 1e-10 * 8
+        return
     with pytest.raises(QuadratureError):
         moment_matrix(dens, 2)
 
 
 def test_quadrature_overflow_stops_refining(monkeypatch):
-    # every finer level overflows too, so it must not be built: the levels
-    # of a refinement run on up to _MAX_NODES nodes each
+    # the uniform rule is exact on its one level, so an overflow there is
+    # reported without building any other
     levels = []
     gram = moments._gram
 
@@ -345,8 +350,9 @@ def _density_moments_by_whole_terms(m, basis):
     g = m.density.polynomial
     if g is None:
         g = PolynomialWeight.constant(m.dimension)
-    factor = moments._gaussian_factor if m.density.kind == "gaussian" else None
-    tables = [moments._disk_table(c, r, basis.max_degree + g.degree, basis.max_degree, factor)
+    D = basis.max_degree
+    tables = [moments._gaussian_disk_table(c, r, D) if m.density.kind == "gaussian"
+              else moments._disk_table(c, r, D + g.degree, D)
               for c, r in zip(m.domain.center.coords, m.domain.radii)]
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for gamma, coeff in g.terms.items():
@@ -608,7 +614,7 @@ def offcenter_disk_moment(p, q, center, radius):
 
 def test_uniform_disk_table_is_exact_on_the_first_level():
     center, radius = 0.4 - 0.3j, 0.9
-    table = moments._disk_table(center, radius, 10, 10, None)
+    table = moments._disk_table(center, radius, 10, 10)
     expected = np.array(
         [[offcenter_disk_moment(p, q, center, radius) for q in range(11)] for p in range(11)]
     )
@@ -626,22 +632,17 @@ def test_uniform_disk_table_is_exact_on_the_first_level():
     ],
 )
 def test_only_the_gaussian_refines(monkeypatch, spec, exact):
-    # a polynomial integrand needs one level per coordinate disk; the
-    # Gaussian factor needs at least one refinement to confirm convergence
-    calls = []
-    gram = moments._gram
-
-    def counting(table, weights):
-        calls.append(len(table))
-        return gram(table, weights)
-
-    monkeypatch.setattr(moments, "_gram", counting)
+    # a polynomial integrand needs one polar level per coordinate disk; the
+    # Gaussian factor takes no polar nodes, and its radial rule needs at
+    # least one refinement per disk to confirm convergence
+    calls = _gram_node_counts(monkeypatch)
+    rules = _gauss_legendre_sizes(monkeypatch)
     domain = Polydisk(ComplexPoint((0.3 + 0.1j, -0.2j)), (1.0, 0.8))
     moment_matrix(DensityMeasure(2, domain, spec), 4)
     if exact:
-        assert len(calls) == 2
+        assert len(calls) == 2 and len(rules) == 2
     else:
-        assert len(calls) >= 4
+        assert calls == [] and len(rules) >= 4
 
 
 def _gram_node_counts(monkeypatch) -> list[int]:
@@ -658,12 +659,26 @@ def _gram_node_counts(monkeypatch) -> list[int]:
     return calls
 
 
+def _gauss_legendre_sizes(monkeypatch) -> list[int]:
+    """Installs a spy on `moments._gauss_legendre` and returns the list it
+    appends each rule's node count to."""
+    sizes = []
+    gauss_legendre = moments._gauss_legendre
+
+    def counting(n):
+        sizes.append(n)
+        return gauss_legendre(n)
+
+    monkeypatch.setattr(moments, "_gauss_legendre", counting)
+    return sizes
+
+
 @pytest.mark.parametrize("q_max", [0, 1, 8])
 def test_polynomial_disk_table_is_one_level_of_the_fewest_exact_nodes(monkeypatch, q_max):
     # q_max + 1 radii and p_max + 1 angles are exact for z^p conj(z)^q
     calls = _gram_node_counts(monkeypatch)
     center, radius, p_max = 0.4 - 0.3j, 0.9, q_max + 1
-    table = moments._disk_table(center, radius, p_max, q_max, None)
+    table = moments._disk_table(center, radius, p_max, q_max)
     assert calls == [(q_max + 1) * (p_max + 1)]
     expected = np.array([[offcenter_disk_moment(p, q, center, radius) for q in range(q_max + 1)]
                          for p in range(p_max + 1)])
@@ -697,22 +712,20 @@ def _gaussian_disk_oracle(center, radius, degree):
 
 @pytest.mark.parametrize("degree", [0, 1])
 @pytest.mark.parametrize(
-    "center, radius, min_radii",
+    "center, radius",
     [
-        # small enough that the exact rule alone starts the refinement (at
-        # degree 0 a 1-node rule)
-        (0.2 + 0.1j, 0.4, 1),
-        # radius 3: at least ceil(3 pi / 4) = 3 radii to see the unit width
-        (0j, 3.0, 3),
+        (0.2 + 0.1j, 0.4),  # the origin inside: whole circles and arcs
+        (0j, 3.0),  # centred: whole circles only
+        (-3 + 0.5j, 2.5),  # the origin outside: arcs only
+        # the boundary within 1e-9 of the origin, on either side of it
+        (1 + 0j, 1 + 1e-9),
+        (2 + 1j, abs(2 + 1j) - 1e-9),
     ],
 )
-def test_gaussian_disk_table_against_adaptive_quadrature(
-    monkeypatch, degree, center, radius, min_radii
-):
-    calls = _gram_node_counts(monkeypatch)
-    table = moments._disk_table(center, radius, degree, degree, moments._gaussian_factor)
-    assert calls[0] == max(degree + 1, min_radii) * (degree + 1)
-    assert len(calls) >= 2
+def test_gaussian_disk_table_against_adaptive_quadrature(monkeypatch, degree, center, radius):
+    rules = _gauss_legendre_sizes(monkeypatch)
+    table = moments._gaussian_disk_table(center, radius, degree)
+    assert len(rules) >= 2
     expected = _gaussian_disk_oracle(center, radius, degree)
     assert np.max(np.abs(table - expected)) <= 1e-10 * np.max(np.abs(expected))
 
@@ -720,81 +733,94 @@ def test_gaussian_disk_table_against_adaptive_quadrature(
 @pytest.mark.parametrize(
     "center, radius, degree",
     [
-        (5 + 5j, 20.0, 2),  # needs late levels of the refinement
-        (0j, 40.0, 0),  # the 1- and 4-node rules both miss the bump
-        (15.3 + 12.9j, 30.0, 1),  # off-centre: the exact rules see ~0
-        # 172 radii space the bump 2 apart near the centre, where they
-        # crowd; pi r / 4 = 1179 would space them so over the whole radius
+        (5 + 5j, 20.0, 2),
+        (0j, 40.0, 0),
+        (15.3 + 12.9j, 30.0, 1),
         (0j, 1500.0, 0),
+        # radii far past the window, which are not integrated
+        (0j, 1e5, 0),
+        (0j, 1e7, 2),
+        (2000 + 0j, 4000.0, 0),
+        (0j, 2e4, 8),
     ],
 )
 def test_wide_gaussian_disks_give_the_whole_plane_moments(center, radius, degree):
-    # each disk holds the disk of radius 10 about the origin, past which
-    # the factor's moments up to |z|^4 sum to below 1e-17, so the table is
-    # the whole plane's: t[p, q] = 2^p p! [p = q]
-    table = moments._disk_table(center, radius, degree, degree, moments._gaussian_factor)
+    # each disk holds the disk of radius 9.9 about the origin, past which
+    # the factor's moments up to |z|^(2 degree) are below 1e-12 of the
+    # largest, so the table is the whole plane's: t[p, q] = 2^p p! [p = q]
+    table = moments._gaussian_disk_table(center, radius, degree)
     expected = np.diag([2.0**p * math.factorial(p) for p in range(degree + 1)])
     assert np.max(np.abs(table - expected)) <= 1e-10 * np.max(expected)
 
 
-def test_gaussian_disk_too_wide_for_two_levels_raises_at_once(monkeypatch):
-    calls = _gram_node_counts(monkeypatch)
-    with pytest.raises(QuadratureError):
-        moments._disk_table(0j, 1e7, 2, 2, moments._gaussian_factor)
-    assert calls == []
+@pytest.mark.parametrize(
+    "center, degree",
+    [(1e200 + 0j, 8), (1e200 * np.exp(2.2j), 8), (-1e300j, 8)],
+)
+def test_gaussian_disk_through_the_origin_gives_the_half_plane_moments(center, degree):
+    # c = r: the disk's boundary passes through the origin, and near the
+    # origin a disk this large is the half-plane Re(z conj(c)) > 0, whose
+    # moments are e^{ik arg c} 2^(n/2) Gamma(n/2 + 1) S_k(pi/2) / (2 pi) for
+    # n = p + q, k = p - q, S_k(pi/2) = 2 sin(k pi/2) / k and S_0 = pi;
+    # through moment_matrix, whose d = 1 matrix is the table itself
+    dens = DensityMeasure(1, Polydisk(ComplexPoint((center,)), (abs(center),)),
+                          DensitySpec("gaussian"))
+    table = moment_matrix(dens, degree).entries
+    p, q = np.indices(table.shape)
+    n, k = p + q, p - q
+    s_k = np.where(k == 0, np.pi, 2 * np.sin(k * np.pi / 2) / np.where(k == 0, 1, k))
+    gamma = np.vectorize(math.gamma)(n / 2 + 1)
+    expected = np.exp(1j * k * np.angle(center)) * 2.0 ** (n / 2) * gamma * s_k / (2 * np.pi)
+    assert np.max(np.abs(table - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize(
-    "center, radius",
-    [
-        # the bump at an end of the radii, where they lie closest: still
-        # more than _MAX_RADII / 2 of them to space them 2 apart there
-        (0j, 1e5),
-        # the bump in the middle, where they lie pi r / (2 n_r) apart
-        (2000 + 0j, 4000.0),
-    ],
+    "center, radius", [(0.3 - 0.2j, 0.9), (-2 + 1.5j, 1.0), (4j, 6.0), (1 + 1j, abs(1 + 1j))]
 )
-def test_gaussian_disk_needing_too_many_radii_raises_before_any_rule(
-    monkeypatch, center, radius
-):
-    # leggauss solves a dense n x n eigenproblem, so no rule past
-    # _MAX_RADII radii may be asked for, not even to fail on it
-    calls = _gram_node_counts(monkeypatch)
-    radii = []
-    gauss_legendre = moments._gauss_legendre
-
-    def counting(n):
-        radii.append(n)
-        return gauss_legendre(n)
-
-    monkeypatch.setattr(moments, "_gauss_legendre", counting)
-    with pytest.raises(QuadratureError):
-        moments._disk_table(center, radius, 0, 0, moments._gaussian_factor)
-    assert calls == [] and radii == []
+def test_gaussian_disk_table_is_hermitian_bit_for_bit(center, radius):
+    table = moments._gaussian_disk_table(center, radius, 8)
+    assert np.array_equal(table, table.conj().T)
+    assert np.all(table.diagonal().imag == 0)
 
 
-@pytest.mark.parametrize("factor", [None, moments._gaussian_factor])
-def test_a_level_summed_in_blocks_is_the_whole_level(monkeypatch, factor):
-    # blocks of 7 nodes cut rings of 9 angles; the sum of their Gram
+def test_gaussian_disk_table_that_never_settles_raises_within_2048_nodes(monkeypatch):
+    # with no tolerance no two levels agree, so the rule doubles 16, 32, ...
+    # up to its cap and raises; leggauss solves a dense n x n eigenproblem,
+    # so no rule past the cap may be asked for
+    rules = _gauss_legendre_sizes(monkeypatch)
+    monkeypatch.setattr(moments, "_QUAD_TOL", 0.0)
+    with pytest.raises(QuadratureError) as caught:
+        moments._gaussian_disk_table(0.5 + 0.5j, 2.0, 0)
+    assert rules == [16 * 2**i for i in range(8)]
+    assert max(rules) == 2048
+    assert all(math.isfinite(e) for e in caught.value.estimates)
+
+
+@pytest.mark.parametrize("polynomial", [None, PolynomialWeight(1, {(0,): 1.0, (1,): 0.2j})])
+def test_a_level_summed_in_blocks_is_the_whole_level(monkeypatch, polynomial):
+    # the uniform table and a polynomial density's, one row longer: blocks
+    # of 7 nodes cut rings of 9 or 10 angles, and the sum of their Gram
     # products is the one-block table up to summation order
-    whole = moments._disk_table(1 + 1j, 2.0, 8, 8, factor)
+    p_max = 8 + (0 if polynomial is None else polynomial.degree)
+    whole = moments._disk_table(1 + 1j, 2.0, p_max, 8)
     calls = _gram_node_counts(monkeypatch)
-    monkeypatch.setattr(moments, "_BLOCK_BYTES", 7 * 16 * 9)
-    blocked = moments._disk_table(1 + 1j, 2.0, 8, 8, factor)
-    assert max(calls) == 7 and len(calls) > 81 // 7
+    monkeypatch.setattr(moments, "_BLOCK_BYTES", 7 * 16 * (p_max + 1))
+    blocked = moments._disk_table(1 + 1j, 2.0, p_max, 8)
+    assert max(calls) == 7 and len(calls) > 9 * (p_max + 1) // 7
     assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
-    assert np.array_equal(blocked, blocked.conj().T)
+    assert np.array_equal(blocked[:9], blocked[:9].conj().T)
 
 
-def test_a_level_of_a_million_nodes_holds_one_block_at_a_time():
-    # the whole level's degree-8 monomial table would take 151 MB
+def test_a_polar_level_holds_one_block_at_a_time(monkeypatch):
+    # degree 127: 128 x 128 = 16384 nodes, whose whole monomial table would
+    # take 33.5 MB, summed in blocks of 1 MB
     import tracemalloc
 
-    basis = moments.IndexBasis(1, 8)
-    moments._gauss_legendre(1024)
+    monkeypatch.setattr(moments, "_BLOCK_BYTES", 1 << 20)
+    moments._gauss_legendre(128)
     tracemalloc.start()
     try:
-        moments._polar_level(0.5, 3.0, 1024, 1024, basis, 8, moments._gaussian_factor)
+        moments._disk_table(0.5, 3.0, 127, 127)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

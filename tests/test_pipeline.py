@@ -118,6 +118,22 @@ def test_example_script_exits_0(tmp_path, run_python, script):
     assert done.returncode == 0, done.stderr
 
 
+def test_rank_layers_reports_its_sketches_and_quadrature_levels(tmp_path, run_python):
+    done = run_python(ROOT / "scripts" / "rank_layers.py", "--repeats", "1", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    # the top matrix's sketch and the |g|^2-reweighted matrix's, per op
+    assert result["verify_sketches_per_op"] == 2.0
+    # each rank call is timed once, at its outermost call, within verify
+    assert result["verify_large_rank_ms"] <= result["verify_rank_ms"] <= result["verify_ms"]
+    levels = result["density_level_nodes"]
+    # degree 8: (q_max + 1)(p_max + 1) exact polar nodes, one level
+    assert levels["uniform"] == [[81]] and levels["polynomial"] == [[90]]
+    for rules in levels["gaussian"]:
+        assert len(rules) >= 2
+        assert all(b == 2 * a for a, b in zip(rules, rules[1:]))
+
+
 def test_rank_dichotomy_prints_saturating_and_full_ranks(tmp_path, run_python):
     # defaults: d = 2, 4 atoms, degrees 1..6
     done = run_python(ROOT / "scripts" / "rank_dichotomy.py", cwd=tmp_path)
