@@ -753,11 +753,8 @@ def test_wide_gaussian_disks_give_the_whole_plane_moments(center, radius, degree
     assert np.max(np.abs(table - expected)) <= 1e-10 * np.max(expected)
 
 
-@pytest.mark.parametrize(
-    "center, degree",
-    [(1e200 + 0j, 8), (1e200 * np.exp(2.2j), 8), (-1e300j, 8)],
-)
-def test_gaussian_disk_through_the_origin_gives_the_half_plane_moments(center, degree):
+@pytest.mark.parametrize("center", [1e200 + 0j, 1e200 * np.exp(2.2j), -1e300j])
+def test_gaussian_disk_through_the_origin_gives_the_half_plane_moments(center):
     # c = r: the disk's boundary passes through the origin, and near the
     # origin a disk this large is the half-plane Re(z conj(c)) > 0, whose
     # moments are e^{ik arg c} 2^(n/2) Gamma(n/2 + 1) S_k(pi/2) / (2 pi) for
@@ -765,7 +762,7 @@ def test_gaussian_disk_through_the_origin_gives_the_half_plane_moments(center, d
     # through moment_matrix, whose d = 1 matrix is the table itself
     dens = DensityMeasure(1, Polydisk(ComplexPoint((center,)), (abs(center),)),
                           DensitySpec("gaussian"))
-    table = moment_matrix(dens, degree).entries
+    table = moment_matrix(dens, 8).entries
     p, q = np.indices(table.shape)
     n, k = p + q, p - q
     s_k = np.where(k == 0, np.pi, 2 * np.sin(k * np.pi / 2) / np.where(k == 0, 1, k))
