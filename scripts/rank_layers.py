@@ -12,13 +12,15 @@ Times the median over --repeats runs of:
   * verify_rank_ms: the part of verify_ms spent in the rank calls the
     battery makes (`numerical_rank` and the sketch functions recovery
     imports from moments), per measure, each timed at its outermost call,
-    and verify_large_rank_ms the part of that on matrices of size >= 64:
-    the top matrix's blocks, its two Galerkin rescalings and the separately
-    assembled |g|^2-reweighted matrix.
+    and verify_large_rank_ms the part of that on matrices of size >= 32, the
+    sketch's floor: the top matrix's blocks, its two Galerkin rescalings and
+    the separately assembled |g|^2-reweighted matrix.
 
 Each section also reports the widths of the range sketches it formed on
-matrices of size >= 64 (0 for a sketch that declined) and, for verify, the
-number formed per measure.
+matrices of size >= 32 (0 for a sketch that declined) and, for verify, the
+number formed per measure and verify_dense_blocks: per pass over the
+measures, the blocks of size >= 16 the battery ranked (leading blocks and
+Galerkin rescalings) that the top matrix's sketch did not settle.
 
 A density section times the quadrature layer that feeds verify's
 rank_growth check:
@@ -63,6 +65,7 @@ from momentrank.serialize import any_measure_from_dict  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 RANK_LAYER = ("numerical_rank", "_range_sketch", "_leading_rank")
 LARGE = moments._SKETCH_MIN_SIZE
+BLOCK = 2 * moments._SKETCH_START  # the battery's floor for blocks read off the sketch
 
 
 def _verify_inputs():
@@ -75,7 +78,7 @@ def _verify_inputs():
 
 def _count_sketches(widths: list) -> None:
     """Wraps `_range_sketch` wherever the library holds it, so that every
-    sketch of a matrix of size >= 64 appends its width, or 0 when it
+    sketch of a matrix of size >= LARGE appends its width, or 0 when it
     declines, to widths."""
     original = moments._range_sketch
 
@@ -89,6 +92,29 @@ def _count_sketches(widths: list) -> None:
     for module in (moments, operators, recovery):
         if getattr(module, "_range_sketch", None) is original:
             module._range_sketch = counted
+
+
+def _count_dense_blocks(unsettled: list) -> None:
+    """Wraps `_leading_rank` and the `_block_rank` it calls, so that every
+    block of size >= BLOCK that the sketch did not settle appends its size
+    to unsettled."""
+    leading, block_rank = recovery._leading_rank, recovery._block_rank
+    settled = [False]
+
+    def counted_block(*args):
+        found = block_rank(*args)
+        settled[0] = found is not None
+        return found
+
+    @functools.wraps(leading)
+    def counted(entries, sketch, size, *rest):
+        settled[0] = False
+        found = leading(entries, sketch, size, *rest)
+        if size >= BLOCK and not settled[0]:
+            unsettled.append(size)
+        return found
+
+    recovery._leading_rank, recovery._block_rank = counted, counted_block
 
 
 def _time_rank_layer(calls: list) -> None:
@@ -216,6 +242,8 @@ def main():
         if not verify_theorem(x, degrees).passed:
             raise SystemExit("verify_theorem failed on a d=3 atomic input")
     calls: list = []
+    unsettled: list = []
+    _count_dense_blocks(unsettled)
     _time_rank_layer(calls)
     widths.clear()
     verify_ms, rank_ms, large_ms = [], [], []
@@ -232,6 +260,7 @@ def main():
     result["verify_large_rank_ms"] = 1e3 * statistics.median(large_ms)
     result["verify_sketches_per_op"] = len(widths) / (args.repeats * len(measures))
     result["verify_widths"] = sorted(set(widths))
+    result["verify_dense_blocks"] = len(unsettled) / args.repeats
     print(json.dumps(result, sort_keys=True))
 
 

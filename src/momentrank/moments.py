@@ -20,11 +20,12 @@ Gauss-Legendre in radius, doubling up to 2048 nodes until the entries
 stabilize below 1e-10.
 
 `numerical_rank` counts singular values above a relative threshold.  A
-square matrix of size >= 64 is first compressed by one seeded randomized
+square matrix of size >= 32 is first compressed by one seeded randomized
 range sketch, A ~ Q B with B = Q^H A, whose residual ||A - Q B||_F is
 computed exactly (`_range_sketch`; atomic moment and Galerkin matrices have
-rank N far below their size).  Its width starts at 16 and doubles while the
-sketch has full rank, up to n // 8.  Two certificates read it: the rank's,
+rank N far below their size).  Its width starts at 8 and doubles while the
+sketch has full rank, up to max(8, n // 8), and Q then keeps the N + 1
+columns it needs.  Two certificates read it: the rank's,
 when every singular value sits clear of the threshold by more than the
 residual (`_block_rank`, which also ranks a leading block or a diagonal
 rescaling s A s of A off A's sketch, as `recovery.verify_theorem` does),
@@ -494,8 +495,8 @@ class RankResult(NamedTuple):
 
 _RANK_TOL = 1e-8  # the default relative rank threshold, also RecoveryConfig's
 _CONDITION_LIMIT = 1e12
-_SKETCH_MIN_SIZE = 64
-_SKETCH_START, _SKETCH_RATIO = 16, 8  # widths 16, 32, ... while full rank, up to n // 8
+_SKETCH_MIN_SIZE = 32
+_SKETCH_START, _SKETCH_RATIO = 8, 8  # widths 8, 16, ... while full rank, up to max(8, n // 8)
 
 
 def _rank_result(sigma: np.ndarray, rel_tol: float) -> RankResult:
@@ -528,23 +529,26 @@ class _RangeSketch(NamedTuple):
 
 def _range_sketch(entries: np.ndarray, rel_tol: float) -> _RangeSketch | None:
     """Q, B = Q^H A, ||A - Q B||_F and ||B||_F for a square matrix A of size
-    n >= 64, or None for any other matrix, when the sketch has full rank, and
+    n >= 32, or None for any other matrix, when the sketch has full rank, and
     when a finite A overflows the sketch.
 
     Y = A Omega and Q R = Y (Halko, Martinsson and Tropp, SIAM Review 2011)
-    for the first l columns of one seed-0 complex Gaussian Omega of n // 8
-    columns.  l starts at 16 and doubles, appending A Omega's next columns,
-    while |R_ll| > rel_tol |R_11| shows Y at full rank; at l = n // 8 A is
-    then not low-rank, and neither B nor the residual is formed.  The
-    residual is exact: A = Q B - gap, with gap formed one row block at a
-    time (`_row_blocks`), so no n x n temporary is made.  Entries near the
+    for the first l columns of one seed-0 complex Gaussian Omega of
+    max(8, n // 8) columns.  l starts at 8 and doubles, appending A Omega's
+    next columns, while |R_ll| > rel_tol |R_11| shows Y at full rank; at
+    Omega's full width A is then not low-rank, and neither B nor the
+    residual is formed.  Otherwise Q keeps its columns up to the last k with
+    |R_kk| > rel_tol |R_11|, and one more (at least one): still orthonormal,
+    so `_block_rank`'s bound holds, and as wide as A's rank.  The residual
+    is exact: A = Q B - gap, with gap formed one row block at a time
+    (`_row_blocks`), so no n x n temporary is made.  Entries near the
     float range overflow Y, R or the norms; the sketch then declines without
     a warning and the caller's dense path decides.
     """
     if not (entries.ndim == 2 and entries.shape[0] == entries.shape[1] >= _SKETCH_MIN_SIZE):
         return None
     n = entries.shape[0]
-    omega = _sketch_matrix(n, n // _SKETCH_RATIO)
+    omega = _sketch_matrix(n, max(_SKETCH_START, n // _SKETCH_RATIO))
     with np.errstate(over="ignore", invalid="ignore"):
         y = entries @ omega[:, :_SKETCH_START]
         while True:
@@ -557,6 +561,8 @@ def _range_sketch(entries: np.ndarray, rel_tol: float) -> _RangeSketch | None:
             if not full:
                 break
             y = np.hstack([y, entries @ omega[:, y.shape[1] : 2 * y.shape[1]]])
+        needed = np.flatnonzero(np.abs(r.diagonal()) > rel_tol * abs(r[0, 0]))
+        q = q[:, : int(np.max(needed, initial=-1)) + 2]
         b = q.conj().T @ entries
         gap_sq = 0.0
         for rows in _row_blocks(n):
@@ -621,8 +627,9 @@ def numerical_rank(a: MomentMatrix | np.ndarray, rel_tol: float = _RANK_TOL) -> 
     when sigma_max / sigma_rank exceeds 1e12.  Non-finite entries raise
     NumericalError before any LAPACK call, and so does an overflowed sigma_max.
 
-    A square matrix of size n >= 64 is first ranked from a sketch of width
-    16, doubled up to n // 8 while it has full rank, with an exact
+    A square matrix of size n >= 32 is first ranked from a sketch of width
+    8, doubled up to max(8, n // 8) while it has full rank and then cut to
+    the rank's columns and one more, with an exact
     a-posteriori residual (`_sketched_rank`): when the residual certifies
     that every singular value sits clear of the threshold, that count is
     returned, with the sketch's singular values and zeros past its width.

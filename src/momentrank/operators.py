@@ -198,9 +198,10 @@ def spectrum(gal: GalerkinMatrix) -> np.ndarray:
     """Eigenvalues of the Galerkin matrix, sorted by descending modulus.
 
     Complex atom weights make the matrix non-Hermitian in general, so the
-    values come from a nonsymmetric solver.  A matrix of size n >= 64 is
+    values come from a nonsymmetric solver.  A matrix of size n >= 32 is
     first compressed by the range sketch that also ranks it, of width l
-    (`moments._range_sketch` at tolerance n eps; l <= n // 8).  When
+    (`moments._range_sketch` at tolerance n eps; l <= max(8, n // 8), and
+    l = r + 1 at rank r).  When
     its exact residual ||A - Q B||_F is at most n eps ||B||_F, the backward
     error the dense solver has anyway, the values are the l eigenvalues of
     the l x l matrix B Q, which are the nonzero eigenvalues of Q B = A - E

@@ -57,6 +57,7 @@ from .moments import (
     RankResult,
     _RANK_TOL,
     _SKETCH_MIN_SIZE,
+    _SKETCH_START,
     _block_rank,
     _dense_rank,
     _full_rank_certificate,
@@ -412,11 +413,12 @@ class TheoremVerdict:
 def _leading_rank(entries, sketch, size: int, rel_tol: float, scale=None) -> RankResult:
     """`numerical_rank` of S A_k S (A_k the leading size-block of A = entries,
     S = diag(scale), I when None), read off A's range sketch (or None) when
-    size >= 64 and `moments._block_rank` settles it, else off the formed block.
-    When that block is A itself, of size >= 64, `sketch` (A's own) has
-    already declined or left the rank open, so the dense SVD decides without
-    sketching A again."""
-    found = sketch and size >= _SKETCH_MIN_SIZE and _block_rank(sketch, size, rel_tol, scale)
+    size >= 16 (twice the sketch's first width) and `moments._block_rank`
+    settles it, else off the formed block.  When that block is A itself, of
+    size >= 32 (the sketch's floor), `sketch` (A's own) has already declined
+    or left the rank open, so the dense SVD decides without sketching A
+    again."""
+    found = sketch and size >= 2 * _SKETCH_START and _block_rank(sketch, size, rel_tol, scale)
     if found:
         return found
     if scale is None and size == len(entries) >= _SKETCH_MIN_SIZE:
@@ -451,7 +453,7 @@ def verify_theorem(
       and the measured degree is that of the block the atoms came from;
     - galerkin_rank_equality: the Galerkin matrices s A s of the degree-D
       block A under both kernels (`enclosing_kernel`) have the rank of A;
-      they, and A's blocks of size >= 64, are ranked off one sketch of A;
+      they, and A's blocks of size >= 16, are ranked off one sketch of A;
     - reweighting_rank_monotonicity: |g|^2 mu, for a linear g drawn from
       cfg.seed, has rank at most N, and exactly N when g vanishes on no atom;
     - submatrix_consistency (d >= 2): the alpha_1 = beta_1 = 0 block equals

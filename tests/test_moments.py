@@ -861,27 +861,45 @@ def test_sketched_rank_matches_dense_svd(svd_spy, verify_inputs):
         gap = np.max(np.abs(result.singular_values[lead] - sigma[lead]), initial=0.0)
         assert gap <= 1e-12 * sigma[0], label
         size = len(entries)
-        if atomic and size >= 64:
-            # every rank here is at most 8, so the first width serves
-            assert shapes == [(min(16, size // 8), size)], f"{label}: reached the dense SVD"
+        if atomic and size >= 32 and expected < max(8, size // 8):
+            # Y's rank falls short of the sketch's full width, so Q keeps the
+            # rank's columns and one more
+            assert shapes == [(expected + 1, size)], f"{label}: reached the dense SVD"
             sketched += 1
         else:
             assert shapes == [(size, size)], label
-    # four matrices of each of the 33 corpus measures with d = 3, N >= 5, and
-    # the 6 atomic d = 3 files at degrees 6, 7 and 8
-    assert sketched == 4 * 33 + 6 * 3
+    # four matrices of each of the 50 corpus measures with d = 3, N >= 3 and
+    # the 16 with d = 2, N in {6, 7}, the 6 atomic d = 2 files at degrees 7
+    # and 8, and the 6 atomic d = 3 files at degrees 4 to 8; d = 2, N = 8
+    # (size 55, rank 8) fills the sketch's 8 columns and goes dense
+    assert sketched == 4 * (50 + 16) + 6 * 2 + 6 * 5
+
+
+def test_corpus_ranks_are_the_dense_ones_under_counts_included():
+    # the 200 criterion-1 matrices the `corpus` benchmark ranks (seed
+    # 1000 + i at degree N + 1) have rank N, and the five d = 1 measures of
+    # other bases whose sigma_N / sigma_1 lies below 1e-8 keep the dense
+    # SVD's count, one short of N
+    cases = [(1000 + i, (1, 2, 3)[i % 3], 1 + i % 8, 1 + i % 8) for i in range(200)]
+    cases += [(2063, 1, 8, 7), (3063, 1, 8, 7), (3215, 1, 8, 7), (4263, 1, 8, 7),
+              (4654, 1, 7, 6)]
+    for seed, d, n, rank in cases:
+        a = moment_matrix(generate_measure(d, n, seed=seed, separation=0.1), n + 1)
+        sigma = np.linalg.svd(a.entries, compute_uv=False)
+        dense = int(np.count_nonzero(sigma > 1e-8 * sigma[0]))
+        assert numerical_rank(a).rank == dense == rank, seed
 
 
 def test_rank_20_is_certified_by_a_grown_sketch(svd_spy):
-    # d=3, N=20, D=21 (basis 2024): Y has full rank at the first width, 16,
-    # so the sketch doubles once to 32 columns and certifies rank 20
-    # without the dense 2024 x 2024 SVD
+    # d=3, N=20, D=21 (basis 2024): Y has full rank at the widths 8 and 16,
+    # so the sketch doubles twice to 32 columns, keeps the 21 that R shows
+    # Y needs and certifies rank 20 without the dense 2024 x 2024 SVD
     truth = generate_measure(3, 20, 0, separation=0.1)
     a = moment_matrix(truth, 21)
     shapes = svd_spy()
     result = numerical_rank(a)
-    assert shapes == [(32, 2024)]
-    assert result.rank == 20 and np.all(result.singular_values[32:] == 0)
+    assert shapes == [(21, 2024)]
+    assert result.rank == 20 and np.all(result.singular_values[21:] == 0)
     # A = T^T diag(w) conj(T) for the 20 x 2024 monomial table T, so with
     # T^T = Q R its singular values are those of the 20 x 20 R diag(w) R^H
     r = np.linalg.qr(moments.monomial_table(truth.locations_matrix(), a.basis).T, mode="r")
@@ -909,12 +927,51 @@ def test_rank_at_the_threshold_falls_back_to_dense_svd(svd_spy, side):
     a = matrix(1e-8 * side)
     shapes = svd_spy()
     result = numerical_rank(a, 1e-8)
-    assert shapes == [(16, 128), (128, 128)]  # the sketch declined, the SVD decided
+    assert shapes == [(6, 128), (128, 128)]  # the sketch declined, the SVD decided
     sigma = np.sort(np.linalg.svd(a, compute_uv=False))[::-1]
     rank = int(np.count_nonzero(sigma > 1e-8 * sigma[0]))
     assert result.rank == rank
     assert result.singular_values.tobytes() == sigma.tobytes()
     assert result.ill_conditioned is bool(sigma[0] / sigma[rank - 1] > 1e12)
+
+
+@pytest.mark.parametrize("size", [32, 64])
+def test_rank_of_the_zero_matrix_at_the_sketch_sizes_is_0(svd_spy, size):
+    # R_00 = 0, so no column of Y is needed: Q keeps one, the certificate
+    # cannot settle a zero sigma_1, and the dense SVD gives rank 0
+    zero = np.zeros((size, size), dtype=complex)
+    assert moments._range_sketch(zero, 1e-8).q.shape == (size, 1)
+    shapes = svd_spy()
+    result = numerical_rank(zero)
+    assert shapes == [(1, size), (size, size)]
+    assert result.rank == 0 and not result.ill_conditioned
+    assert np.all(result.singular_values == 0)
+
+
+def test_full_rank_at_the_sketch_floor_declines_to_dense_svd(svd_spy):
+    # n = 32 gives the sketch 8 columns, which a full-rank A fills
+    a = _unitary(np.random.default_rng(7), 32) * np.linspace(1.0, 0.5, 32)
+    assert moments._range_sketch(a, 1e-8) is None
+    shapes = svd_spy()
+    assert numerical_rank(a).rank == 32
+    assert shapes == [(32, 32)]
+
+
+@pytest.mark.parametrize("size, width", [(32, 8), (64, 8), (128, 16)])
+def test_rank_equal_to_the_sketch_width_declines_to_dense_svd(svd_spy, size, width):
+    # Y of rank l at Omega's full width l leaves no column to show the rank
+    # is below it, so the sketch declines before any SVD of its own; one
+    # rank less keeps all l columns
+    rng = np.random.default_rng(8)
+    x, y = (rng.standard_normal((size, width)) + 1j * rng.standard_normal((size, width))
+            for _ in "xy")
+    a = x @ y.conj().T
+    below = x[:, 1:] @ y[:, 1:].conj().T
+    assert moments._range_sketch(below, 1e-8).q.shape == (size, width)
+    assert moments._range_sketch(a, 1e-8) is None
+    shapes = svd_spy()
+    assert numerical_rank(a).rank == width
+    assert shapes == [(size, size)]
 
 
 def test_rectangular_rank_goes_straight_to_svd(svd_spy):

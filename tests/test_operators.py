@@ -305,15 +305,16 @@ def eigvals_spy(monkeypatch):
 @pytest.mark.parametrize("kind", ["bargmann", "bergman"])
 @pytest.mark.parametrize("seed", [3, 7, 42, 100000])
 def test_spectrum_at_basis_220_from_the_sketch(kind, seed, eigvals_spy):
-    # d=3, degree 9: the n x n solve becomes one on the 16 x 16 sketch, the
-    # first width, which rank 8 leaves short of full rank
+    # d=3, degree 9: the n x n solve becomes one on the 9 x 9 sketch: rank 8
+    # fills the first width, 8, and of the doubled width Q keeps the rank's
+    # columns and one more
     m = generate_measure(3, 8, seed=seed, separation=0.2)
     g = galerkin_matrix(enclosing_kernel(kind, m), m, 9)
     dense = _dense_spectrum(g.entries)
     eigvals_spy.clear()
     values = spectrum(g)
-    assert eigvals_spy == [(16, 16)]
-    assert values.shape == (220,) and np.all(values[16:] == 0)
+    assert eigvals_spy == [(9, 9)]
+    assert values.shape == (220,) and np.all(values[9:] == 0)
     np.testing.assert_allclose(values[:8], dense[:8], rtol=1e-12, atol=0)
     assert np.count_nonzero(np.abs(values) > 1e-8 * abs(values[0])) == 8
 
@@ -347,12 +348,13 @@ def test_spectrum_the_sketch_cannot_certify_is_the_dense_one(index, eigvals_spy)
 
 
 @pytest.mark.parametrize("index, shapes", [(0, [(84, 84)]), (1, [(84, 84)]),
-                                           (2, [(10, 84), (84, 84)])],
+                                           (2, [(4, 84), (84, 84)])],
                          ids=["random", "atoms-past-the-width", "a-direction-the-sketch-misses"])
 def test_rank_the_sketch_cannot_certify_is_the_dense_one(index, shapes, svd_spy):
-    # n = 84 caps the sketch at 10 columns, below the first width of 16, so
-    # it cannot grow: the first two decline at once, and the third's
-    # certificate fails on the residual of the direction it misses
+    # n = 84 caps the sketch at 10 columns: the first two have full rank at
+    # 8 columns and at 10, so they decline with no SVD; the third's Y has
+    # rank 3, so Q keeps 4 columns, and its certificate fails on the
+    # residual of the direction it misses
     g = _uncertifiable()[index]
     sigma = np.sort(np.linalg.svd(g.entries, compute_uv=False))[::-1]
     seen = svd_spy()

@@ -124,6 +124,12 @@ def test_rank_layers_reports_its_sketches_and_quadrature_levels(tmp_path, run_py
     result = json.loads(done.stdout.splitlines()[-1])
     # the top matrix's sketch and the |g|^2-reweighted matrix's, per op
     assert result["verify_sketches_per_op"] == 2.0
+    # rank 8 fills the first width, 8, and Q keeps 9 of the doubled 16
+    assert result["rank_220_widths"] == result["spectrum_220_widths"] == [9]
+    # the d = 3 measures have N <= 6 atoms: Q keeps N + 1 columns, none declines
+    assert all(0 < width <= 7 for width in result["verify_widths"])
+    # and the top sketch settles every block of size >= 16
+    assert result["verify_dense_blocks"] == 0
     # each rank call is timed once, at its outermost call, within verify
     assert result["verify_large_rank_ms"] <= result["verify_rank_ms"] <= result["verify_ms"]
     levels = result["density_level_nodes"]
