@@ -82,9 +82,7 @@ class ComplexPoint:
     def distance(self, other: "ComplexPoint") -> float:
         if other.dimension != self.dimension:
             raise ValueError("dimension mismatch in distance")
-        return math.sqrt(
-            sum(abs(a - b) ** 2 for a, b in zip(self.coords, other.coords))
-        )
+        return math.hypot(*(abs(a - b) for a, b in zip(self.coords, other.coords)))
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,18 @@ def test_perturb_weight_deterministic_termwise():
     assert a.terms == b.terms
 
 
+@pytest.mark.parametrize("far, near, expected", [
+    ((1e200,), (0j,), 1e200),
+    ((3e200j,), (-1e200j,), 4e200),
+    ((3e200, 4e200j), (0j, 0j), 5e200),
+    ((1e200 + 1e200j, -2e200), (1e200, 2e200), 1e200 * 17 ** 0.5),
+])
+def test_distance_between_points_past_1e154_is_finite(far, near, expected):
+    # the squared distance overflows a float; the distance does not
+    p, q = ComplexPoint(far), ComplexPoint(near)
+    assert p.distance(q) == q.distance(p) == pytest.approx(expected, rel=1e-15)
+
+
 def test_random_linear_polynomial_coefficients_bounded():
     g = random_linear_polynomial(3, 21)
     assert g.degree == 1
