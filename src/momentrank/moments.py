@@ -25,8 +25,8 @@ range sketch, A ~ Q B with B = Q^H A, whose residual ||A - Q B||_F is
 computed exactly (`_range_sketch`; atomic moment and Galerkin matrices have
 rank N far below their size).  Its width starts at 8 and doubles while the
 sketch has full rank, up to max(8, n // 8), and Q then keeps the N + 1
-columns it needs.  Two certificates read it: the rank's,
-when every singular value sits clear of the threshold by more than the
+columns it needs.  Two certificates read it: the rank's, when every
+singular value sits clear of the threshold by more than the
 residual (`_block_rank`, which also ranks a leading block or a diagonal
 rescaling s A s of A off A's sketch, as `recovery.verify_theorem` does),
 and the spectrum's, when the residual is within a dense eigensolver's own
@@ -629,8 +629,8 @@ def numerical_rank(a: MomentMatrix | np.ndarray, rel_tol: float = _RANK_TOL) -> 
 
     A square matrix of size n >= 32 is first ranked from a sketch of width
     8, doubled up to max(8, n // 8) while it has full rank and then cut to
-    the rank's columns and one more, with an exact
-    a-posteriori residual (`_sketched_rank`): when the residual certifies
+    the rank's columns and one more, with an exact a-posteriori residual
+    (`_sketched_rank`): when the residual certifies
     that every singular value sits clear of the threshold, that count is
     returned, with the sketch's singular values and zeros past its width.
     Otherwise, and for every smaller or rectangular matrix, the dense SVD

@@ -201,8 +201,8 @@ def spectrum(gal: GalerkinMatrix) -> np.ndarray:
     values come from a nonsymmetric solver.  A matrix of size n >= 32 is
     first compressed by the range sketch that also ranks it, of width l
     (`moments._range_sketch` at tolerance n eps; l <= max(8, n // 8), and
-    l = r + 1 at rank r).  When
-    its exact residual ||A - Q B||_F is at most n eps ||B||_F, the backward
+    l = r + 1 at rank r).  When its exact residual ||A - Q B||_F is at
+    most n eps ||B||_F, the backward
     error the dense solver has anyway, the values are the l eigenvalues of
     the l x l matrix B Q, which are the nonzero eigenvalues of Q B = A - E
     with ||E||_F that residual, followed by n - l zeros.  Otherwise (a
