@@ -27,10 +27,10 @@ rank_growth check:
 
   * density_moments_ms: `moment_matrix(m, 8)` over the 18 densities of the
     same input set, the median per input;
-  * density_level_nodes: per density kind, the distinct sequences of node
-    counts of one disk table's levels: one level of polar nodes for
-    uniform and polynomial densities, and the Gaussian's radial
-    Gauss-Legendre rules, doubling until two agree.
+  * density_level_nodes: the distinct sequences of node counts of one
+    Gaussian disk table's radial Gauss-Legendre rules, doubling until two
+    agree, keyed by density kind; uniform and polynomial tables are in
+    closed form and take no rule.
 
     python3 scripts/rank_layers.py [--repeats R]
 """
@@ -148,23 +148,12 @@ def _time_rank_layer(calls: list) -> None:
 
 
 def _level_nodes(densities) -> dict:
-    """Per density kind, the distinct sequences of node counts of one disk
-    table's levels, read while each density's degree-8 moments are
-    assembled: for a uniform or polynomial table the polar nodes of its one
-    exact level (the rows of its `_gram` blocks), for the Gaussian the
-    radial Gauss-Legendre nodes of each of its levels."""
+    """Per density kind, the distinct sequences of node counts of one
+    Gaussian disk table's radial Gauss-Legendre rules, read while each
+    density's degree-8 moments are assembled; kinds whose tables take no
+    rule are left out."""
     tables: list = []
-    saved = (moments._disk_table, moments._gaussian_disk_table, moments._gram,
-             moments._gauss_legendre)
-    disk_table, gaussian_table, gram, gauss_legendre = saved
-
-    def counted_table(*args):
-        tables.append([0])
-        return disk_table(*args)
-
-    def counted_gram(table, weights):
-        tables[-1][0] += len(table)
-        return gram(table, weights)
+    gaussian_table, gauss_legendre = moments._gaussian_disk_table, moments._gauss_legendre
 
     def counted_rule(n):
         tables[-1].append(n)
@@ -172,23 +161,18 @@ def _level_nodes(densities) -> dict:
 
     def counted_gaussian(*args):
         tables.append([])
-        moments._gauss_legendre = counted_rule
-        try:
-            return gaussian_table(*args)
-        finally:
-            moments._gauss_legendre = gauss_legendre
+        return gaussian_table(*args)
 
-    moments._disk_table, moments._gaussian_disk_table = counted_table, counted_gaussian
-    moments._gram = counted_gram
+    moments._gaussian_disk_table, moments._gauss_legendre = counted_gaussian, counted_rule
     found: dict = {}
     try:
         for x in densities:
             tables.clear()
             moment_matrix(x, 8)
-            found.setdefault(x.density.kind, set()).update(map(tuple, tables))
+            if tables:
+                found.setdefault(x.density.kind, set()).update(map(tuple, tables))
     finally:
-        (moments._disk_table, moments._gaussian_disk_table, moments._gram,
-         moments._gauss_legendre) = saved
+        moments._gaussian_disk_table, moments._gauss_legendre = gaussian_table, gauss_legendre
     return {kind: sorted(map(list, seqs)) for kind, seqs in sorted(found.items())}
 
 

@@ -11,13 +11,12 @@ sum_k w_k z_k^alpha conj(z_k)^beta, over a monomial value table built by
 iterative multiplication along the graded order (no complex pow calls); it
 is exact up to rounding, and a Galerkin matrix rescales it (see operators).
 A density's matrix is assembled from per-coordinate disk tables.  Uniform
-and polynomial tables are the Gram product of one exact polar rule about the
-disk's centre, q_max + 1 Gauss-Legendre radii times p_max + 1 trapezoid
-angles, summed over blocks of nodes so that its memory stays bounded.  The
-Gaussian factor depends only on |z|, so its table is integrated about the
-origin: exactly in angle over each circle's arc inside the disk, and by
-Gauss-Legendre in radius, doubling up to 2048 nodes until the entries
-stabilize below 1e-10.
+and polynomial tables are in closed form: the Gram product of the binomial
+shift of z^p about the disk's centre with the centred disk's moments, so
+they are exact up to rounding, entry by entry.  The Gaussian factor depends
+only on |z|, so its table is integrated about the origin: exactly in angle
+over each circle's arc inside the disk, and by Gauss-Legendre in radius,
+doubling up to 2048 nodes until the entries stabilize below 1e-10.
 
 `numerical_rank` counts singular values above a relative threshold.  A
 square matrix of size >= 32 is first compressed by one seeded randomized
@@ -68,14 +67,13 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature refinement failed to converge; carries the last two estimates."""
+    """A density's disk table could not be formed: its entries overflow
+    (`estimates` None), or the Gaussian's refinement did not converge
+    (`estimates` holds the last two refinement errors)."""
 
-    def __init__(self, estimates: tuple[float, float]):
+    def __init__(self, message: str, estimates: tuple[float, float] | None = None):
         self.estimates = estimates
-        super().__init__(
-            "quadrature did not converge; last two refinement errors: "
-            f"{estimates[0]:.3e}, {estimates[1]:.3e}"
-        )
+        super().__init__(message)
 
 
 class NumericalError(RuntimeError):
@@ -283,27 +281,17 @@ def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return entries
 
 
-# -- density quadrature ------------------------------------------------------
+# -- density tables ----------------------------------------------------------
 #
 # Every catalogued density is a polynomial density sum_gamma c_gamma z^gamma
 # (uniform is {0: 1}), or the Gaussian prod_j exp(-|z_j|^2 / 2) / (2 pi), so
 # the tensor-product rule reduces to 1-D tables t_j[p, q] = integral over the
 # j-th disk of z^p conj(z)^q rho_j(z) dm(z).
 #
-# Without the Gaussian factor the integrand of t_j[p, q] is a polynomial, and
-# each table is the Gram product of weighted polar nodes about the disk's
-# centre c; with real node weights it comes out exactly Hermitian.  With
-# z = c + s e^{i theta}, z^p conj(z)^q is a sum of s^(a+b) e^{i (a - b) theta}
-# over a <= p, b <= q, so its angular frequencies run from -q_max to p_max.
-# The n-point trapezoid rule integrates e^{ik theta} exactly for 0 < |k| < n
-# (Trefethen and Weideman, SIAM Review 56, 2014), so n_theta = p_max + 1
-# angles (with q_max <= p_max) sum it exactly, leaving the a = b terms s^(2a)
-# with a <= min(p, q) <= q_max.  With the Jacobian s that is radial degree
-# <= 2 q_max + 1, which n_r = q_max + 1 Gauss-Legendre radii integrate
-# exactly.  So uniform and polynomial tables take one level of
-# (q_max + 1)(p_max + 1) nodes, summed over blocks of nodes whose monomial
-# table holds at most _BLOCK_BYTES, so its memory does not grow with its
-# node count.
+# Without the Gaussian factor the table is in closed form (`_disk_table`):
+# with z = c + w, t[p, q] = sum_{a <= min(p, q)} C(p, a) C(q, a) c^(p - a)
+# conj(c)^(q - a) pi r^(2a + 2) / (a + 1).  Every term has the phase
+# e^{i (p - q) arg c} and a positive modulus, so no digits cancel.
 #
 # The Gaussian factor depends only on |z|, so its table is integrated in polar
 # coordinates about the origin, z = rho e^{i phi}, where z^p conj(z)^q =
@@ -321,7 +309,6 @@ def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 _QUAD_TOL = 1e-10
 _MAX_RADII = 1 << 11
-_BLOCK_BYTES = 1 << 23
 
 
 @functools.lru_cache(maxsize=64)
@@ -335,32 +322,24 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _disk_table(center: complex, radius: float, p_max: int, q_max: int) -> np.ndarray:
     """Table of disk moments t[p, q] = integral over |z - c| < r of
-    z^p conj(z)^q dm(z), p <= p_max, q <= q_max (p_max >= q_max), from the
-    exact rule of q_max + 1 Gauss-Legendre radii times p_max + 1 trapezoid
-    angles about c, node k at radius k // n_theta and angle k % n_theta.
-    The Gram products of blocks of at most _BLOCK_BYTES / (16 (p_max + 1))
-    nodes are summed.  Raises QuadratureError when the monomials overflow.
+    z^p conj(z)^q dm(z), p <= p_max, q <= q_max (p_max >= q_max), in closed
+    form: the Gram product of shift[a, p] = C(p, a) c^(p - a), the
+    coefficient of w^a in (c + w)^p, with the real weights
+    pi r^(2a + 2) / (a + 1), so it is Hermitian bit for bit and a centred
+    disk's table is diagonal.  Raises QuadratureError when it overflows.
     """
-    basis = IndexBasis(1, p_max)
-    n_r, n_theta = q_max + 1, p_max + 1
-    nodes, gl_weights = _gauss_legendre(n_r)
-    n_nodes = n_r * n_theta
-    block = max(1, _BLOCK_BYTES // (16 * basis.size))
-    table = None
+    p = np.arange(p_max + 1)
+    shift = np.zeros((p_max + 1, p_max + 1), dtype=complex)
     # an overflow shows as a non-finite table, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        r = 0.5 * radius * (nodes + 1.0)
-        # node weights by radius, the polar Jacobian folded in
-        wr = 0.5 * radius * gl_weights * r * (2.0 * np.pi / n_theta)
-        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        ring = np.exp(1j * theta)
-        for start in range(0, n_nodes, block):
-            radii, angles = np.divmod(np.arange(start, min(start + block, n_nodes)), n_theta)
-            z = center + r[radii] * ring[angles]
-            part = _gram(monomial_table(z, basis), wr[radii])[:, : q_max + 1]
-            table = part if table is None else table + part
+        shift[0] = np.cumprod(np.r_[1.0, np.full(p_max, center, dtype=complex)])
+        for k in range(1, p_max + 1):
+            shift[k, k:] = shift[k - 1, k - 1 : -1] * p[k:] / k
+        table = _gram(shift, np.pi * radius ** (2.0 * p + 2) / (p + 1))[:, : q_max + 1]
     if not np.all(np.isfinite(table)):
-        raise QuadratureError((math.inf, math.nan))
+        raise QuadratureError(
+            f"disk moments overflow: centre {center}, radius {radius}, degree {p_max}"
+        )
     return table
 
 
@@ -410,8 +389,10 @@ def _gaussian_disk_table(center: complex, radius: float, degree: int) -> np.ndar
             if err <= _QUAD_TOL * max(1.0, float(np.max(np.abs(refined)))):
                 return refined
         current, n = refined, 2 * n
+    last = (errors[-2] if len(errors) > 1 else math.inf, errors[-1] if errors else math.nan)
     raise QuadratureError(
-        (errors[-2] if len(errors) > 1 else math.inf, errors[-1] if errors else math.nan)
+        f"quadrature did not converge; last two refinement errors: {last[0]:.3e}, {last[1]:.3e}",
+        last,
     )
 
 

@@ -466,8 +466,8 @@ def test_galerkin_on_density_file_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
 def test_moments_quadrature_failure_exit_code(tmp_path, capsys, kind):
-    # about the origin, radius 1e200: the uniform monomials overflow, while
-    # the Gaussian's table is the whole plane's, t[p, q] = 2^p p! [p = q]
+    # about the origin, radius 1e200: the uniform disk moments overflow,
+    # while the Gaussian's table is the whole plane's, t[p, q] = 2^p p! [p = q]
     d_path, a_path = tmp_path / "d.json", tmp_path / "A.json"
     d_path.write_text(json.dumps({
         "dimension": 1,
@@ -482,7 +482,7 @@ def test_moments_quadrature_failure_exit_code(tmp_path, capsys, kind):
         return
     assert run("moments", "--input", str(d_path), "--degree", "2") == 2
     err = capsys.readouterr().err
-    assert err.startswith("failure: quadrature did not converge")
+    assert err.startswith("failure: disk moments overflow")
     assert err.count("\n") == 1
 
 

@@ -313,33 +313,24 @@ def test_linear_polynomial_density_on_bidisk_shifts_uniform_moments():
 
 @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
 def test_quadrature_overflow_raises(kind):
-    # monomials of a radius-1e200 disk overflow, so the uniform rule raises;
-    # the Gaussian's table, taken about the origin, is the whole plane's,
-    # t[p, q] = 2^p p! [p = q].  A warning on the way would fail the test
+    # the moments of a radius-1e200 disk overflow, so the uniform table
+    # raises; the Gaussian's table, taken about the origin, is the whole
+    # plane's, t[p, q] = 2^p p! [p = q].  A warning on the way would fail
+    # the test
     dens = DensityMeasure(1, Polydisk(ComplexPoint((0j,)), (1e200,)), DensitySpec(kind))
     if kind == "gaussian":
         a = moment_matrix(dens, 2)
         assert np.max(np.abs(a.entries - np.diag([1.0, 2.0, 8.0]))) <= 1e-10 * 8
         return
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match="^disk moments overflow") as caught:
         moment_matrix(dens, 2)
+    assert caught.value.estimates is None
 
 
-def test_quadrature_overflow_stops_refining(monkeypatch):
-    # the uniform rule is exact on its one level, so an overflow there is
-    # reported without building any other
-    levels = []
-    gram = moments._gram
-
-    def counting(table, weights):
-        levels.append(len(table))
-        return gram(table, weights)
-
-    monkeypatch.setattr(moments, "_gram", counting)
-    dens = DensityMeasure(1, Polydisk(ComplexPoint((0j,)), (1e200,)), DensitySpec("uniform"))
-    with pytest.raises(QuadratureError):
-        moment_matrix(dens, 3)
-    assert 1 <= len(levels) <= 2
+@pytest.mark.parametrize("center, radius", [(1e200, 1.0), (1e150j, 1e150)])
+def test_disk_table_of_an_overflowing_centre_raises(center, radius):
+    with pytest.raises(QuadratureError, match="^disk moments overflow"):
+        moments._disk_table(center, radius, 3, 2)
 
 
 def _density_moments_by_whole_terms(m, basis):
@@ -618,9 +609,32 @@ def test_uniform_disk_table_is_exact_on_the_first_level():
     expected = np.array(
         [[offcenter_disk_moment(p, q, center, radius) for q in range(11)] for p in range(11)]
     )
-    # relative to the largest moment: entries that cancel to ~1e-4 of it
-    # lose digits in the closed form's own sum
     assert np.max(np.abs(table - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("center, radius", [(1e-3, 1.0), (0.4 - 0.3j, 0.9), (0.05j, 3.0)])
+def test_disk_table_holds_every_entry_to_its_own_digits(center, radius):
+    # every term of an entry has the phase e^{i (p - q) arg c}, so no digits
+    # cancel and each entry is accurate relative to itself, down to
+    # t[8, 0] = pi 1e-24 at c = 1e-3, 1e-7 of the largest entry's rounding
+    center = complex(center)
+    table = moments._disk_table(center, radius, 9, 8)
+    expected = np.array([[offcenter_disk_moment(p, q, center, radius) for q in range(9)]
+                         for p in range(10)])
+    assert np.all(np.abs(table - expected) <= 1e-14 * np.abs(expected))
+
+
+def test_centred_disk_table_is_exactly_diagonal():
+    table = moments._disk_table(0j, 2.0, 9, 8)
+    assert np.array_equal(table[:9], np.diag(table.diagonal()))
+    assert not np.any(table[9])
+
+
+@pytest.mark.parametrize("center, radius", [(0.3 - 0.2j, 0.9), (-2 + 1.5j, 1.0), (4j, 6.0)])
+def test_disk_table_is_hermitian_bit_for_bit(center, radius):
+    table = moments._disk_table(center, radius, 9, 8)[:9]
+    assert np.array_equal(table, table.conj().T)
+    assert np.all(table.diagonal().imag == 0)
 
 
 @pytest.mark.parametrize(
@@ -632,15 +646,15 @@ def test_uniform_disk_table_is_exact_on_the_first_level():
     ],
 )
 def test_only_the_gaussian_refines(monkeypatch, spec, exact):
-    # a polynomial integrand needs one polar level per coordinate disk; the
-    # Gaussian factor takes no polar nodes, and its radial rule needs at
+    # a polynomial integrand's tables are in closed form, with no rule; the
+    # Gaussian's tables take no Gram product, and its radial rule needs at
     # least one refinement per disk to confirm convergence
     calls = _gram_node_counts(monkeypatch)
     rules = _gauss_legendre_sizes(monkeypatch)
     domain = Polydisk(ComplexPoint((0.3 + 0.1j, -0.2j)), (1.0, 0.8))
     moment_matrix(DensityMeasure(2, domain, spec), 4)
     if exact:
-        assert len(calls) == 2 and len(rules) == 2
+        assert rules == []
     else:
         assert calls == [] and len(rules) >= 4
 
@@ -674,24 +688,26 @@ def _gauss_legendre_sizes(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("q_max", [0, 1, 8])
-def test_polynomial_disk_table_is_one_level_of_the_fewest_exact_nodes(monkeypatch, q_max):
-    # q_max + 1 radii and p_max + 1 angles are exact for z^p conj(z)^q
-    calls = _gram_node_counts(monkeypatch)
+def test_polynomial_disk_table_is_one_level_of_the_fewest_exact_nodes(q_max):
+    # the table one row longer that a degree-1 polynomial density reads
     center, radius, p_max = 0.4 - 0.3j, 0.9, q_max + 1
     table = moments._disk_table(center, radius, p_max, q_max)
-    assert calls == [(q_max + 1) * (p_max + 1)]
     expected = np.array([[offcenter_disk_moment(p, q, center, radius) for q in range(q_max + 1)]
                          for p in range(p_max + 1)])
     assert np.max(np.abs(table - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    # through the assembly: one call per coordinate disk, the polynomial
-    # density's tables one row longer than the uniform's
-    calls.clear()
+    # through the assembly: entry (alpha, beta) of the density with
+    # g = 1 + 0.2j z_1 is the product of the two disks' moments of
+    # z^(alpha + gamma) conj(z)^beta, summed over g's terms
     domain = Polydisk(ComplexPoint((0.3 + 0.1j, -0.2j)), (1.0, 0.8))
-    moment_matrix(DensityMeasure(2, domain, DensitySpec("uniform")), q_max)
     g = PolynomialWeight(2, {(0, 0): 1.0, (1, 0): 0.2j})
-    moment_matrix(DensityMeasure(2, domain, DensitySpec("polynomial", g)), q_max)
-    assert calls == [(q_max + 1) ** 2] * 2 + [(q_max + 1) * (q_max + 2)] * 2
+    a = moment_matrix(DensityMeasure(2, domain, DensitySpec("polynomial", g)), q_max)
+    exps = a.basis.entries_array().tolist()
+    expected = np.array([[sum(
+        coeff * math.prod(offcenter_disk_moment(x + k, y, c, r) for x, y, k, c, r in
+                          zip(alpha, beta, gamma, domain.center.coords, domain.radii))
+        for gamma, coeff in g.terms.items()) for beta in exps] for alpha in exps])
+    assert np.max(np.abs(a.entries - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def _gaussian_disk_oracle(center, radius, degree):
@@ -791,37 +807,6 @@ def test_gaussian_disk_table_that_never_settles_raises_within_2048_nodes(monkeyp
     assert rules == [16 * 2**i for i in range(8)]
     assert max(rules) == 2048
     assert all(math.isfinite(e) for e in caught.value.estimates)
-
-
-@pytest.mark.parametrize("polynomial", [None, PolynomialWeight(1, {(0,): 1.0, (1,): 0.2j})])
-def test_a_level_summed_in_blocks_is_the_whole_level(monkeypatch, polynomial):
-    # the uniform table and a polynomial density's, one row longer: blocks
-    # of 7 nodes cut rings of 9 or 10 angles, and the sum of their Gram
-    # products is the one-block table up to summation order
-    p_max = 8 + (0 if polynomial is None else polynomial.degree)
-    whole = moments._disk_table(1 + 1j, 2.0, p_max, 8)
-    calls = _gram_node_counts(monkeypatch)
-    monkeypatch.setattr(moments, "_BLOCK_BYTES", 7 * 16 * (p_max + 1))
-    blocked = moments._disk_table(1 + 1j, 2.0, p_max, 8)
-    assert max(calls) == 7 and len(calls) > 9 * (p_max + 1) // 7
-    assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
-    assert np.array_equal(blocked[:9], blocked[:9].conj().T)
-
-
-def test_a_polar_level_holds_one_block_at_a_time(monkeypatch):
-    # degree 127: 128 x 128 = 16384 nodes, whose whole monomial table would
-    # take 33.5 MB, summed in blocks of 1 MB
-    import tracemalloc
-
-    monkeypatch.setattr(moments, "_BLOCK_BYTES", 1 << 20)
-    moments._gauss_legendre(128)
-    tracemalloc.start()
-    try:
-        moments._disk_table(0.5, 3.0, 127, 127)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * moments._BLOCK_BYTES
 
 
 # -- certified sketched rank ---------------------------------------------------
