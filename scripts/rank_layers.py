@@ -10,17 +10,18 @@ Times the median over --repeats runs of:
   * verify_ms: `verify_theorem` at degrees 1..8 on the six d=3 atomic
     measures of the `verify` benchmark's first input set, per measure;
   * verify_rank_ms: the part of verify_ms spent in the rank calls the
-    battery makes (`numerical_rank` and the sketch functions recovery
-    imports from moments), per measure, each timed at its outermost call,
-    and verify_large_rank_ms the part of that on matrices of size >= 32, the
-    sketch's floor: the top matrix's blocks, its two Galerkin rescalings and
-    the separately assembled |g|^2-reweighted matrix.
+    battery makes (`numerical_rank` and the `_BlockRanker` of the top
+    matrix: its sketch and its one call for every rank), per measure, each
+    timed at its outermost call, and verify_large_rank_ms the part of that
+    on matrices of size >= 32, the sketch's floor.
 
 Each section also reports the widths of the range sketches it formed on
 matrices of size >= 32 (0 for a sketch that declined) and, for verify, the
-number formed per measure and verify_dense_blocks: per pass over the
-measures, the blocks of size >= 16 the battery ranked (leading blocks and
-Galerkin rescalings) that the top matrix's sketch did not settle.
+number formed per measure; verify_stacked_calls_per_op, the stacked (3-D)
+QR and SVD calls per measure, the ranker's; and verify_dense_blocks: per
+pass over the measures, the blocks of size >= 16 the ranker answered
+(leading blocks and Galerkin rescalings) that the top matrix's sketch did
+not settle.
 
 A density section times the quadrature layer that feeds verify's
 rank_growth check:
@@ -49,6 +50,8 @@ import statistics  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 from momentrank import (  # noqa: E402
     DensityMeasure,
     enclosing_kernel,
@@ -63,9 +66,8 @@ from momentrank import moments, operators, recovery  # noqa: E402
 from momentrank.serialize import any_measure_from_dict  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-RANK_LAYER = ("numerical_rank", "_range_sketch", "_leading_rank")
 LARGE = moments._SKETCH_MIN_SIZE
-BLOCK = 2 * moments._SKETCH_START  # the battery's floor for blocks read off the sketch
+BLOCK = 2 * moments._SKETCH_START  # the ranker's floor for blocks read off the sketch
 
 
 def _verify_inputs():
@@ -95,56 +97,76 @@ def _count_sketches(widths: list) -> None:
 
 
 def _count_dense_blocks(unsettled: list) -> None:
-    """Wraps `_leading_rank` and the `_block_rank` it calls, so that every
-    block of size >= BLOCK that the sketch did not settle appends its size
-    to unsettled."""
-    leading, block_rank = recovery._leading_rank, recovery._block_rank
-    settled = [False]
+    """Wraps `_BlockRanker.ranks` and the `_sketched_ranks` it calls, so that
+    every block of size >= BLOCK that the sketch did not settle appends its
+    size to unsettled."""
+    ranks, sketched_ranks = moments._BlockRanker.ranks, moments._sketched_ranks
+    settled: list = []
 
-    def counted_block(*args):
-        found = block_rank(*args)
-        settled[0] = found is not None
+    def counted_sketched(sketch, queries, rel_tol):
+        found = sketched_ranks(sketch, queries, rel_tol)
+        settled.extend(q[0] for q, r in zip(queries, found) if q[2] is None and r is not None)
         return found
 
-    @functools.wraps(leading)
-    def counted(entries, sketch, size, *rest):
-        settled[0] = False
-        found = leading(entries, sketch, size, *rest)
-        if size >= BLOCK and not settled[0]:
-            unsettled.append(size)
+    @functools.wraps(ranks)
+    def counted(self, blocks, others=()):
+        settled.clear()
+        found = ranks(self, blocks, others)
+        asked = sorted(size for size, _ in blocks if size >= BLOCK)
+        for size in settled:
+            if size >= BLOCK:
+                asked.remove(size)
+        unsettled.extend(asked)
         return found
 
-    recovery._leading_rank, recovery._block_rank = counted, counted_block
+    moments._BlockRanker.ranks, moments._sketched_ranks = counted, counted_sketched
+
+
+def _count_stacked(calls: list) -> None:
+    """Wraps np.linalg.qr and np.linalg.svd, so that every call on a stack
+    of matrices (an array of 3 dimensions) appends its name to calls."""
+    for name in ("qr", "svd"):
+        function = getattr(np.linalg, name)
+
+        @functools.wraps(function)
+        def counted(a, *args, _function=function, _name=name, **kwargs):
+            if np.ndim(a) == 3:
+                calls.append(_name)
+            return _function(a, *args, **kwargs)
+
+        setattr(np.linalg, name, counted)
 
 
 def _time_rank_layer(calls: list) -> None:
-    """Wraps the rank functions recovery calls, so that each outermost call
-    appends the size of the matrix it ranks and the seconds it took to
+    """Wraps the rank functions verify calls, `numerical_rank` in recovery
+    and the `_BlockRanker`'s sketch and query call, so that each outermost
+    call appends the size of the matrix it ranks and the seconds it took to
     calls.  A rank call made inside another (`numerical_rank` inside
-    `_leading_rank`) is part of the outer call's time, not an entry of its
-    own."""
+    `_BlockRanker.ranks`) is part of the outer call's time, not an entry of
+    its own."""
     depth = [0]
-    for name in RANK_LAYER:
-        function = getattr(recovery, name, None)
-        if function is None:
-            continue
 
-        def timed(*args, _function=function, _name=name, **kwargs):
+    def timed(function, size_of):
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
             if depth[0]:
-                return _function(*args, **kwargs)
-            if _name == "_leading_rank":  # (entries, sketch, size, ...)
-                size = args[2]
-            else:  # a MomentMatrix or an array
-                size = len(getattr(args[0], "entries", args[0]))
+                return function(*args, **kwargs)
             depth[0] += 1
             start = time.perf_counter()
             try:
-                return _function(*args, **kwargs)
+                return function(*args, **kwargs)
             finally:
-                calls.append((size, time.perf_counter() - start))
+                calls.append((size_of(args), time.perf_counter() - start))
                 depth[0] -= 1
 
-        setattr(recovery, name, timed)
+        return wrapper
+
+    ranker = moments._BlockRanker
+    ranker.__init__ = timed(ranker.__init__, lambda args: len(args[1]))
+    ranker.ranks = timed(ranker.ranks, lambda args: len(args[0].entries))
+    recovery.numerical_rank = timed(
+        recovery.numerical_rank, lambda args: len(getattr(args[0], "entries", args[0]))
+    )
 
 
 def _level_nodes(densities) -> dict:
@@ -227,7 +249,9 @@ def main():
             raise SystemExit("verify_theorem failed on a d=3 atomic input")
     calls: list = []
     unsettled: list = []
+    stacked: list = []
     _count_dense_blocks(unsettled)
+    _count_stacked(stacked)
     _time_rank_layer(calls)
     widths.clear()
     verify_ms, rank_ms, large_ms = [], [], []
@@ -243,6 +267,7 @@ def main():
     result["verify_rank_ms"] = 1e3 * statistics.median(rank_ms)
     result["verify_large_rank_ms"] = 1e3 * statistics.median(large_ms)
     result["verify_sketches_per_op"] = len(widths) / (args.repeats * len(measures))
+    result["verify_stacked_calls_per_op"] = len(stacked) / (args.repeats * len(measures))
     result["verify_widths"] = sorted(set(widths))
     result["verify_dense_blocks"] = len(unsettled) / args.repeats
     print(json.dumps(result, sort_keys=True))

@@ -16,7 +16,8 @@ shift of z^p about the disk's centre with the centred disk's moments, so
 they are exact up to rounding, entry by entry.  The Gaussian factor depends
 only on |z|, so its table is integrated about the origin: exactly in angle
 over each circle's arc inside the disk, and by Gauss-Legendre in radius,
-doubling up to 2048 nodes until the entries stabilize below 1e-10.
+doubling up to 2048 nodes until the entries stabilize below 1e-10, up to
+degree 504, the last whose rules fit twice within that cap.
 
 `numerical_rank` counts singular values above a relative threshold.  A
 square matrix of size >= 32 is first compressed by one seeded randomized
@@ -25,16 +26,20 @@ computed exactly (`_range_sketch`; atomic moment and Galerkin matrices have
 rank N far below their size).  Its width starts at 8 and doubles while the
 sketch has full rank, up to max(8, n // 8), and Q then keeps the N + 1
 columns it needs.  Two certificates read it: the rank's, when every
-singular value sits clear of the threshold by more than the
-residual (`_block_rank`, which also ranks a leading block or a diagonal
-rescaling s A s of A off A's sketch, as `recovery.verify_theorem` does),
-and the spectrum's, when the residual is within a dense eigensolver's own
-backward error (`operators.spectrum`).  When a certificate cannot settle
-its question, as for a density's full-rank matrix, the dense SVD or
-eigensolver decides.  A density's full rank is instead certified for all
-leading truncations at once by `_full_rank_certificate`: one Cholesky
-factorization of the matrix's shifted Hermitian part, which
-`recovery.verify_theorem` tries before ranking each truncation.
+singular value sits clear of the threshold by more than the residual
+(`_sketched_ranks`), and the spectrum's, when the residual is within a
+dense eigensolver's own backward error (`operators.spectrum`).  When a
+certificate cannot settle its question, as for a density's full-rank
+matrix, the dense SVD or eigensolver decides.  One `_BlockRanker` of A
+answers a whole list of rank queries at once, as `recovery.verify_theorem`
+asks them: A's leading blocks, their diagonal rescalings s A s and other
+matrices of A's size, off A's one sketch in two stacked QRs and one
+stacked SVD, and the blocks below the sketch's floor in one zero-padded
+stacked SVD; no stack holds more than 1 MB.  A density's full rank is
+instead certified for all leading truncations at once by
+`_full_rank_certificate`: one Cholesky factorization of the matrix's
+shifted Hermitian part, which `recovery.verify_theorem` tries before
+ranking each truncation.
 """
 
 from __future__ import annotations
@@ -67,9 +72,10 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """A density's disk table could not be formed: its entries overflow
-    (`estimates` None), or the Gaussian's refinement did not converge
-    (`estimates` holds the last two refinement errors)."""
+    """A density's disk table could not be formed: its entries overflow, or
+    the Gaussian's degree is past its rule's cap (`estimates` None), or the
+    Gaussian's refinement did not converge (`estimates` holds the last two
+    refinement errors)."""
 
     def __init__(self, message: str, estimates: tuple[float, float] | None = None):
         self.estimates = estimates
@@ -309,6 +315,9 @@ def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 _QUAD_TOL = 1e-10
 _MAX_RADII = 1 << 11
+# the highest degree whose first rule, 2 degree + 16 nodes, leaves room for
+# a second, twice as large, within _MAX_RADII nodes
+_MAX_GAUSSIAN_DEGREE = (_MAX_RADII // 2 - 16) // 2
 
 
 @functools.lru_cache(maxsize=64)
@@ -353,8 +362,15 @@ def _gaussian_disk_table(center: complex, radius: float, degree: int) -> np.ndar
     rules from 2 degree + 16 nodes, doubling until two levels agree within
     1e-10 max(1, max |t|).  Entry (p, q) is R[p + q, |p - q|] e^{i (p - q)
     arg c} for a real R, so the table is Hermitian bit for bit.  Raises
-    QuadratureError when no two levels within _MAX_RADII nodes agree.
+    QuadratureError when no two levels within _MAX_RADII nodes agree, and
+    before forming any rule when the degree is past 504, where no two
+    levels fit.
     """
+    if degree > _MAX_GAUSSIAN_DEGREE:
+        raise QuadratureError(
+            f"Gaussian disk moments of degree {degree} are past the quadrature's cap of "
+            f"degree {_MAX_GAUSSIAN_DEGREE} (two Gauss-Legendre rules within {_MAX_RADII} nodes)"
+        )
     a, g = abs(center), math.sqrt(abs(center)) * math.sqrt(radius)
     window = max(0.0, a - radius) + math.sqrt(2 * degree) + 8.0
     whole, top, gap = min(radius - a, window), min(radius + a, window), abs(radius - a)
@@ -491,6 +507,39 @@ def _rank_result(sigma: np.ndarray, rel_tol: float) -> RankResult:
     return RankResult(rank, sigma, ill)
 
 
+def _rank_results(s: np.ndarray, sizes, rel_tol: float) -> list[RankResult]:
+    """`_rank_result` of each of a stack of matrices, counted in one pass:
+    row i of s holds non-increasing singular values, the first sizes[i] of
+    them the matrix's, with zeros past the row's end."""
+    top = s[:, :1]
+    if not np.all(np.isfinite(top)):
+        raise NumericalError(f"largest singular value {top[~np.isfinite(top)][0]} is not finite")
+    counts = np.count_nonzero(s > rel_tol * top, axis=1)
+    last = s[np.arange(len(s)), np.maximum(counts - 1, 0)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ill = (counts > 0) & (top[:, 0] / last > _CONDITION_LIMIT)
+    padded = np.zeros((len(s), max(max(sizes), s.shape[1])))
+    padded[:, : s.shape[1]] = s
+    return [
+        RankResult(count, row[:size], flag)
+        for size, row, count, flag in zip(sizes, padded, counts.tolist(), ill.tolist())
+    ]
+
+
+_STACK_BYTES = 1 << 20
+
+
+def _stack_chunks(count: int, entries_each: int) -> list[slice]:
+    """Slices of a stack of `count` complex matrices of `entries_each`
+    entries each that hold at most 1 MB, as much as 32 rows of a desk-scale
+    (n ~ 2000) matrix, and at least one matrix.  A small matrix's queries
+    then take one chunk, and the few stacks a chunk forms at once stay far
+    below one n x n matrix at desk scale, so ranking there adds no n x n
+    temporary."""
+    step = max(1, _STACK_BYTES // 16 // entries_each)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 @functools.lru_cache(maxsize=16)
 def _sketch_matrix(n: int, width: int) -> np.ndarray:
     """The n x width complex Gaussian sketch drawn from seed 0, read-only,
@@ -507,6 +556,23 @@ class _RangeSketch(NamedTuple):
     residual: float
     b_norm: float  # ||B||_F
 
+    def error(self) -> float:
+        """||A - Q B||_F + n eps ||A||_F, with ||A||_F bounded by the
+        orthogonal split A = Q B - (Q B - A), without another pass over A."""
+        n = len(self.q)
+        return self.residual + n * np.finfo(float).eps * np.hypot(self.residual, self.b_norm)
+
+
+def _sketch_residual(q: np.ndarray, b: np.ndarray, entries: np.ndarray) -> float:
+    """||A - Q B||_F for A = entries, with the gap formed one row block
+    (`_row_blocks`) at a time, so no n x n temporary is made."""
+    gap_sq = 0.0
+    for rows in _row_blocks(len(entries)):
+        gap = q[rows] @ b
+        gap -= entries[rows]
+        gap_sq += float(np.vdot(gap, gap).real)
+    return math.sqrt(gap_sq)
+
 
 def _range_sketch(entries: np.ndarray, rel_tol: float) -> _RangeSketch | None:
     """Q, B = Q^H A, ||A - Q B||_F and ||B||_F for a square matrix A of size
@@ -520,9 +586,8 @@ def _range_sketch(entries: np.ndarray, rel_tol: float) -> _RangeSketch | None:
     Omega's full width A is then not low-rank, and neither B nor the
     residual is formed.  Otherwise Q keeps its columns up to the last k with
     |R_kk| > rel_tol |R_11|, and one more (at least one): still orthonormal,
-    so `_block_rank`'s bound holds, and as wide as A's rank.  The residual
-    is exact: A = Q B - gap, with gap formed one row block at a time
-    (`_row_blocks`), so no n x n temporary is made.  Entries near the
+    so `_sketched_ranks`'s bound holds, and as wide as A's rank.  The residual
+    is exact (`_sketch_residual`).  Entries near the
     float range overflow Y, R or the norms; the sketch then declines without
     a warning and the caller's dense path decides.
     """
@@ -545,47 +610,98 @@ def _range_sketch(entries: np.ndarray, rel_tol: float) -> _RangeSketch | None:
         needed = np.flatnonzero(np.abs(r.diagonal()) > rel_tol * abs(r[0, 0]))
         q = q[:, : int(np.max(needed, initial=-1)) + 2]
         b = q.conj().T @ entries
-        gap_sq = 0.0
-        for rows in _row_blocks(n):
-            gap = q[rows] @ b
-            gap -= entries[rows]
-            gap_sq += float(np.vdot(gap, gap).real)
-        residual, b_norm = math.sqrt(gap_sq), float(np.linalg.norm(b))
+        residual, b_norm = _sketch_residual(q, b, entries), float(np.linalg.norm(b))
     if not (np.isfinite(residual) and np.isfinite(b_norm)):
         return None
     return _RangeSketch(q, b, residual, b_norm)
 
 
-def _block_rank(sketch, size: int, rel_tol: float, scale=None) -> RankResult | None:
-    """The rank of S A_k S, for the leading size-block A_k of the sketched A
-    and S = diag(scale) > 0 (S = I when None), or None when the certificate
-    cannot settle it.  With S Q_k = Q_x R_x, S A_k S = Q_x (R_x B_k S) -
-    S E_k S for E = Q B - A, and ||S E_k S||_F <= max(s)^2 ||E||_F.  So with
-    err = max(s)^2 (||E||_F + n eps ||A||_F), every sigma_i(S A_k S) lies
-    within err of s_i = sigma_i(R_x B_k S), taken as 0 past l (Weyl), and
-    the threshold rel_tol sigma_1 within rel_tol err of rel_tol s_1.  The
-    count is accepted only if err lies below that threshold and no s_i lies
-    within err of where it can fall, so the dense SVD would count the same.
+def _certified_ranks(s: np.ndarray, err: np.ndarray, sizes, rel_tol: float) -> list:
+    """The rank of each matrix X_i whose singular values, zero past
+    sizes[i], lie within err[i] of row i of s (Weyl), non-increasing and
+    taken as 0 past its end; or None where the certificate cannot settle
+    it.  The threshold rel_tol sigma_1(X_i) lies within rel_tol err of
+    rel_tol s_1, and a count is accepted only if err lies below that
+    threshold and no s_j lies within err of where it can fall, so the dense
+    SVD would count the same."""
+    if min(sizes) < s.shape[1]:
+        s[np.arange(s.shape[1]) >= np.asarray(sizes)[:, np.newaxis]] = 0.0
+    e = err[:, np.newaxis]
+    low, high = rel_tol * (s[:, :1] - e), rel_tol * (s[:, :1] + e)
+    settled = (e < low)[:, 0] & ~np.any((s >= low - e) & (s <= high + e), axis=1)
+    return [r if ok else None for r, ok in zip(_rank_results(s, sizes, rel_tol), settled)]
+
+
+def _sketched_ranks(sketch: _RangeSketch, queries, rel_tol: float) -> list:
+    """The ranks of the matrices that `queries` name, read off the range
+    sketch of a square matrix A of size n, or None for each one that the
+    certificate (`_certified_ranks`) cannot settle.
+
+    A query (k, scale, None) names S A_k S, for the leading k-block A_k of A
+    and S = diag(scale) > 0 (S = I when scale is None).  With S Q_k = Q_x
+    R_x, S A_k S = Q_x (R_x B_k S) - S E_k S for E = Q B - A, and
+    ||S E_k S||_F <= max(s)^2 ||E||_F; so every sigma_i(S A_k S) lies within
+    max(s)^2 `sketch.error()` of sigma_i(R_x B_k S).  A query (n, None, C)
+    names a matrix C of size n read off A's Q: C = Q (Q^H C) - (C - Q Q^H C),
+    with C's own exact residual ||C - Q Q^H C||_F and split in place of A's.
+
+    Each factor M = R_x B_k S (R_x = I for A itself) has the singular values
+    of the l x l matrix R_x R^H, for (B_k S)^H = Q' R, so it is never formed:
+    each chunk of queries (`_stack_chunks`) takes one stacked QR of the
+    (B_k S)^H, zero-padded to n rows, one of the S Q_k that need it, and one
+    stacked SVD of l x l matrices.  A query whose factors overflow is left
+    to its caller.
     """
-    q, b, residual, b_norm = sketch
-    n, q, b, bound = len(q), q[:size], b[:, :size], 1.0
-    if scale is not None:
-        q, b, bound = q * scale[:, np.newaxis], b * scale, float(np.max(scale)) ** 2
-    if size < n or scale is not None:  # else Q_x = Q, R_x = I
-        b = np.linalg.qr(q, mode="r") @ b
-    # ||A||_F from the orthogonal split A = Q B - gap, without another pass over A
-    err = bound * (residual + n * np.finfo(float).eps * np.hypot(residual, b_norm))
-    s = np.linalg.svd(b, compute_uv=False)
-    low, high = rel_tol * (s[0] - err), rel_tol * (s[0] + err)
-    if not err < low or np.any((s >= low - err) & (s <= high + err)):
-        return None
-    return _rank_result(np.concatenate([s, np.zeros(size - s.size)]), rel_tol)
+    q, b = sketch.q, sketch.b
+    n, width = q.shape
+    floor = n * np.finfo(float).eps
+    found = []
+    for chunk in _stack_chunks(len(queries), width * n):
+        part = queries[chunk]
+        pads, err = np.zeros((len(part), n)), np.empty(len(part))
+        for i, (size, scale, _) in enumerate(part):
+            pads[i, :size] = 1.0 if scale is None else scale
+            bound = 1.0 if scale is None else float(np.max(scale)) ** 2
+            err[i] = bound * sketch.error()
+        rotated = [
+            i for i, (size, scale, c) in enumerate(part)
+            if c is None and (size < n or scale is not None)
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            tall = b.conj().T * pads[:, :, np.newaxis]
+            for i, (_, _, c) in enumerate(part):
+                if c is not None:
+                    m = q.conj().T @ c
+                    tall[i] = m.conj().T
+                    gap = _sketch_residual(q, m, c)
+                    err[i] = gap + floor * np.hypot(gap, np.linalg.norm(m))
+            r = np.linalg.qr(tall, mode="r")
+            if rotated:
+                r_x = np.linalg.qr(q * pads[rotated][:, :, np.newaxis], mode="r")
+                r[rotated] = r_x @ np.swapaxes(r[rotated], 1, 2).conj()
+            overflowed = ~np.all(np.isfinite(r), axis=(1, 2))
+        if overflowed.any():
+            r[overflowed], err[overflowed] = 0.0, np.inf
+        try:
+            s = np.linalg.svd(r, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD failed: {exc}") from exc
+        found += _certified_ranks(s, err, [size for size, _, _ in part], rel_tol)
+    return found
 
 
 def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
-    """The rank of a square matrix read off its own `_range_sketch`, or None."""
+    """The rank of a square matrix A read off its own `_range_sketch`, from
+    the singular values of B = Q^H A, or None: `_certified_ranks`'s test
+    for one matrix."""
     sketch = _range_sketch(entries, rel_tol)
-    return None if sketch is None else _block_rank(sketch, len(entries), rel_tol)
+    if sketch is None:
+        return None
+    s, err = np.linalg.svd(sketch.b, compute_uv=False), sketch.error()
+    low, high = rel_tol * (s[0] - err), rel_tol * (s[0] + err)
+    if not err < low or np.any((s >= low - err) & (s <= high + err)):
+        return None
+    return _rank_result(np.concatenate([s, np.zeros(len(entries) - s.size)]), rel_tol)
 
 
 def _dense_rank(entries: np.ndarray, rel_tol: float) -> RankResult:
@@ -599,6 +715,96 @@ def _dense_rank(entries: np.ndarray, rel_tol: float) -> RankResult:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
     return _rank_result(np.sort(sigma)[::-1], rel_tol)
+
+
+def _dense_ranks(matrices: list, rel_tol: float) -> list[RankResult]:
+    """`_dense_rank` of each square matrix: the matrices are zero-padded to
+    the largest one's size, which adds only zero singular values, so each
+    chunk (`_stack_chunks`) takes one stacked SVD and one finiteness
+    check."""
+    width = max(len(x) for x in matrices)
+    found = []
+    for chunk in _stack_chunks(len(matrices), width * width):
+        part = matrices[chunk]
+        stack = np.zeros((len(part), width, width), dtype=complex)
+        for x, slot in zip(part, stack):
+            slot[: len(x), : len(x)] = x
+        if not np.all(np.isfinite(stack)):
+            raise NumericalError("matrix has non-finite entries")
+        try:
+            s = np.linalg.svd(stack, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD failed: {exc}") from exc
+        found += _rank_results(np.sort(s, axis=1)[:, ::-1], [len(x) for x in part], rel_tol)
+    return found
+
+
+class _BlockRanker:
+    """Numerical ranks, by `numerical_rank`'s rule, of the leading blocks
+    A_k of one square matrix A, of their rescalings S A_k S (S = diag(s) >
+    0), and of matrices of A's size whose range lies near A's, a list of
+    queries at a time.
+
+    The ranker holds A's one range sketch (`_range_sketch`), or None when
+    it declined.  A query is answered:
+
+    - off that sketch (`_sketched_ranks`), for a block of size >= 16, twice
+      the sketch's first width, and for every matrix of A's size, in two
+      stacked QRs and one stacked SVD, where its certificate settles it;
+    - by the dense SVD, for a block below the sketch's floor of 32 that the
+      sketch does not serve, in one zero-padded stacked SVD (`_dense_ranks`);
+    - on its own otherwise, and when its certificate declines, as
+      `numerical_rank` ranks it: by the dense SVD for A itself, whose sketch
+      has already declined or left the rank open, and by `numerical_rank`
+      of the formed matrix for any other.
+    """
+
+    def __init__(self, entries: np.ndarray, rel_tol: float):
+        self.entries, self.rel_tol = entries, rel_tol
+        try:
+            self.sketch = _range_sketch(entries, rel_tol)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD failed: {exc}") from exc
+
+    def ranks(self, blocks, others=()) -> list[RankResult]:
+        """The RankResult of S A_k S for each (k, scale) of blocks (scale
+        None for S = I), then of each n x n matrix of others."""
+        n = len(self.entries)
+        queries = [(size, scale, None) for size, scale in blocks]
+        queries += [(n, None, c) for c in others]
+        found = [None] * len(queries)
+        sketched = [
+            i for i, (size, _, c) in enumerate(queries)
+            if self.sketch is not None and (c is not None or size >= 2 * _SKETCH_START)
+        ]
+        if sketched:
+            answers = _sketched_ranks(self.sketch, [queries[i] for i in sketched], self.rel_tol)
+            for i, answer in zip(sketched, answers):
+                found[i] = answer
+        small = [
+            i for i, (size, _, _) in enumerate(queries)
+            if i not in sketched and size < _SKETCH_MIN_SIZE
+        ]
+        if small:
+            formed = [self._formed(*queries[i]) for i in small]
+            for i, answer in zip(small, _dense_ranks(formed, self.rel_tol)):
+                found[i] = answer
+        for i, (size, scale, c) in enumerate(queries):
+            if found[i] is None:
+                if c is None and scale is None and size == n >= _SKETCH_MIN_SIZE:
+                    found[i] = _dense_rank(self.entries, self.rel_tol)
+                else:
+                    found[i] = numerical_rank(self._formed(size, scale, c), self.rel_tol)
+        return found
+
+    def _formed(self, size: int, scale, other) -> np.ndarray:
+        if other is not None:
+            return other
+        block = self.entries[:size, :size]
+        if scale is not None:
+            block = block * scale[:, np.newaxis]
+            block *= scale
+        return block
 
 
 def numerical_rank(a: MomentMatrix | np.ndarray, rel_tol: float = _RANK_TOL) -> RankResult:

@@ -12,8 +12,9 @@ singular subspace of A_0 they give N x N matrices B_0, B_j with
 so all d multiplication matrices share one eigenbasis.  One seeded random
 combination sum_j c_j B_0^{-1} B_j is eigendecomposed; every coordinate, and
 through row and column 0 of A_0 every weight, is read off its eigenvectors.
-Atoms of negligible weight are pruned, and a short Gauss-Newton polish takes
-the fit to the rounding floor.  For d = 1 this is the classic matrix pencil.
+Atoms of negligible weight are pruned, and when the rest miss the moments
+by more than 1e-8, a short Gauss-Newton polish takes the fit to the
+rounding floor.  For d = 1 this is the classic matrix pencil.
 
 The pencil runs on the smallest flat leading block, not on the whole matrix.
 The leading truncations A_k (degree <= k) are ranked for k = 1, 2, ...; once
@@ -37,6 +38,7 @@ that `momentrank verify` serializes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -49,20 +51,15 @@ from .measures import (
     DiscreteMeasure,
     pushforward_drop_coord,
     random_linear_polynomial,
-    weight_by_g,
 )
 from .moments import (
+    _BlockRanker,
+    IndexBasis,
     MomentMatrix,
     NumericalError,
-    RankResult,
     _RANK_TOL,
-    _SKETCH_MIN_SIZE,
-    _SKETCH_START,
-    _block_rank,
-    _dense_rank,
     _full_rank_certificate,
     _gram,
-    _range_sketch,
     _row_blocks,
     leading_truncation,
     moment_matrix,
@@ -85,6 +82,7 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-6
+_POLISH_TOL = 0.01 * _RESIDUAL_TOL  # the residual below which a fit is not polished
 _POLISH_ITERATIONS = 3
 
 
@@ -170,7 +168,7 @@ def _polish_atoms(
         if iteration and not err < best_err:
             break
         best_locs, best_lam, best_err = locs, lam, err
-        if err <= 0.01 * _RESIDUAL_TOL or iteration == _POLISH_ITERATIONS:
+        if err <= _POLISH_TOL or iteration == _POLISH_ITERATIONS:
             break
         blocks = []
         for v in range(d):
@@ -244,23 +242,35 @@ def _moment_gap(locations: np.ndarray, weights: np.ndarray, whole: MomentMatrix)
     return float(np.max(gaps))
 
 
+def _sorted_atoms(locations: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms sorted by (re z_1, im z_1, ..., im z_d)."""
+    # np.lexsort's last key is the primary one
+    parts = (locations.real, locations.imag)
+    keys = [part[:, j] for j in range(locations.shape[1]) for part in parts]
+    order = np.lexsort(keys[::-1])
+    return locations[order], weights[order]
+
+
 def _fit(
     a: MomentMatrix, whole: MomentMatrix, block: int, rank: int, cfg: RecoveryConfig
 ) -> tuple[DiscreteMeasure, float]:
     """One pencil extraction on `a` at a prescribed rank, gated by the residual
     against the whole input `whole` (of which `a` is a leading truncation).
-    Atoms of weight below rank_tol times the largest are pruned and the
-    polish re-fits the rest, sorted by (re z_1, im z_1, ..., im z_d) and
-    gated as arrays; only an accepted fit becomes a measure, without zero
-    weights."""
+    Atoms of weight below rank_tol times the largest are pruned, and the
+    rest, sorted by (re z_1, im z_1, ..., im z_d), are gated as arrays.
+    The polish re-fits the pruned atoms only when that residual is above
+    1e-8, 0.01 times the gate: below it, the residual on `a`'s entries is
+    below it too, so the polish would stop before its first step.  Only an
+    accepted fit becomes a measure, without zero weights."""
     locations, weights = _pencil_atoms(a, block, rank, cfg.seed)
     keep = np.abs(weights) >= cfg.rank_tol * np.max(np.abs(weights))
-    locations, weights = _polish_atoms(locations[keep], weights[keep], a)
-    # np.lexsort's last key is the primary one
-    keys = [part[:, j] for j in range(a.dimension) for part in (locations.real, locations.imag)]
-    order = np.lexsort(keys[::-1])
-    locations, weights = locations[order], weights[order]
-    residual = _moment_gap(locations, weights, whole)
+    locations, weights = locations[keep], weights[keep]
+    fitted = _sorted_atoms(locations, weights)
+    residual = _moment_gap(*fitted, whole)
+    if not residual <= _POLISH_TOL:
+        fitted = _sorted_atoms(*_polish_atoms(locations, weights, a))
+        residual = _moment_gap(*fitted, whole)
+    locations, weights = fitted
     if not residual <= _RESIDUAL_TOL:
         raise RecoveryError(
             f"residual {residual:.3e} above {_RESIDUAL_TOL:.1e} "
@@ -288,14 +298,20 @@ def recover_atoms(a: MomentMatrix, cfg: RecoveryConfig = RecoveryConfig()) -> Re
     block of the whole matrix is smaller than its rank, and NumericalError
     on non-finite input or an overflowing largest singular value.
     """
-    return _recover(a, {}, cfg)
+    return _recover(a, _leading_ranks(a, 1, cfg.rank_tol), cfg)
 
 
-def _recover(
-    a: MomentMatrix, ranked: dict[int, RankResult], cfg: RecoveryConfig
-) -> RecoveryReport:
-    """`recover_atoms` given the rank estimates, by degree, of leading
-    truncations of `a` that the caller already holds."""
+def _leading_ranks(a: MomentMatrix, degree: int, rel_tol: float):
+    """`numerical_rank` of a's leading truncations of degree `degree`,
+    degree + 1, ..., its top, each ranked when it is drawn."""
+    sizes = a.basis.offsets[degree + 1 :]
+    return (numerical_rank(a.entries[:size, :size], rel_tol) for size in sizes)
+
+
+def _recover(a: MomentMatrix, estimates, cfg: RecoveryConfig) -> RecoveryReport:
+    """`recover_atoms` given an iterator over the rank estimates of a's
+    leading truncations of degree 1, 2, ..., its top, which the flat-block
+    search draws one at a time, as far as it goes."""
     if not np.all(np.isfinite(a.entries)):
         raise NumericalError("moment matrix has non-finite entries")
     if not np.any(a.entries):
@@ -310,12 +326,8 @@ def _recover(
     top, offsets = a.max_degree, a.basis.offsets
     log: list[str] = []
     previous = 1 if a.entries[0, 0] != 0 else 0  # rank of the 1x1 degree-0 block
-    for k in range(1, top + 1):
-        block, size = int(offsets[k]), offsets[k + 1]  # degree <= k - 1, degree <= k
-        if k in ranked:
-            estimate = ranked[k]
-        else:
-            estimate = numerical_rank(a.entries[:size, :size], cfg.rank_tol)
+    for k, estimate in zip(range(1, top + 1), estimates):
+        block = int(offsets[k])  # degree <= k - 1
         n = estimate.rank
         if n == previous > 0 or k == top:
             if block < n:
@@ -410,26 +422,6 @@ class TheoremVerdict:
         return all(c.passed for c in self.checks)
 
 
-def _leading_rank(entries, sketch, size: int, rel_tol: float, scale=None) -> RankResult:
-    """`numerical_rank` of S A_k S (A_k the leading size-block of A = entries,
-    S = diag(scale), I when None), read off A's range sketch (or None) when
-    size >= 16 (twice the sketch's first width) and `moments._block_rank`
-    settles it, else off the formed block.  When that block is A itself, of
-    size >= 32 (the sketch's floor), `sketch` (A's own) has already declined
-    or left the rank open, so the dense SVD decides without sketching A
-    again."""
-    found = sketch and size >= 2 * _SKETCH_START and _block_rank(sketch, size, rel_tol, scale)
-    if found:
-        return found
-    if scale is None and size == len(entries) >= _SKETCH_MIN_SIZE:
-        return _dense_rank(entries, rel_tol)
-    block = entries[:size, :size]
-    if scale is not None:
-        block = block * scale[:, np.newaxis]
-        block *= scale
-    return numerical_rank(block, rel_tol)
-
-
 def verify_theorem(
     m: DiscreteMeasure | DensityMeasure,
     degrees: list[int],
@@ -445,43 +437,68 @@ def verify_theorem(
     top matrix's shifted Hermitian part (`_full_rank_certificate`) proves
     that for every degree at once; when it declines, each truncation is
     ranked by `numerical_rank`, so the verdict is the same either way.
-    Atomic input, with D = max(degrees):
+
+    Atomic input, with D = max(degrees) and A the degree-D block: the top
+    matrix is the Gram product of one monomial table of the atoms, as
+    `moment_matrix` forms it, and one `_BlockRanker` of A answers every
+    rank below in one call, off A's one sketch where it settles them: A's
+    leading blocks of degree 1 .. D, both Galerkin rescalings and the
+    reweighted matrix.
 
     - rank_saturation: the rank equals N once the degree reaches N - 1;
     - recovery_roundtrip: recovery from the top-degree matrix returns the
-      atoms within 1e-6; the flat-block search reuses the battery's ranks,
-      and the measured degree is that of the block the atoms came from;
-    - galerkin_rank_equality: the Galerkin matrices s A s of the degree-D
-      block A under both kernels (`enclosing_kernel`) have the rank of A;
-      they, and A's blocks of size >= 16, are ranked off one sketch of A;
+      atoms within 1e-6; the flat-block search reads the battery's ranks
+      up to degree D, and the measured degree is that of the block the
+      atoms came from;
+    - galerkin_rank_equality: the Galerkin matrices s A s under both
+      kernels (`enclosing_kernel`) have the rank of A;
     - reweighting_rank_monotonicity: |g|^2 mu, for a linear g drawn from
-      cfg.seed, has rank at most N, and exactly N when g vanishes on no atom;
+      cfg.seed, has rank at most N, and exactly N when g vanishes on no
+      atom; its degree-D matrix is the Gram product of the same monomial
+      table's rows and columns, over the atoms where g is not 0, with the
+      weights |g|^2 lambda (what `moment_matrix(weight_by_g(m, g), D)`
+      forms);
     - submatrix_consistency (d >= 2): the alpha_1 = beta_1 = 0 block equals
       the moment matrix of the pushforward dropping z_1, within 1e-12 times
       max(1, its largest entry): the entries grow like |zeta|^(2D).
     """
     if not degrees or any(lo >= hi for lo, hi in zip(degrees, degrees[1:])):
         raise ValueError("degrees must be a nonempty strictly increasing list")
-    atomic = isinstance(m, DiscreteMeasure)
     d_max = degrees[-1]
-    top = max(d_max, m.atom_count + 1) if atomic else d_max
-    a_top = moment_matrix(m, top)
-    truncations = [leading_truncation(a_top, d) for d in degrees]
-    if not atomic:
-        expected = [t.basis.size for t in truncations]
+    if not isinstance(m, DiscreteMeasure):
+        a_top = moment_matrix(m, d_max)
+        expected = [int(a_top.basis.offsets[d + 1]) for d in degrees]
         if _full_rank_certificate(a_top.entries, cfg.rank_tol):
             ranks = tuple(expected)
         else:
-            ranks = tuple(numerical_rank(t, cfg.rank_tol).rank for t in truncations)
+            ranks = tuple(
+                numerical_rank(leading_truncation(a_top, d), cfg.rank_tol).rank for d in degrees
+            )
         measured = {"degrees": list(degrees), "ranks": list(ranks), "expected": expected}
         check = CheckResult("rank_growth", list(ranks) == expected, measured)
         return TheoremVerdict("density", tuple(degrees), ranks, (check,))
 
-    a = truncations[-1]
-    sketch = _range_sketch(a.entries, cfg.rank_tol)
-    estimates = [_leading_rank(a.entries, sketch, t.basis.size, cfg.rank_tol) for t in truncations]
-    ranks = tuple(e.rank for e in estimates)
     n = m.atom_count
+    top = max(d_max, n + 1)
+    basis = IndexBasis(m.dimension, top)
+    table = monomial_table(m.locations_matrix(), basis)
+    a_top = MomentMatrix(basis, _gram(table, m.weights_vector()))
+    a = leading_truncation(a_top, d_max)
+    size = a.basis.size
+    g_poly = random_linear_polynomial(m.dimension, cfg.seed)
+    g_values = [g_poly.evaluate(atom.location) for atom in m.atoms]
+    kept = [k for k, gz in enumerate(g_values) if gz != 0]
+    g_weights = np.array([abs(g_values[k]) ** 2 * m.atoms[k].weight for k in kept], dtype=complex)
+    scales = [
+        np.exp(_log_normalizers(enclosing_kernel(kind, m), a.basis))
+        for kind in ("bargmann", "bergman")
+    ]
+    blocks = [(int(s), None) for s in a.basis.offsets[2:]] + [(size, s) for s in scales]
+    reweighted = _gram(table[kept, :size], g_weights)
+    *leading, bargmann, bergman, g_rank = _BlockRanker(a.entries, cfg.rank_tol).ranks(
+        blocks, [reweighted]
+    )
+    ranks = tuple(leading[d - 1].rank for d in degrees)
     saturation_ok = all(r == n for d, r in zip(degrees, ranks) if d >= max(n - 1, 0))
     checks = [
         CheckResult(
@@ -491,7 +508,8 @@ def verify_theorem(
         )
     ]
     try:
-        report = _recover(a_top, dict(zip(degrees, estimates)), cfg)
+        estimates = itertools.chain(leading, _leading_ranks(a_top, d_max + 1, cfg.rank_tol))
+        report = _recover(a_top, estimates, cfg)
         matched = match_atoms(report.atoms, m, 1e-6)
         ok = matched is not None and matched[1] <= 1e-6
         measured = {
@@ -508,17 +526,15 @@ def verify_theorem(
     checks.append(CheckResult("recovery_roundtrip", ok, measured))
 
     base_rank = ranks[-1]
-    galerkin_measured = {}
-    for kind in ("bargmann", "bergman"):
-        scale = np.exp(_log_normalizers(enclosing_kernel(kind, m), a.basis))
-        g_rank = _leading_rank(a.entries, sketch, a.basis.size, cfg.rank_tol, scale).rank
-        galerkin_measured[kind] = {"galerkin_rank": g_rank, "moment_rank": base_rank}
+    galerkin_measured = {
+        kind: {"galerkin_rank": found.rank, "moment_rank": base_rank}
+        for kind, found in (("bargmann", bargmann), ("bergman", bergman))
+    }
     galerkin_ok = all(v["galerkin_rank"] == base_rank for v in galerkin_measured.values())
     checks.append(CheckResult("galerkin_rank_equality", galerkin_ok, galerkin_measured))
 
-    g_poly = random_linear_polynomial(m.dimension, cfg.seed)
-    rank_g = numerical_rank(moment_matrix(weight_by_g(m, g_poly), d_max), cfg.rank_tol).rank
-    min_g = min((abs(g_poly.evaluate(atom.location)) for atom in m.atoms), default=1.0)
+    rank_g = g_rank.rank
+    min_g = min((abs(gz) for gz in g_values), default=1.0)
     # g vanishing on an atom (|g| <= 1e-6 there) may drop the rank
     mono_ok = rank_g <= base_rank and (min_g <= 1e-6 or rank_g == base_rank)
     checks.append(

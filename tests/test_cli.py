@@ -486,6 +486,20 @@ def test_moments_quadrature_failure_exit_code(tmp_path, capsys, kind):
     assert err.count("\n") == 1
 
 
+def test_moments_of_a_gaussian_past_the_quadrature_cap_exit_code(tmp_path, capsys):
+    d_path = tmp_path / "d.json"
+    d_path.write_text(json.dumps({
+        "dimension": 1,
+        "domain": {"center": [[0, 0]], "radii": [1.0]},
+        "density": {"type": "gaussian"},
+    }))
+    assert run("moments", "--input", str(d_path), "--degree", "505") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failure: Gaussian disk moments of degree 505")
+    assert "cap of degree 504" in err
+    assert err.count("\n") == 1
+
+
 def test_verify_byte_identical_rerun(tmp_path):
     m_path, v_path = tmp_path / "m.json", tmp_path / "v.json"
     run("gen", "--dimension", "2", "--atoms", "3", "--seed", "2", "--output", str(m_path))

@@ -809,6 +809,28 @@ def test_gaussian_disk_table_that_never_settles_raises_within_2048_nodes(monkeyp
     assert all(math.isfinite(e) for e in caught.value.estimates)
 
 
+def test_gaussian_disk_table_at_the_cap_degree_is_a_table():
+    # degree 504: the first rule, 2 * 504 + 16 = 1024 nodes, leaves room
+    # for the second, 2048, within the cap
+    table = moments._gaussian_disk_table(0.5, 1.0, 504)
+    assert table.shape == (505, 505)
+    assert np.all(np.isfinite(table))
+
+
+@pytest.mark.parametrize("degree", [505, 1017])
+def test_gaussian_disk_table_past_the_cap_degree_says_so(monkeypatch, degree):
+    # from 505 no two rules fit within 2048 nodes, and from 1017 not even
+    # one: the table raises before any Gauss-Legendre rule is formed
+    solved = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: solved.append(n) or leggauss(n))
+    with pytest.raises(QuadratureError, match=f"degree {degree} .* cap of degree 504") as caught:
+        moments._gaussian_disk_table(0.5, 1.0, degree)
+    assert caught.value.estimates is None
+    assert solved == []
+
+
 # -- certified sketched rank ---------------------------------------------------
 
 def test_sketched_rank_matches_dense_svd(svd_spy, verify_inputs):

@@ -122,8 +122,12 @@ def test_rank_layers_reports_its_sketches_and_quadrature_levels(tmp_path, run_py
     done = run_python(ROOT / "scripts" / "rank_layers.py", "--repeats", "1", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    # the top matrix's sketch and the |g|^2-reweighted matrix's, per op
-    assert result["verify_sketches_per_op"] == 2.0
+    # the top matrix's one sketch serves every rank of an op, the
+    # |g|^2-reweighted matrix's too, in two stacked QRs (the blocks' and
+    # the cut of the wide factors) and one stacked SVD, and the blocks
+    # below 16 (sizes 4 and 10) take one padded stacked SVD
+    assert result["verify_sketches_per_op"] == 1.0
+    assert result["verify_stacked_calls_per_op"] == 4.0
     # rank 8 fills the first width, 8, and Q keeps 9 of the doubled 16
     assert result["rank_220_widths"] == result["spectrum_220_widths"] == [9]
     # the d = 3 measures have N <= 6 atoms: Q keeps N + 1 columns, none declines

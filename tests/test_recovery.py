@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from momentrank import (
     numerical_rank,
     perturb_weight,
     pushforward_drop_coord,
+    random_linear_polynomial,
     random_unitary,
     recover_1d,
     recover_atoms,
@@ -383,11 +385,19 @@ def test_fit_one_rank_too_high_prunes_the_spurious_atom(d, n, degree, seed):
 def test_fit_on_a_basis_above_100_solves_the_spanning_equations(monkeypatch, n):
     # d=2, degree 13: a basis of 105, so the polish fits the pencil's atoms
     # to the first-row, first-column and diagonal equations, 3 * 105
-    # rather than 105^2
+    # rather than 105^2.  Exact pencil atoms pass the 1e-8 gate unpolished,
+    # so their locations are moved by 1e-9 to make the polish run
     used = []
     pairs = recovery._equation_pairs
     monkeypatch.setattr(recovery, "_equation_pairs",
                         lambda size: used.append(len(pairs(size)[0])) or pairs(size))
+    pencil = recovery._pencil_atoms
+
+    def moved(*args):
+        locations, weights = pencil(*args)
+        return locations + 1e-9, weights
+
+    monkeypatch.setattr(recovery, "_pencil_atoms", moved)
     for seed in range(5):
         truth = generate_measure(2, n, seed=seed, separation=0.2)
         a = moment_matrix(truth, 13)
@@ -487,11 +497,24 @@ def test_verify_theorem_assembles_input_moments_once(monkeypatch, kind):
     monkeypatch.setattr(recovery, "moment_matrix", counting)
     # a Galerkin check that assembled the moments again would show here
     monkeypatch.setattr(operators, "moment_matrix", counting)
+    # an atomic measure's moments are the Gram product of one monomial
+    # table of its atoms, which the reweighting check reads too
+    tables = []
+    table = recovery.monomial_table
+    locations = m.locations_matrix() if kind == "atomic" else None
+
+    def tabulating(points, basis):
+        if locations is not None and np.array_equal(points, locations):
+            tables.append(basis.max_degree)
+        return table(points, basis)
+
+    monkeypatch.setattr(recovery, "monomial_table", tabulating)
     verdict = verify_theorem(m, [1, 2, 3, 4])
     assert verdict.passed
     if kind == "atomic":
         # 4 atoms raise the top degree to N + 1 = 5 for the recovery round-trip
-        assert degrees_seen == [5]
+        assert tables == [5]
+        assert degrees_seen == []
         assert [c.name for c in verdict.checks] == [
             "rank_saturation",
             "recovery_roundtrip",
@@ -544,24 +567,29 @@ def test_match_atoms_requires_proximity():
     assert match_atoms(a, b, 1.0) is not None
 
 
-def test_verify_theorem_ranks_each_matrix_once(monkeypatch):
+def test_verify_theorem_ranks_each_matrix_once(monkeypatch, svd_spy):
     # N + 1 <= max(degrees): recovery reads the top-degree rank the battery
-    # already holds instead of a second SVD of the same matrix
+    # already holds instead of a second SVD of the same matrix.  The top
+    # block (28) is below the sketch's floor, so every matrix is ranked in
+    # zero-padded stacked SVDs of 28 x 28 matrices, and none on its own
     seen = []
     real = recovery.numerical_rank
 
     def counting(a, rel_tol=1e-8):
-        entries = a.entries if isinstance(a, MomentMatrix) else np.asarray(a)
-        seen.append((entries.shape, hash(entries.tobytes())))
+        seen.append(a)
         return real(a, rel_tol)
 
     monkeypatch.setattr(recovery, "numerical_rank", counting)
+    monkeypatch.setattr(moments, "numerical_rank", counting)
     m = generate_measure(2, 3, seed=4, separation=0.2)
+    shapes = svd_spy()
     verdict = verify_theorem(m, [1, 2, 3, 4, 5, 6])
     assert verdict.passed
-    assert len(seen) == len(set(seen))
-    # six degrees, two Galerkin kernels, one reweighted measure
-    assert len(seen) == 6 + 2 + 1
+    assert seen == []
+    stacked = [shape for shape in shapes if len(shape) == 3]
+    assert all(shape[1:] == (28, 28) for shape in stacked)
+    # six degrees, two Galerkin kernels, one reweighted matrix
+    assert sum(shape[0] for shape in stacked) == 6 + 2 + 1
 
 
 # -- atomic verdicts through one sketch of the top matrix ------------------------
@@ -611,7 +639,7 @@ def test_block_ranks_off_one_sketch_match_dense_svd(verify_inputs):
                 block, bound = block * np.outer(scale, scale), np.max(scale) ** 2
             sigma = np.linalg.svd(block, compute_uv=False)
             rank = int(np.count_nonzero(sigma > 1e-8 * sigma[0]))
-            found = moments._block_rank(sketch, size, 1e-8, scale)
+            found, = moments._sketched_ranks(sketch, [(size, scale, None)], 1e-8)
             assert found is not None, f"{label} size {size}"
             assert found.rank == rank, f"{label} size {size}"
             assert len(found.singular_values) == size
@@ -626,9 +654,9 @@ def test_block_ranks_off_one_sketch_match_dense_svd(verify_inputs):
 
 
 def test_verify_ranks_its_large_blocks_off_one_sketch(svd_spy, monkeypatch, verify_inputs):
-    # degree 8 at d = 3 (basis 165): the top matrix's sketch answers the
-    # blocks of size >= 16 and both Galerkin checks; the only other sketch
-    # is the |g|^2-reweighted matrix's, and no dense SVD of size >= 16 runs
+    # degree 8 at d = 3 (basis 165): the top matrix's one sketch answers the
+    # blocks of size >= 16, both Galerkin checks and the |g|^2-reweighted
+    # matrix, and no dense SVD of size >= 16 runs, alone or in a stack
     sketched = []
     real = moments._range_sketch
 
@@ -638,19 +666,20 @@ def test_verify_ranks_its_large_blocks_off_one_sketch(svd_spy, monkeypatch, veri
         return real(entries, rel_tol)
 
     monkeypatch.setattr(moments, "_range_sketch", recording)
-    monkeypatch.setattr(recovery, "_range_sketch", recording)
     shapes = svd_spy()
     for label, m, _ in list(_d3_atomic_tops(verify_inputs))[-6:]:
         assert verify_theorem(m, list(range(1, 9))).passed, label
-    assert sketched == [165, 165] * 6
-    assert not [shape for shape in shapes if shape[0] == shape[1] >= 16]
+    assert sketched == [165] * 6
+    assert not [shape for shape in shapes if shape[-2] == shape[-1] >= 16]
 
 
 def test_a_declined_top_sketch_is_not_built_again(monkeypatch):
     # d = 3, N = 12 at degrees 1..6: the top block (84) fills the sketch's
     # cap, so its sketch declines and the dense SVD ranks it without a second
-    # sketch of the same matrix; going through numerical_rank instead builds
-    # that repeat and reaches the same verdict, bit for bit
+    # sketch of the same matrix; numerical_rank builds that repeat and
+    # reaches the same rank, bit for bit.  The two Galerkin rescalings and
+    # the reweighted matrix are other matrices, each ranked by
+    # numerical_rank with a sketch of its own
     sketched = []
     real = moments._range_sketch
 
@@ -661,22 +690,27 @@ def test_a_declined_top_sketch_is_not_built_again(monkeypatch):
         return sketch
 
     monkeypatch.setattr(moments, "_range_sketch", recording)
-    monkeypatch.setattr(recovery, "_range_sketch", recording)
     m = generate_measure(3, 12, seed=2, separation=0.2)
     verdict = verify_theorem(m, list(range(1, 7)))
     assert verdict.passed
     assert sketched == [(84, True)] * 4
     sketched.clear()
-    monkeypatch.setattr(recovery, "_dense_rank", recovery.numerical_rank)
-    assert repr(verify_theorem(m, list(range(1, 7)))) == repr(verdict)
-    assert sketched == [(84, True)] * 5
+    top = moment_matrix(m, 6).entries
+    found, = moments._BlockRanker(top, 1e-8).ranks([(84, None)])
+    assert sketched == [(84, True)]
+    expected = numerical_rank(top)
+    assert sketched == [(84, True)] * 2
+    assert found.rank == expected.rank == verdict.ranks[-1] == 12
+    assert found.singular_values.tobytes() == expected.singular_values.tobytes()
+    assert found.ill_conditioned is expected.ill_conditioned
 
 
 @pytest.mark.parametrize("size", [100, 128])
 def test_leading_rank_the_certificate_declines_is_numerical_rank(size):
     # rank 5 with row and column 99 zero: a scale of 1e5 there leaves s A s
     # = A but lifts the certified error max(s)^2 (...) past the threshold,
-    # so the formed block goes to numerical_rank
+    # so the ranker hands the formed block to numerical_rank, while the
+    # unscaled block of the same call is settled off the sketch
     rng = np.random.default_rng(5)
     x, y = (rng.standard_normal((128, 5)) + 1j * rng.standard_normal((128, 5)) for _ in "xy")
     x[99] = y[99] = 0
@@ -684,26 +718,138 @@ def test_leading_rank_the_certificate_declines_is_numerical_rank(size):
     sketch = moments._range_sketch(entries, 1e-8)
     scale = np.ones(size)
     scale[99] = 1e5
-    assert moments._block_rank(sketch, size, 1e-8).rank == 5
-    assert moments._block_rank(sketch, size, 1e-8, scale) is None
+    assert moments._sketched_ranks(sketch, [(size, None, None)], 1e-8)[0].rank == 5
+    assert moments._sketched_ranks(sketch, [(size, scale, None)], 1e-8) == [None]
     block = entries[:size, :size] * scale[:, np.newaxis]
     block *= scale
     expected = numerical_rank(block)
-    found = recovery._leading_rank(entries, sketch, size, 1e-8, scale)
+    found, plain = moments._BlockRanker(entries, 1e-8).ranks([(size, scale), (size, None)])
+    assert plain.rank == 5
     assert found.rank == expected.rank == 5
     assert found.singular_values.tobytes() == expected.singular_values.tobytes()
     assert found.ill_conditioned is expected.ill_conditioned
 
 
 def test_atomic_verdicts_do_not_depend_on_the_block_certificate(monkeypatch, verify_inputs):
-    # the derived ranks only skip sketches and SVDs: with every one forced
-    # to decline, each block is formed and ranked, and the verdict must come
-    # out the same
-    cases = [(label, m) for label, m, _ in list(_d3_atomic_tops(verify_inputs))[-6:]]
+    # the derived ranks only skip sketches and SVDs: with every certificate
+    # forced to decline, each matrix is formed and ranked on its own, and the
+    # verdict must come out the same.  At d = 1 (size 9) no rank is read off
+    # a sketch, so those verdicts come from the padded stacked SVDs either way
+    cases = [
+        (name, any_measure_from_dict(payload))
+        for name, payload in verify_inputs(0) if "-atoms" in name
+    ]
+    assert len(cases) == 18
     derived = [verify_theorem(m, list(range(1, 9))) for _, m in cases]
-    monkeypatch.setattr(recovery, "_block_rank", lambda *args: None)
+    monkeypatch.setattr(moments, "_sketched_ranks",
+                        lambda sketch, queries, rel_tol: [None] * len(queries))
     for (label, m), verdict in zip(cases, derived):
         assert verify_theorem(m, list(range(1, 9))) == verdict, label
+
+
+def test_reweighted_matrix_off_the_top_table_is_the_reweighted_measures(monkeypatch, verify_inputs):
+    # the reweighting check reads the top matrix's monomial table: its
+    # matrix is moment_matrix(weight_by_g(m, g), D) bit for bit, and the
+    # ranker's rank of it is numerical_rank's
+    others = []
+    ranks = moments._BlockRanker.ranks
+
+    def recording(self, blocks, more=()):
+        others.extend(more)
+        return ranks(self, blocks, more)
+
+    monkeypatch.setattr(moments._BlockRanker, "ranks", recording)
+    compared = 0
+    for seed in range(4):
+        for name, payload in verify_inputs(seed):
+            m = any_measure_from_dict(payload)
+            if isinstance(m, DensityMeasure):
+                continue
+            others.clear()
+            verdict = verify_theorem(m, list(range(1, 9)))
+            expected = moment_matrix(weight_by_g(m, random_linear_polynomial(m.dimension, 0)), 8)
+            assert len(others) == 1
+            assert others[0].tobytes() == expected.entries.tobytes(), f"{seed} {name}"
+            check = next(c for c in verdict.checks if c.name == "reweighting_rank_monotonicity")
+            assert check.measured["rank_reweighted"] == numerical_rank(expected).rank
+            compared += 1
+    assert compared == 4 * 18
+
+
+def _fit_polishing_first(a, whole, block, rank, cfg):
+    """_fit's atoms and residual as they were formed before the gate came
+    first: the pruned pencil atoms are always polished, then sorted and
+    gated."""
+    locations, weights = recovery._pencil_atoms(a, block, rank, cfg.seed)
+    keep = np.abs(weights) >= cfg.rank_tol * np.max(np.abs(weights))
+    polished = recovery._polish_atoms(locations[keep], weights[keep], a)
+    locations, weights = recovery._sorted_atoms(*polished)
+    return locations, weights, recovery._moment_gap(locations, weights, whole)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-7])
+def test_fit_polishes_only_above_the_gate_and_as_before(monkeypatch, noise):
+    # exact moments: the pencil's atoms are within 1e-8 of the whole input,
+    # so they are not polished, and the polish would have returned them as
+    # they are.  Moments with 1e-7 noise put them above 1e-8: the polish
+    # runs, iterates, and gives the atoms and residual it gave before
+    polished = []
+    polish = recovery._polish_atoms
+    monkeypatch.setattr(recovery, "_polish_atoms",
+                        lambda *args: polished.append(1) or polish(*args))
+    rng = np.random.default_rng(3)
+    for seed in range(4):
+        truth = generate_measure(2, 4, seed=seed, separation=0.2)
+        a = moment_matrix(truth, 5)
+        if noise:
+            shape = a.entries.shape
+            jitter = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            a = MomentMatrix(a.basis, a.entries + noise * jitter)
+        block, cfg = int(a.basis.offsets[5]), RecoveryConfig(seed=seed)
+        polished.clear()
+        fitted, residual = recovery._fit(a, a, block, 4, cfg)
+        assert len(polished) == (1 if noise else 0)
+        assert (residual > 1e-8) == bool(noise)
+        locations, weights, before = _fit_polishing_first(a, a, block, 4, cfg)
+        assert residual == before
+        assert fitted.locations_matrix().tobytes() == locations.tobytes()
+        assert fitted.weights_vector().tobytes() == weights.tobytes()
+
+
+def test_chunked_stacks_give_the_ranks_of_single_queries(monkeypatch):
+    # n = 128 at rank 40 fills the sketch's width of 16, so its 90 small
+    # blocks go to zero-padded dense stacks; n = 256 at rank 10 is
+    # sketched, and its 60 queries go to QR stacks of 256 x 11 factors.
+    # Either way no stack holds more than 1 MB, so the queries take two
+    # chunks or more, and each query ranked alone gives the same rank
+    stacks = []
+    for name in ("qr", "svd"):
+        function = getattr(np.linalg, name)
+
+        def spy(a, *args, _function=function, **kwargs):
+            if np.ndim(a) == 3:
+                stacks.append(a.shape)
+            return _function(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    rng = np.random.default_rng(7)
+    for n, rank, sizes in ((128, 40, range(2, 32)), (256, 10, range(16, 256, 8))):
+        x, y = (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)) for _ in "xy")
+        entries = x @ y.conj().T
+        ranker = moments._BlockRanker(entries, 1e-8)
+        assert (ranker.sketch is None) == (n == 128)
+        scales = [None, np.exp(rng.uniform(-1, 1, n)), np.exp(rng.uniform(-1, 1, n))]
+        scales = scales[: 3 if n == 128 else 2]
+        queries = [(size, s if s is None else s[:size]) for s in scales for size in sizes]
+        stacks.clear()
+        together = ranker.ranks(queries)
+        assert len(stacks) >= 2
+        assert all(16 * math.prod(shape) <= 1 << 20 for shape in stacks)
+        alone = [ranker.ranks([query])[0] for query in queries]
+        for query, found, single in zip(queries, together, alone):
+            assert found.rank == single.rank == min(rank, query[0]), query[0]
+            assert np.allclose(found.singular_values, single.singular_values, rtol=1e-12,
+                               atol=1e-12 * single.singular_values[0])
 
 
 # -- density verdicts through the full-rank certificate --------------------------
