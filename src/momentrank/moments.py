@@ -616,19 +616,26 @@ def _range_sketch(entries: np.ndarray, rel_tol: float) -> _RangeSketch | None:
     return _RangeSketch(q, b, residual, b_norm)
 
 
+def _settled(s: np.ndarray, err, rel_tol: float):
+    """Whether the certificate settles the rank of a matrix X whose
+    singular values lie within err of s (Weyl), non-increasing and taken as
+    0 past its end: for one such s and err, or row-wise for a stack of rows
+    and an array of errors.  The threshold rel_tol sigma_1(X) lies within
+    rel_tol err of rel_tol s_1, and a count is accepted only if err lies
+    below that threshold and no s_j lies within err of where it can fall,
+    so the dense SVD would count the same."""
+    e = np.asarray(err)[..., np.newaxis]
+    low, high = rel_tol * (s[..., :1] - e), rel_tol * (s[..., :1] + e)
+    return (e < low)[..., 0] & ~np.any((s >= low - e) & (s <= high + e), axis=-1)
+
+
 def _certified_ranks(s: np.ndarray, err: np.ndarray, sizes, rel_tol: float) -> list:
     """The rank of each matrix X_i whose singular values, zero past
-    sizes[i], lie within err[i] of row i of s (Weyl), non-increasing and
-    taken as 0 past its end; or None where the certificate cannot settle
-    it.  The threshold rel_tol sigma_1(X_i) lies within rel_tol err of
-    rel_tol s_1, and a count is accepted only if err lies below that
-    threshold and no s_j lies within err of where it can fall, so the dense
-    SVD would count the same."""
+    sizes[i], lie within err[i] of row i of s; or None where the
+    certificate (`_settled`) cannot settle it."""
     if min(sizes) < s.shape[1]:
         s[np.arange(s.shape[1]) >= np.asarray(sizes)[:, np.newaxis]] = 0.0
-    e = err[:, np.newaxis]
-    low, high = rel_tol * (s[:, :1] - e), rel_tol * (s[:, :1] + e)
-    settled = (e < low)[:, 0] & ~np.any((s >= low - e) & (s <= high + e), axis=1)
+    settled = _settled(s, err, rel_tol)
     return [r if ok else None for r, ok in zip(_rank_results(s, sizes, rel_tol), settled)]
 
 
@@ -692,14 +699,14 @@ def _sketched_ranks(sketch: _RangeSketch, queries, rel_tol: float) -> list:
 
 def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
     """The rank of a square matrix A read off its own `_range_sketch`, from
-    the singular values of B = Q^H A, or None: `_certified_ranks`'s test
-    for one matrix."""
+    the singular values of B = Q^H A, or None where the certificate
+    (`_settled`) cannot settle it.  The count is `_rank_result`'s, which
+    for one matrix takes fewer numpy calls than the stacked `_rank_results`."""
     sketch = _range_sketch(entries, rel_tol)
     if sketch is None:
         return None
-    s, err = np.linalg.svd(sketch.b, compute_uv=False), sketch.error()
-    low, high = rel_tol * (s[0] - err), rel_tol * (s[0] + err)
-    if not err < low or np.any((s >= low - err) & (s <= high + err)):
+    s = np.linalg.svd(sketch.b, compute_uv=False)
+    if not _settled(s, sketch.error(), rel_tol):
         return None
     return _rank_result(np.concatenate([s, np.zeros(len(entries) - s.size)]), rel_tol)
 

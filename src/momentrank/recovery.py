@@ -260,8 +260,11 @@ def _fit(
     rest, sorted by (re z_1, im z_1, ..., im z_d), are gated as arrays.
     The polish re-fits the pruned atoms only when that residual is above
     1e-8, 0.01 times the gate: below it, the residual on `a`'s entries is
-    below it too, so the polish would stop before its first step.  Only an
-    accepted fit becomes a measure, without zero weights."""
+    below it too, up to rounding (the two are formed by different
+    products), so the polish would stop before its first step.  A fit whose
+    two residuals straddle 1e-8 within rounding skips a step the polish
+    would have taken.  Only an accepted fit becomes a measure, without zero
+    weights."""
     locations, weights = _pencil_atoms(a, block, rank, cfg.seed)
     keep = np.abs(weights) >= cfg.rank_tol * np.max(np.abs(weights))
     locations, weights = locations[keep], weights[keep]
@@ -443,7 +446,8 @@ def verify_theorem(
     `moment_matrix` forms it, and one `_BlockRanker` of A answers every
     rank below in one call, off A's one sketch where it settles them: A's
     leading blocks of degree 1 .. D, both Galerkin rescalings and the
-    reweighted matrix.
+    reweighted matrix.  A degree 0 in `degrees` is its 1 x 1 block, ranked
+    by `numerical_rank` on its own.
 
     - rank_saturation: the rank equals N once the degree reaches N - 1;
     - recovery_roundtrip: recovery from the top-degree matrix returns the
@@ -464,6 +468,8 @@ def verify_theorem(
     """
     if not degrees or any(lo >= hi for lo, hi in zip(degrees, degrees[1:])):
         raise ValueError("degrees must be a nonempty strictly increasing list")
+    if degrees[0] < 0:
+        raise ValueError("degrees must be >= 0")
     d_max = degrees[-1]
     if not isinstance(m, DiscreteMeasure):
         a_top = moment_matrix(m, d_max)
@@ -498,7 +504,10 @@ def verify_theorem(
     *leading, bargmann, bergman, g_rank = _BlockRanker(a.entries, cfg.rank_tol).ranks(
         blocks, [reweighted]
     )
-    ranks = tuple(leading[d - 1].rank for d in degrees)
+    ranks = tuple(
+        leading[d - 1].rank if d else numerical_rank(a.entries[:1, :1], cfg.rank_tol).rank
+        for d in degrees
+    )
     saturation_ok = all(r == n for d, r in zip(degrees, ranks) if d >= max(n - 1, 0))
     checks = [
         CheckResult(

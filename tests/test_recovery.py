@@ -533,6 +533,28 @@ def test_verify_theorem_rejects_bad_degrees():
         verify_theorem(DiscreteMeasure(1, ()), [3, 1])
 
 
+@pytest.mark.parametrize(
+    "d, n, seed, expected", [(1, 3, 3, (1, 2, 3)), (2, 3, 4, (1, 3, 3)), (3, 5, 5, (1, 4, 5))]
+)
+def test_verify_theorem_ranks_degree_zero_as_the_1x1_block(d, n, seed, expected):
+    # the 1 x 1 degree-0 block has rank 1, and degree 0 alone still gives
+    # a verdict; every rank is numerical_rank's of its leading truncation
+    m = generate_measure(d, n, seed=seed, separation=0.1)
+    verdict = verify_theorem(m, [0, 1, 2])
+    assert verdict.ranks == expected
+    a = moment_matrix(m, 2)
+    assert verdict.ranks == tuple(
+        numerical_rank(moments.leading_truncation(a, k)).rank for k in (0, 1, 2)
+    )
+    assert verdict.passed
+    alone = verify_theorem(m, [0])
+    assert alone.ranks == (1,)
+    assert alone.passed
+    assert verify_theorem(m, [0, 3]).ranks == (1, n)
+    with pytest.raises(ValueError, match=">= 0"):
+        verify_theorem(m, [-1, 2])
+
+
 def test_verify_theorem_rejects_repeated_degrees():
     m = generate_measure(1, 3, seed=2, separation=0.2)
     with pytest.raises(ValueError, match="strictly increasing"):
