@@ -9,6 +9,11 @@ Times the median over --repeats runs of:
     matrices, the mean of the two;
   * verify_ms: `verify_theorem` at degrees 1..8 on the six d=3 atomic
     measures of the `verify` benchmark's first input set, per measure;
+  * verify_small_ms: the same on its twelve d=1 and d=2 atomic measures,
+    per measure: the ops at that workload's median;
+  * verify_minflt_per_op: minor page faults (`resource.getrusage`) per
+    `verify_theorem` on its twelve d=3 inputs, atomic and density, after
+    a warm-up pass;
   * verify_rank_ms: the part of verify_ms spent in the rank calls the
     battery makes (`numerical_rank` and the `_BlockRanker` of the top
     matrix: its sketch and its one call for every rank), per measure, each
@@ -46,6 +51,7 @@ import functools  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -243,10 +249,24 @@ def main():
     ) / len(densities)
 
     measures = [x for name, x in inputs if name.startswith("d3-atoms")]
+    small = [x for name, x in inputs if name.startswith(("d1-atoms", "d2-atoms"))]
     degrees = list(range(1, 9))
-    for x in measures:
+    for x in measures + small:
         if not verify_theorem(x, degrees).passed:
-            raise SystemExit("verify_theorem failed on a d=3 atomic input")
+            raise SystemExit("verify_theorem failed on an atomic input")
+    result["verify_small_ms"] = _median_ms(
+        lambda: [verify_theorem(x, degrees) for x in small], args.repeats
+    ) / len(small)
+    d3 = [x for name, x in inputs if name.startswith("d3-")]
+    for x in d3:  # the warm-up pass
+        verify_theorem(x, degrees)
+    faults = []
+    for _ in range(args.repeats):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for x in d3:
+            verify_theorem(x, degrees)
+        faults.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(d3))
+    result["verify_minflt_per_op"] = statistics.median(faults)
     calls: list = []
     unsettled: list = []
     stacked: list = []

@@ -18,8 +18,11 @@ All types are immutable values; every operation is pure.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -85,6 +88,11 @@ class ComplexPoint:
         return math.hypot(*(abs(a - b) for a, b in zip(self.coords, other.coords)))
 
 
+def _has_negative_zero(w: complex) -> bool:
+    """Whether a part of w is -0.0, which the sum 0j + w turns into 0.0."""
+    return any(x == 0 and math.copysign(1.0, x) < 0 for x in (w.real, w.imag))
+
+
 @dataclass(frozen=True)
 class Atom:
     """A point mass lambda * delta(z - location) with nonzero weight."""
@@ -105,8 +113,10 @@ class DiscreteMeasure:
     """A finite atomic measure sum_k lambda_k delta(z - zeta_k) on C^d.
 
     Atoms at exactly coinciding locations are merged by weight summation at
-    construction; merged weights that cancel to zero are dropped.  The empty
-    measure is allowed (it still carries a dimension).
+    construction; merged weights that cancel to zero are dropped.  When no
+    location repeats and no weight has a -0.0 part, which the summation
+    would turn into 0.0, the caller's Atom objects are kept as they are.
+    The empty measure is allowed (it still carries a dimension).
     """
 
     dimension: int
@@ -128,9 +138,11 @@ class DiscreteMeasure:
                 merged[key] = 0j
                 order.append(key)
             merged[key] += atom.weight
-        atoms = tuple(
-            Atom(ComplexPoint(key), merged[key]) for key in order if merged[key] != 0
-        )
+        atoms = tuple(self.atoms)
+        if len(order) < len(atoms) or any(_has_negative_zero(a.weight) for a in atoms):
+            atoms = tuple(
+                Atom(ComplexPoint(key), merged[key]) for key in order if merged[key] != 0
+            )
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -175,11 +187,13 @@ class PolynomialWeight:
     """A holomorphic polynomial g(z) = sum_alpha c_alpha z^alpha on C^d.
 
     Terms map multi-indices (tuples of nonnegative ints of length d) to
-    complex coefficients.  Evaluation is exact term-by-term summation.
+    complex coefficients, in a read-only mapping, so that a shared value
+    (`random_linear_polynomial`'s) stays immutable.  Evaluation is exact
+    term-by-term summation.
     """
 
     dimension: int
-    terms: dict[tuple[int, ...], complex] = field(default_factory=dict)
+    terms: Mapping[tuple[int, ...], complex] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -192,7 +206,8 @@ class PolynomialWeight:
             coeff = complex(coeff)
             if coeff != 0:
                 cleaned[alpha] = cleaned.get(alpha, 0j) + coeff
-        object.__setattr__(self, "terms", {a: c for a, c in cleaned.items() if c != 0})
+        terms = {a: c for a, c in cleaned.items() if c != 0}
+        object.__setattr__(self, "terms", MappingProxyType(terms))
 
     @classmethod
     def constant(cls, dimension: int, value: complex = 1.0) -> "PolynomialWeight":
@@ -360,8 +375,10 @@ def _disk_sample(rng: np.random.Generator, radius: float) -> complex:
     return r * cmath.exp(1j * theta)
 
 
+@functools.lru_cache(maxsize=64)
 def random_linear_polynomial(dimension: int, seed: int) -> PolynomialWeight:
-    """Seeded random degree-1 polynomial with coefficients of modulus <= 1."""
+    """Seeded random degree-1 polynomial with coefficients of modulus <= 1,
+    drawn once per (dimension, seed) in a process: the value is immutable."""
     rng = np.random.default_rng(seed)
     terms = {(0,) * dimension: _disk_sample(rng, 1.0)}
     for j in range(dimension):

@@ -662,6 +662,7 @@ def _sketched_ranks(sketch: _RangeSketch, queries, rel_tol: float) -> list:
     q, b = sketch.q, sketch.b
     n, width = q.shape
     floor = n * np.finfo(float).eps
+    error = sketch.error()
     found = []
     for chunk in _stack_chunks(len(queries), width * n):
         part = queries[chunk]
@@ -669,7 +670,7 @@ def _sketched_ranks(sketch: _RangeSketch, queries, rel_tol: float) -> list:
         for i, (size, scale, _) in enumerate(part):
             pads[i, :size] = 1.0 if scale is None else scale
             bound = 1.0 if scale is None else float(np.max(scale)) ** 2
-            err[i] = bound * sketch.error()
+            err[i] = bound * error
         rotated = [
             i for i, (size, scale, c) in enumerate(part)
             if c is None and (size < n or scale is not None)
@@ -867,7 +868,8 @@ def _full_rank_certificate(entries: np.ndarray, rel_tol: float) -> bool:
     diagonal = entries.diagonal().real  # the diagonal of H, exactly
     if np.min(diagonal) <= shift:
         return False
-    h = entries.conj().T  # the one n x n buffer, H formed in place
+    h = entries.T.copy()  # the one n x n buffer, H formed in place
+    np.conjugate(h, out=h)  # in C order, as entries, so the sum runs row by row
     h += entries
     h *= 0.5
     np.fill_diagonal(h, diagonal - shift)

@@ -20,6 +20,7 @@ kind, as the verify battery needs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,21 +141,32 @@ def _log_normalizers(kernel: KernelSpec, basis: IndexBasis) -> np.ndarray:
     bargmann: ||z^alpha||^2 = 2^|alpha| alpha! under the Gaussian weight.
     bergman polydisk: per coordinate ||z_j^a||^2 = pi r^(2a+2) / (a+1) on a
     disk of radius r centred at the origin; the centre is not read.
+    The Bargmann values are read-only and shared (`_bargmann_log_normalizers`).
     """
     if basis.max_degree > _FACTORIAL_CAP:
         raise ValueError(
             f"basis degree {basis.max_degree} exceeds the factorial cap {_FACTORIAL_CAP}"
         )
-    exps = basis.entries_array()
     if kernel.kind == "bargmann":
-        log_factorial = np.array([math.lgamma(a + 1) for a in range(basis.max_degree + 1)])
-        log_norm_sq = exps.sum(axis=1) * math.log(2.0) + log_factorial[exps].sum(axis=1)
-    else:
-        log_radii = np.log(np.asarray(kernel.domain.radii, dtype=float))
-        log_norm_sq = (
-            math.log(math.pi) + (2 * exps + 2) * log_radii - np.log(exps + 1)
-        ).sum(axis=1)
+        return _bargmann_log_normalizers(basis.dimension, basis.max_degree)
+    exps = basis.entries_array()
+    log_radii = np.log(np.asarray(kernel.domain.radii, dtype=float))
+    log_norm_sq = (
+        math.log(math.pi) + (2 * exps + 2) * log_radii - np.log(exps + 1)
+    ).sum(axis=1)
     return -0.5 * log_norm_sq
+
+
+@functools.lru_cache(maxsize=32)
+def _bargmann_log_normalizers(dimension: int, max_degree: int) -> np.ndarray:
+    """`_log_normalizers` of the Bargmann kernel on the (d, D) basis, read-only,
+    computed once per (d, D) in a process: they depend on nothing else."""
+    exps = IndexBasis(dimension, max_degree).entries_array()
+    log_factorial = np.array([math.lgamma(a + 1) for a in range(max_degree + 1)])
+    log_norm_sq = exps.sum(axis=1) * math.log(2.0) + log_factorial[exps].sum(axis=1)
+    values = -0.5 * log_norm_sq
+    values.flags.writeable = False
+    return values
 
 
 def galerkin_matrix(

@@ -38,6 +38,7 @@ that `momentrank verify` serializes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -190,6 +191,14 @@ def _polish_atoms(
     return best_locs, best_lam
 
 
+@functools.lru_cache(maxsize=64)
+def _combination(dimension: int, seed: int) -> np.ndarray:
+    """The pencil's coefficients c_1 .. c_d, read-only, drawn once per (d, seed)."""
+    coeffs = np.random.default_rng(seed).standard_normal(dimension)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
 def _pencil_atoms(
     a: MomentMatrix, block: int, rank: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +215,7 @@ def _pencil_atoms(
     up = a.basis.shifts[0][:block]
     a0 = a.entries[:block, :block]
     shifted = np.stack([a.entries[up[:, j], :block] for j in range(a.dimension)])
-    coeffs = np.random.default_rng(seed).standard_normal(a.dimension)
+    coeffs = _combination(a.dimension, seed)
     try:
         u, sigma, vh = np.linalg.svd(a0, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -492,6 +501,9 @@ def verify_theorem(
     a = leading_truncation(a_top, d_max)
     size = a.basis.size
     g_poly = random_linear_polynomial(m.dimension, cfg.seed)
+    # g(zeta) in Python complex scalars, as `weight_by_g` forms it: numpy's
+    # complex multiply rounds differently, and the ranks and the verdict's
+    # min |g| must not move by an ulp
     g_values = [g_poly.evaluate(atom.location) for atom in m.atoms]
     kept = [k for k, gz in enumerate(g_values) if gz != 0]
     g_weights = np.array([abs(g_values[k]) ** 2 * m.atoms[k].weight for k in kept], dtype=complex)

@@ -114,8 +114,56 @@ def unpair(value) -> complex:
 
 
 def dump_json(payload: dict) -> str:
-    """Deterministic JSON encoding: sorted keys, fixed separators, indent 1."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """Deterministic JSON encoding: the bytes of `json.dumps(payload,
+    sort_keys=True, separators=(",", ": "), indent=1)` and a newline.  Any
+    indent sends `json.dumps` to its pure-Python encoder, so where CPython
+    has its C encoder, `_indented` lays the text out and the C encoder
+    writes every scalar and every container of scalars."""
+    if json.encoder.c_make_encoder is None or not isinstance(payload, _CONTAINERS):
+        return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    return _indented(payload, 0) + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.lru_cache(maxsize=32)
+def _c_encoder(depth: int):
+    """`dump_json`'s C encoder of a scalar, or of a container of scalars
+    whose items start lines at `depth` spaces; one per depth and process."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", ",\n" + " " * depth, True, False, True,
+    )
+
+
+def _key(key) -> str:
+    """An object key and its separator as `json.dumps` writes them; a key
+    that is not a str is converted, or refused, by the C encoder."""
+    if isinstance(key, str):
+        return json.encoder.encode_basestring_ascii(key) + ": "
+    return "".join(_c_encoder(0)({key: 0}, 0))[1:-2]
+
+
+def _indented(value, depth: int) -> str:
+    """The dict, list or tuple `value` as `dump_json` lays it out at depth `depth`."""
+    is_dict = isinstance(value, dict)
+    if not value:
+        return "{}" if is_dict else "[]"
+    inner = "\n" + " " * (depth + 1)
+    items = value.values() if is_dict else value
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, items))):
+        body = "".join(_c_encoder(depth + 1)(value, 0))[1:-1]
+    else:
+        scalar = _c_encoder(0)
+        pairs = sorted(value.items()) if is_dict else [(None, v) for v in value]
+        body = ("," + inner).join(
+            (_key(k) if is_dict else "")
+            + (_indented(v, depth + 1) if isinstance(v, _CONTAINERS) else "".join(scalar(v, 0)))
+            for k, v in pairs
+        )
+    opening, closing = "{}" if is_dict else "[]"
+    return opening + inner + body + "\n" + " " * depth + closing
 
 
 def dump_chunks(payload: dict) -> tuple:

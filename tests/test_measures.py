@@ -56,6 +56,33 @@ def test_measure_drops_cancelled_duplicates():
     assert m.atom_count == 0
 
 
+def _merged_atoms(atoms) -> tuple:
+    """The reference merge: every atom rebuilt from the summed weight at its
+    location, zero sums dropped."""
+    merged = {}
+    for a in atoms:
+        merged[a.location.coords] = merged.get(a.location.coords, 0j) + a.weight
+    return tuple(Atom(ComplexPoint(key), w) for key, w in merged.items() if w != 0)
+
+
+def test_measure_keeps_the_callers_atoms_when_nothing_merges():
+    atoms = (atom([1, -0.0], 2 - 1j), atom([0, 3j], -0.5), atom([1, 1], 1e-300j))
+    m = DiscreteMeasure(2, atoms)
+    assert all(kept is given for kept, given in zip(m.atoms, atoms))
+    assert repr(m.atoms) == repr(_merged_atoms(atoms))
+
+
+@pytest.mark.parametrize("pairs", [
+    [([2], 1 + 1j), ([2], 1 - 1j), ([3], 5)],            # merged
+    [([2], 1), ([3], 4), ([2], -1)],                    # cancelled
+    [([2], complex(-0.0, 1)), ([3], complex(2, -0.0))],  # -0.0 parts, which the sum drops
+    [([-0.0], 1), ([0.0], 2j)],                          # -0.0 and 0.0 are one location
+], ids=["merged", "cancelled", "negative-zero-weight", "signed-zero-location"])
+def test_measure_rebuilds_merged_and_signed_zero_atoms_as_before(pairs):
+    atoms = tuple(atom(c, w) for c, w in pairs)
+    assert repr(DiscreteMeasure(1, atoms).atoms) == repr(_merged_atoms(atoms))
+
+
 def test_measure_dimension_mismatch():
     with pytest.raises(ValueError):
         DiscreteMeasure(2, (atom([1], 1),))
@@ -204,6 +231,15 @@ def test_random_linear_polynomial_coefficients_bounded():
     g = random_linear_polynomial(3, 21)
     assert g.degree == 1
     assert all(abs(c) <= 1 + 1e-15 for c in g.terms.values())
+
+
+def test_random_linear_polynomial_is_shared_and_read_only():
+    g = random_linear_polynomial(2, 0)
+    assert random_linear_polynomial(2, 0) is g
+    with pytest.raises(TypeError):
+        g.terms[(0, 0)] = 1
+    with pytest.raises(TypeError):
+        PolynomialWeight(1, {(1,): 2}).terms[(0,)] = 1
 
 
 def test_generate_measure_contract():

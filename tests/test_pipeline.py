@@ -136,6 +136,9 @@ def test_rank_layers_reports_its_sketches_and_quadrature_levels(tmp_path, run_py
     assert result["verify_dense_blocks"] == 0
     # each rank call is timed once, at its outermost call, within verify
     assert result["verify_large_rank_ms"] <= result["verify_rank_ms"] <= result["verify_ms"]
+    # the ops at the verify workload's median, and the page faults of d = 3 ops
+    assert result["verify_small_ms"] > 0
+    assert result["verify_minflt_per_op"] >= 0
     levels = result["density_level_nodes"]
     # uniform and polynomial tables are in closed form: only the Gaussian's
     # radial rules double until two levels agree

@@ -614,6 +614,29 @@ def test_verify_theorem_ranks_each_matrix_once(monkeypatch, svd_spy):
     assert sum(shape[0] for shape in stacked) == 6 + 2 + 1
 
 
+# -- values computed once per process ------------------------------------------
+
+def test_cached_draws_and_normalizers_are_shared_and_read_only():
+    for cached, args in ((recovery._combination, (2, 0)),
+                         (operators._bargmann_log_normalizers, (2, 8))):
+        value = cached(*args)
+        assert cached(*args) is value
+        with pytest.raises(ValueError):
+            value[0] = 1.0
+
+
+@pytest.mark.parametrize("input_seed", range(4))
+def test_second_verdict_equals_the_first(verify_inputs, input_seed):
+    # the first call fills the caches (the seeded g and pencil coefficients,
+    # the Bargmann normalizers) and the second reads them
+    measures = [any_measure_from_dict(payload) for _, payload in verify_inputs(input_seed)]
+    for cached in (random_linear_polynomial, recovery._combination,
+                   operators._bargmann_log_normalizers):
+        cached.cache_clear()
+    first = [repr(verify_theorem(m, list(range(1, 9)))) for m in measures]
+    assert [repr(verify_theorem(m, list(range(1, 9)))) for m in measures] == first
+
+
 # -- atomic verdicts through one sketch of the top matrix ------------------------
 
 def _d3_atomic_tops(verify_inputs):

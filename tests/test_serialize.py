@@ -1,8 +1,11 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentrank import (
     Atom,
@@ -20,7 +23,7 @@ from momentrank import (
     recover_atoms,
     spectrum,
 )
-from momentrank import serialize
+from momentrank import cli, recovery, serialize
 
 
 def test_complex_pair_roundtrip():
@@ -142,6 +145,79 @@ def test_dump_json_deterministic():
     payload = {"b": 1, "a": [1.5, {"z": 2}]}
     assert serialize.dump_json(payload) == serialize.dump_json(payload)
     assert json.loads(serialize.dump_json(payload)) == payload
+
+
+def _json_dumps_indented(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+def test_dump_json_matches_json_dumps_on_every_cli_payload(tmp_path, monkeypatch):
+    # each JSON payload the CLI writes, as the CLI builds it: a measure, a
+    # density, a recover report, rank.json with 220 singular values, and
+    # verdicts, one of them holding a RecoveryError string
+    payloads = []
+    dump_chunks = serialize.dump_chunks
+    monkeypatch.setattr(serialize, "dump_chunks", lambda p: payloads.append(p) or dump_chunks(p))
+    monkeypatch.chdir(tmp_path)
+    density = _polynomial_density_payload()
+    (tmp_path / "d.json").write_text(json.dumps(density))
+    for argv in (["gen", "--dimension", "3", "--atoms", "8", "--seed", "3",
+                  "--separation", "0.2", "--output", "m.json"],
+                 ["moments", "--input", "m.json", "--degree", "9", "--output", "A.json"],
+                 ["rank", "--input", "A.json", "--output", "rank.json"],
+                 ["recover", "--input", "A.json", "--output", "report.json"],
+                 ["verify", "--input", "m.json", "--output", "v.json"],
+                 ["verify", "--input", "d.json", "--degree", "3", "--output", "vd.json"]):
+        assert cli.main(argv) == 0
+    with pytest.raises(recovery.RecoveryError) as failure:
+        recover_atoms(moment_matrix(generate_measure(1, 6, seed=2), 2))
+
+    def fail(*args):
+        raise failure.value
+
+    monkeypatch.setattr(recovery, "_recover", fail)
+    assert cli.main(["verify", "--input", "m.json", "--output", "vf.json"]) == 2
+    payloads = [p for p in payloads if "entries" not in p] + [density]
+    assert len(payloads) == 7
+    assert any(len(p.get("singular_values", ())) == 220 for p in payloads)
+    errors = [c["measured"].get("error") for p in payloads for c in p.get("checks", ())]
+    assert str(failure.value) in errors
+    for payload in payloads:
+        assert serialize.dump_json(payload) == _json_dumps_indented(payload)
+
+
+def _polynomial_density_payload() -> dict:
+    g = PolynomialWeight(2, {(0, 0): 1, (1, 0): 0.25j, (0, 1): -0.5})
+    dens = DensityMeasure(2, Polydisk(ComplexPoint((0.1j, 0j)), (0.8, 1.1)), DensitySpec("polynomial", g))
+    return serialize.density_to_dict(dens)
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+    | st.text()  # non-ASCII, quotes, backslashes and control characters
+)
+# one key type per object: json.dumps cannot sort mixed key types
+_JSON_KEYS = (st.text(), st.integers(), st.floats(allow_nan=False), st.booleans(), st.none())
+
+
+def _json_containers(children):
+    objects = [st.dictionaries(keys, children, max_size=5) for keys in _JSON_KEYS]
+    return st.one_of(st.lists(children, max_size=5), st.lists(children, max_size=3).map(tuple),
+                     *objects)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_JSON_SCALARS, _json_containers, max_leaves=30))
+def test_dump_json_matches_json_dumps_on_nested_values(payload):
+    assert serialize.dump_json(payload) == _json_dumps_indented(payload)
+
+
+def test_dump_json_without_the_c_encoder_is_json_dumps(monkeypatch):
+    payload = {"b": [1, {"c": []}], "a": "\u00e9", "z": {}}
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert serialize.dump_json(payload) == _json_dumps_indented(payload)
 
 
 def test_matrix_entries_roundtrip_bits():
