@@ -5,6 +5,10 @@ Times the median over --repeats runs of:
 
   * rank_220_ms: `numerical_rank` of the README's d=3, 8-atom, degree-9
     moment matrix (basis 220; `gen --seed 3 --separation 0.2`);
+  * rank_10_us and rank_45_us: lone `numerical_rank` calls at the acceptance
+    corpus's sizes, on `generate_measure(1, 5, seed=3)` at degree 9 (n = 10,
+    the dense SVD) and `generate_measure(2, 7, seed=3)` at degree 8 (n = 45,
+    the sketch), each the median of --repeats timeit minima of 200 calls;
   * spectrum_220_ms: `spectrum` of its Bargmann and Bergman Galerkin
     matrices, the mean of the two;
   * verify_ms: `verify_theorem` at degrees 1..8 on the six d=3 atomic
@@ -19,6 +23,11 @@ Times the median over --repeats runs of:
     matrix: its sketch and its one call for every rank), per measure, each
     timed at its outermost call, and verify_large_rank_ms the part of that
     on matrices of size >= 32, the sketch's floor.
+
+`numerical_rank` and `_BlockRanker.ranks` share the rank layer's three
+functions (`_sketched_ranks`, `_dense_ranks` and the count they both call),
+so the wrappers below tell a ranker's own call from the lone calls made
+inside it.
 
 Each section also reports the widths of the range sketches it formed on
 matrices of size >= 32 (0 for a sketch that declined) and, for verify, the
@@ -54,6 +63,7 @@ import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
+import timeit  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -103,20 +113,25 @@ def _count_sketches(widths: list) -> None:
 
 
 def _count_dense_blocks(unsettled: list) -> None:
-    """Wraps `_BlockRanker.ranks` and the `_sketched_ranks` it calls, so that
-    every block of size >= BLOCK that the sketch did not settle appends its
-    size to unsettled."""
+    """Wraps `_BlockRanker.ranks` and the `_sketched_ranks` it calls on its
+    own sketch, so that every block of size >= BLOCK that the sketch did not
+    settle appends its size to unsettled.  The sketches of `numerical_rank`
+    calls made inside the ranker, for the formed matrices it hands on, are
+    not the ranker's and are not counted."""
     ranks, sketched_ranks = moments._BlockRanker.ranks, moments._sketched_ranks
     settled: list = []
+    own = [None]  # the sketch of the ranker being called
 
     def counted_sketched(sketch, queries, rel_tol):
         found = sketched_ranks(sketch, queries, rel_tol)
-        settled.extend(q[0] for q, r in zip(queries, found) if q[2] is None and r is not None)
+        if sketch is own[0]:
+            settled.extend(q[0] for q, r in zip(queries, found) if q[2] is None and r is not None)
         return found
 
     @functools.wraps(ranks)
     def counted(self, blocks, others=()):
         settled.clear()
+        own[0] = self.sketch
         found = ranks(self, blocks, others)
         asked = sorted(size for size, _ in blocks if size >= BLOCK)
         for size in settled:
@@ -232,6 +247,13 @@ def main():
     widths.clear()
     result["rank_220_ms"] = _median_ms(lambda: numerical_rank(a), args.repeats)
     result["rank_220_widths"] = sorted(set(widths))
+    for key, (d, atoms, degree) in (("rank_10_us", (1, 5, 9)), ("rank_45_us", (2, 7, 8))):
+        lone = moment_matrix(generate_measure(d, atoms, seed=3), degree)
+        numerical_rank(lone)
+        result[key] = 1e6 * statistics.median(
+            min(timeit.repeat(lambda: numerical_rank(lone), number=200, repeat=3)) / 200
+            for _ in range(args.repeats)
+        )
 
     for g in galerkins:
         spectrum(g)

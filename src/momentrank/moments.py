@@ -30,16 +30,17 @@ singular value sits clear of the threshold by more than the residual
 (`_sketched_ranks`), and the spectrum's, when the residual is within a
 dense eigensolver's own backward error (`operators.spectrum`).  When a
 certificate cannot settle its question, as for a density's full-rank
-matrix, the dense SVD or eigensolver decides.  One `_BlockRanker` of A
-answers a whole list of rank queries at once, as `recovery.verify_theorem`
-asks them: A's leading blocks, their diagonal rescalings s A s and other
-matrices of A's size, off A's one sketch in two stacked QRs and one
-stacked SVD, and the blocks below the sketch's floor in one zero-padded
-stacked SVD; no stack holds more than 1 MB.  A density's full rank is
-instead certified for all leading truncations at once by
-`_full_rank_certificate`: one Cholesky factorization of the matrix's
-shifted Hermitian part, which `recovery.verify_theorem` tries before
-ranking each truncation.
+matrix, the dense SVD or eigensolver decides (`_dense_ranks`).  One
+`_BlockRanker` of A answers a whole list of rank queries at once, as
+`recovery.verify_theorem` asks them: A's leading blocks, their diagonal
+rescalings s A s and other matrices of A's size, off A's one sketch in
+two stacked QRs and one stacked SVD, and the blocks below the sketch's
+floor in one zero-padded stacked SVD; no stack holds more than 1 MB.
+`numerical_rank` runs the same functions on a stack of one matrix.  A
+density's full rank is instead certified for all leading truncations at
+once by `_full_rank_certificate`: one Cholesky factorization of the
+matrix's shifted Hermitian part, which `recovery.verify_theorem` tries
+before ranking each truncation.
 """
 
 from __future__ import annotations
@@ -496,48 +497,35 @@ _SKETCH_MIN_SIZE = 32
 _SKETCH_START, _SKETCH_RATIO = 8, 8  # widths 8, 16, ... while full rank, up to max(8, n // 8)
 
 
-def _rank_result(sigma: np.ndarray, rel_tol: float) -> RankResult:
-    """Rank and conditioning read off non-increasing singular values."""
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return RankResult(0, sigma, False)
-    if not np.isfinite(sigma[0]):
-        raise NumericalError(f"largest singular value {sigma[0]} is not finite")
-    rank = int(np.count_nonzero(sigma > rel_tol * sigma[0]))
-    ill = bool(rank > 0 and sigma[0] / sigma[rank - 1] > _CONDITION_LIMIT)
-    return RankResult(rank, sigma, ill)
-
-
 def _rank_results(s: np.ndarray, sizes, rel_tol: float) -> list[RankResult]:
-    """`_rank_result` of each of a stack of matrices, counted in one pass:
-    row i of s holds non-increasing singular values, the first sizes[i] of
-    them the matrix's, with zeros past the row's end."""
-    top = s[:, :1]
-    if not np.all(np.isfinite(top)):
-        raise NumericalError(f"largest singular value {top[~np.isfinite(top)][0]} is not finite")
-    counts = np.count_nonzero(s > rel_tol * top, axis=1)
-    last = s[np.arange(len(s)), np.maximum(counts - 1, 0)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ill = (counts > 0) & (top[:, 0] / last > _CONDITION_LIMIT)
-    padded = np.zeros((len(s), max(max(sizes), s.shape[1])))
-    padded[:, : s.shape[1]] = s
-    return [
-        RankResult(count, row[:size], flag)
-        for size, row, count, flag in zip(sizes, padded, counts.tolist(), ill.tolist())
-    ]
+    """Rank and conditioning of each of a stack of matrices, read off its
+    row of s: non-increasing singular values, the first sizes[i] of them
+    the matrix's, taken as 0 past the row's end.  The rows are counted one
+    at a time, so a lone row costs one numpy count and scalar work."""
+    found = []
+    for i, size in enumerate(sizes):
+        row = s[i]
+        if size > len(row):
+            row = np.concatenate([row, np.zeros(size - len(row))])
+        top = float(row[0]) if len(row) else 0.0
+        if not math.isfinite(top):
+            raise NumericalError(f"largest singular value {top} is not finite")
+        rank = int(np.count_nonzero(row > rel_tol * top))  # 0 when top is 0
+        ill = rank > 0 and top / row[rank - 1] > _CONDITION_LIMIT
+        found.append(RankResult(rank, row[:size], bool(ill)))
+    return found
 
 
 _STACK_BYTES = 1 << 20
 
 
-def _stack_chunks(count: int, entries_each: int) -> list[slice]:
-    """Slices of a stack of `count` complex matrices of `entries_each`
-    entries each that hold at most 1 MB, as much as 32 rows of a desk-scale
-    (n ~ 2000) matrix, and at least one matrix.  A small matrix's queries
-    then take one chunk, and the few stacks a chunk forms at once stay far
-    below one n x n matrix at desk scale, so ranking there adds no n x n
-    temporary."""
-    step = max(1, _STACK_BYTES // 16 // entries_each)
-    return [slice(start, start + step) for start in range(0, count, step)]
+def _stack_chunks(items: list, entries_each: int) -> list[list]:
+    """`items` cut into chunks whose stacks of complex matrices of
+    `entries_each` entries each (at least one) hold at most 1 MB, as much as
+    32 rows of a desk-scale (n ~ 2000) matrix, and at least one matrix: a
+    small matrix's queries take one chunk, and no n x n temporary is made."""
+    step = max(1, _STACK_BYTES // 16 // max(1, entries_each))
+    return [items[start : start + step] for start in range(0, len(items), step)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -616,33 +604,22 @@ def _range_sketch(entries: np.ndarray, rel_tol: float) -> _RangeSketch | None:
     return _RangeSketch(q, b, residual, b_norm)
 
 
-def _settled(s: np.ndarray, err, rel_tol: float):
-    """Whether the certificate settles the rank of a matrix X whose
-    singular values lie within err of s (Weyl), non-increasing and taken as
-    0 past its end: for one such s and err, or row-wise for a stack of rows
-    and an array of errors.  The threshold rel_tol sigma_1(X) lies within
-    rel_tol err of rel_tol s_1, and a count is accepted only if err lies
-    below that threshold and no s_j lies within err of where it can fall,
-    so the dense SVD would count the same."""
-    e = np.asarray(err)[..., np.newaxis]
-    low, high = rel_tol * (s[..., :1] - e), rel_tol * (s[..., :1] + e)
-    return (e < low)[..., 0] & ~np.any((s >= low - e) & (s <= high + e), axis=-1)
-
-
-def _certified_ranks(s: np.ndarray, err: np.ndarray, sizes, rel_tol: float) -> list:
-    """The rank of each matrix X_i whose singular values, zero past
-    sizes[i], lie within err[i] of row i of s; or None where the
-    certificate (`_settled`) cannot settle it."""
-    if min(sizes) < s.shape[1]:
-        s[np.arange(s.shape[1]) >= np.asarray(sizes)[:, np.newaxis]] = 0.0
-    settled = _settled(s, err, rel_tol)
-    return [r if ok else None for r, ok in zip(_rank_results(s, sizes, rel_tol), settled)]
+def _settled(s: np.ndarray, err: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Whether the certificate settles the rank of each matrix X_i whose
+    singular values lie within err[i] of row i of s (Weyl), non-increasing
+    and taken as 0 past its end.  The threshold rel_tol sigma_1(X) lies
+    within rel_tol err of rel_tol s_1, and a count is accepted only if err
+    lies below that threshold and no s_j lies within err of where it can
+    fall, so the dense SVD would count the same."""
+    e, top = err[:, np.newaxis], s[:, :1]
+    low, high = rel_tol * (top - e), rel_tol * (top + e)
+    return (e < low)[:, 0] & ~((s >= low - e) & (s <= high + e)).any(axis=1)
 
 
 def _sketched_ranks(sketch: _RangeSketch, queries, rel_tol: float) -> list:
     """The ranks of the matrices that `queries` name, read off the range
     sketch of a square matrix A of size n, or None for each one that the
-    certificate (`_certified_ranks`) cannot settle.
+    certificate (`_settled`) cannot settle.
 
     A query (k, scale, None) names S A_k S, for the leading k-block A_k of A
     and S = diag(scale) > 0 (S = I when scale is None).  With S Q_k = Q_x
@@ -652,8 +629,9 @@ def _sketched_ranks(sketch: _RangeSketch, queries, rel_tol: float) -> list:
     names a matrix C of size n read off A's Q: C = Q (Q^H C) - (C - Q Q^H C),
     with C's own exact residual ||C - Q Q^H C||_F and split in place of A's.
 
-    Each factor M = R_x B_k S (R_x = I for A itself) has the singular values
-    of the l x l matrix R_x R^H, for (B_k S)^H = Q' R, so it is never formed:
+    A query of A itself, alone, is read off the SVD of B.  Otherwise each
+    factor M = R_x B_k S (R_x = I for A itself) has the singular values of
+    the l x l matrix R_x R^H, for (B_k S)^H = Q' R, so it is never formed:
     each chunk of queries (`_stack_chunks`) takes one stacked QR of the
     (B_k S)^H, zero-padded to n rows, one of the S Q_k that need it, and one
     stacked SVD of l x l matrices.  A query whose factors overflow is left
@@ -661,89 +639,74 @@ def _sketched_ranks(sketch: _RangeSketch, queries, rel_tol: float) -> list:
     """
     q, b = sketch.q, sketch.b
     n, width = q.shape
-    floor = n * np.finfo(float).eps
     error = sketch.error()
     found = []
-    for chunk in _stack_chunks(len(queries), width * n):
-        part = queries[chunk]
-        pads, err = np.zeros((len(part), n)), np.empty(len(part))
-        for i, (size, scale, _) in enumerate(part):
-            pads[i, :size] = 1.0 if scale is None else scale
-            bound = 1.0 if scale is None else float(np.max(scale)) ** 2
-            err[i] = bound * error
-        rotated = [
-            i for i, (size, scale, c) in enumerate(part)
-            if c is None and (size < n or scale is not None)
-        ]
-        with np.errstate(over="ignore", invalid="ignore"):
-            tall = b.conj().T * pads[:, :, np.newaxis]
-            for i, (_, _, c) in enumerate(part):
-                if c is not None:
-                    m = q.conj().T @ c
-                    tall[i] = m.conj().T
-                    gap = _sketch_residual(q, m, c)
-                    err[i] = gap + floor * np.hypot(gap, np.linalg.norm(m))
-            r = np.linalg.qr(tall, mode="r")
-            if rotated:
-                r_x = np.linalg.qr(q * pads[rotated][:, :, np.newaxis], mode="r")
-                r[rotated] = r_x @ np.swapaxes(r[rotated], 1, 2).conj()
-            overflowed = ~np.all(np.isfinite(r), axis=(1, 2))
-        if overflowed.any():
-            r[overflowed], err[overflowed] = 0.0, np.inf
+    for part in [queries] if len(queries) == 1 else _stack_chunks(queries, width * n):
+        sizes = [size for size, _, _ in part]
+        if sizes == [n] and part[0][1] is None and part[0][2] is None:  # A itself, alone
+            r, err = b, np.array([error])
+        else:
+            pads, err = np.zeros((len(part), n)), np.empty(len(part))
+            for i, (size, scale, _) in enumerate(part):
+                pads[i, :size] = 1.0 if scale is None else scale
+                bound = 1.0 if scale is None else float(np.max(scale)) ** 2
+                err[i] = bound * error
+            rotated = [
+                i for i, (size, scale, c) in enumerate(part)
+                if c is None and (size < n or scale is not None)
+            ]
+            with np.errstate(over="ignore", invalid="ignore"):
+                tall = b.conj().T * pads[:, :, np.newaxis]
+                for i, (_, _, c) in enumerate(part):
+                    if c is not None:
+                        m = q.conj().T @ c
+                        tall[i] = m.conj().T
+                        gap = _sketch_residual(q, m, c)
+                        err[i] = gap + n * np.finfo(float).eps * np.hypot(gap, np.linalg.norm(m))
+                r = np.linalg.qr(tall, mode="r")
+                if rotated:
+                    r_x = np.linalg.qr(q * pads[rotated][:, :, np.newaxis], mode="r")
+                    r[rotated] = r_x @ np.swapaxes(r[rotated], 1, 2).conj()
+                overflowed = ~np.all(np.isfinite(r), axis=(1, 2))
+            if overflowed.any():
+                r[overflowed], err[overflowed] = 0.0, np.inf
         try:
-            s = np.linalg.svd(r, compute_uv=False)
+            s = np.linalg.svd(r, compute_uv=False).reshape(len(part), -1)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD failed: {exc}") from exc
-        found += _certified_ranks(s, err, [size for size, _, _ in part], rel_tol)
+        if min(sizes) < width:
+            s[np.arange(width) >= np.asarray(sizes)[:, np.newaxis]] = 0.0
+        settled = _settled(s, err, rel_tol)
+        found += [x if ok else None for x, ok in zip(_rank_results(s, sizes, rel_tol), settled)]
     return found
 
 
-def _sketched_rank(entries: np.ndarray, rel_tol: float) -> RankResult | None:
-    """The rank of a square matrix A read off its own `_range_sketch`, from
-    the singular values of B = Q^H A, or None where the certificate
-    (`_settled`) cannot settle it.  The count is `_rank_result`'s, which
-    for one matrix takes fewer numpy calls than the stacked `_rank_results`."""
-    sketch = _range_sketch(entries, rel_tol)
-    if sketch is None:
-        return None
-    s = np.linalg.svd(sketch.b, compute_uv=False)
-    if not _settled(s, sketch.error(), rel_tol):
-        return None
-    return _rank_result(np.concatenate([s, np.zeros(len(entries) - s.size)]), rel_tol)
-
-
-def _dense_rank(entries: np.ndarray, rel_tol: float) -> RankResult:
-    """The rank read off the dense SVD: the one path that decides whenever no
-    sketch settles a rank.  Non-finite entries raise NumericalError before
-    any LAPACK call."""
-    if not np.all(np.isfinite(entries)):
-        raise NumericalError("matrix has non-finite entries")
-    try:
-        sigma = np.linalg.svd(entries, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
-    return _rank_result(np.sort(sigma)[::-1], rel_tol)
-
-
 def _dense_ranks(matrices: list, rel_tol: float) -> list[RankResult]:
-    """`_dense_rank` of each square matrix: the matrices are zero-padded to
-    the largest one's size, which adds only zero singular values, so each
-    chunk (`_stack_chunks`) takes one stacked SVD and one finiteness
-    check."""
-    width = max(len(x) for x in matrices)
+    """The rank of each matrix read off the dense SVD, the path that decides
+    whenever no sketch settles a rank.  A lone matrix goes to LAPACK as it
+    is, square or not; square ones are zero-padded to the largest one's
+    size, which adds only zero singular values, one stacked SVD per chunk
+    (`_stack_chunks`).  Non-finite entries raise NumericalError first."""
+    parts = [matrices]
+    if len(matrices) > 1:
+        width = max(len(x) for x in matrices)
+        parts = _stack_chunks(matrices, width * width)
     found = []
-    for chunk in _stack_chunks(len(matrices), width * width):
-        part = matrices[chunk]
-        stack = np.zeros((len(part), width, width), dtype=complex)
-        for x, slot in zip(part, stack):
-            slot[: len(x), : len(x)] = x
-        if not np.all(np.isfinite(stack)):
+    for part in parts:
+        if len(part) == 1:
+            stack = part[0]
+        else:
+            stack = np.zeros((len(part), width, width), dtype=complex)
+            for x, slot in zip(part, stack):
+                slot[: len(x), : len(x)] = x
+        if not np.isfinite(stack).all():
             raise NumericalError("matrix has non-finite entries")
         try:
             s = np.linalg.svd(stack, compute_uv=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD failed: {exc}") from exc
-        found += _rank_results(np.sort(s, axis=1)[:, ::-1], [len(x) for x in part], rel_tol)
+        s = np.sort(s, axis=-1)[..., ::-1].reshape(len(part), -1)
+        found += _rank_results(s, [min(x.shape) for x in part], rel_tol)
     return found
 
 
@@ -754,17 +717,14 @@ class _BlockRanker:
     queries at a time.
 
     The ranker holds A's one range sketch (`_range_sketch`), or None when
-    it declined.  A query is answered:
-
-    - off that sketch (`_sketched_ranks`), for a block of size >= 16, twice
-      the sketch's first width, and for every matrix of A's size, in two
-      stacked QRs and one stacked SVD, where its certificate settles it;
-    - by the dense SVD, for a block below the sketch's floor of 32 that the
-      sketch does not serve, in one zero-padded stacked SVD (`_dense_ranks`);
-    - on its own otherwise, and when its certificate declines, as
-      `numerical_rank` ranks it: by the dense SVD for A itself, whose sketch
-      has already declined or left the rank open, and by `numerical_rank`
-      of the formed matrix for any other.
+    it declined.  A query is decided by `_sketched_ranks` off that sketch,
+    for a block of size >= 16 (twice the sketch's first width) and every
+    matrix of A's size, where its certificate settles it; by one
+    `_dense_ranks` call for the blocks below the sketch's floor of 32 that
+    it does not serve; and otherwise as `numerical_rank` decides it: by
+    `_dense_ranks` for A itself, whose sketch has already declined or left
+    the rank open, and by `numerical_rank` of the formed matrix for any
+    other.
     """
 
     def __init__(self, entries: np.ndarray, rel_tol: float):
@@ -800,7 +760,7 @@ class _BlockRanker:
         for i, (size, scale, c) in enumerate(queries):
             if found[i] is None:
                 if c is None and scale is None and size == n >= _SKETCH_MIN_SIZE:
-                    found[i] = _dense_rank(self.entries, self.rel_tol)
+                    found[i] = _dense_ranks([self.entries], self.rel_tol)[0]
                 else:
                     found[i] = numerical_rank(self._formed(size, scale, c), self.rel_tol)
         return found
@@ -822,23 +782,29 @@ def numerical_rank(a: MomentMatrix | np.ndarray, rel_tol: float = _RANK_TOL) -> 
     when sigma_max / sigma_rank exceeds 1e12.  Non-finite entries raise
     NumericalError before any LAPACK call, and so does an overflowed sigma_max.
 
-    A square matrix of size n >= 32 is first ranked from a sketch of width
-    8, doubled up to max(8, n // 8) while it has full rank and then cut to
-    the rank's columns and one more, with an exact a-posteriori residual
-    (`_sketched_rank`): when the residual certifies
+    A square matrix of size n >= 32 is first ranked by `_sketched_ranks`,
+    the one query of its own `_range_sketch` (width 8, doubled up to
+    max(8, n // 8) while it has full rank, then cut to the rank's columns
+    and one more, with an exact residual).  When the residual certifies
     that every singular value sits clear of the threshold, that count is
-    returned, with the sketch's singular values and zeros past its width.
+    returned, with the singular values of B = Q^H A and zeros past them.
     Otherwise, and for every smaller or rectangular matrix, the dense SVD
-    decides (`_dense_rank`), so both paths give the same rank.
+    of the matrix alone decides (`_dense_ranks`): the same rank.
     """
     if not 0 < rel_tol < 1:
         raise ValueError("rel_tol must lie in (0, 1)")
     entries = a.entries if isinstance(a, MomentMatrix) else np.asarray(a, dtype=complex)
-    try:  # non-finite entries make the sketch decline and _dense_rank raise
-        sketched = _sketched_rank(entries, rel_tol)
+    if entries.ndim > 2:
+        raise ValueError(f"expected a matrix, got an array of shape {entries.shape}")
+    try:  # non-finite entries make the sketch decline and _dense_ranks raise
+        sketch = _range_sketch(entries, rel_tol)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
-    return _dense_rank(entries, rel_tol) if sketched is None else sketched
+    if sketch is not None:
+        found, = _sketched_ranks(sketch, [(len(entries), None, None)], rel_tol)
+        if found is not None:
+            return found
+    return _dense_ranks([entries], rel_tol)[0]
 
 
 def _full_rank_certificate(entries: np.ndarray, rel_tol: float) -> bool:

@@ -454,9 +454,8 @@ def verify_theorem(
     matrix is the Gram product of one monomial table of the atoms, as
     `moment_matrix` forms it, and one `_BlockRanker` of A answers every
     rank below in one call, off A's one sketch where it settles them: A's
-    leading blocks of degree 1 .. D, both Galerkin rescalings and the
-    reweighted matrix.  A degree 0 in `degrees` is its 1 x 1 block, ranked
-    by `numerical_rank` on its own.
+    leading blocks of degree 0 .. D, both Galerkin rescalings and the
+    reweighted matrix.
 
     - rank_saturation: the rank equals N once the degree reaches N - 1;
     - recovery_roundtrip: recovery from the top-degree matrix returns the
@@ -511,15 +510,12 @@ def verify_theorem(
         np.exp(_log_normalizers(enclosing_kernel(kind, m), a.basis))
         for kind in ("bargmann", "bergman")
     ]
-    blocks = [(int(s), None) for s in a.basis.offsets[2:]] + [(size, s) for s in scales]
+    blocks = [(int(s), None) for s in a.basis.offsets[1:]] + [(size, s) for s in scales]
     reweighted = _gram(table[kept, :size], g_weights)
     *leading, bargmann, bergman, g_rank = _BlockRanker(a.entries, cfg.rank_tol).ranks(
         blocks, [reweighted]
     )
-    ranks = tuple(
-        leading[d - 1].rank if d else numerical_rank(a.entries[:1, :1], cfg.rank_tol).rank
-        for d in degrees
-    )
+    ranks = tuple(leading[d].rank for d in degrees)
     saturation_ok = all(r == n for d, r in zip(degrees, ranks) if d >= max(n - 1, 0))
     checks = [
         CheckResult(
@@ -529,7 +525,7 @@ def verify_theorem(
         )
     ]
     try:
-        estimates = itertools.chain(leading, _leading_ranks(a_top, d_max + 1, cfg.rank_tol))
+        estimates = itertools.chain(leading[1:], _leading_ranks(a_top, d_max + 1, cfg.rank_tol))
         report = _recover(a_top, estimates, cfg)
         matched = match_atoms(report.atoms, m, 1e-6)
         ok = matched is not None and matched[1] <= 1e-6

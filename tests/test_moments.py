@@ -532,6 +532,34 @@ def test_rank_ill_conditioned_flag():
     assert result.ill_conditioned
 
 
+@pytest.mark.parametrize("entries, expected", [
+    (np.zeros((0, 0)), 0),
+    (np.zeros((3, 0)), 0),
+    (np.arange(10).reshape(2, 5) + 1j, 2),
+    (np.ones(3), (NumericalError, "^SVD failed: ")),
+    (np.ones((2, 3, 3)), (ValueError, r"^expected a matrix, got an array of shape \(2, 3, 3\)")),
+])
+def test_rank_of_empty_rectangular_and_other_shapes(entries, expected):
+    # empty matrices have rank 0 and no values, a 2 x 5 matrix two values;
+    # a 1-D array is no matrix to LAPACK, and a stack of matrices is refused
+    if isinstance(expected, tuple):
+        with pytest.raises(expected[0], match=expected[1]):
+            numerical_rank(entries)
+        return
+    result = numerical_rank(entries)
+    assert result.rank == expected and not result.ill_conditioned
+    assert len(result.singular_values) == min(entries.shape)
+
+
+def test_zero_size_matrices_rank_0_alone_and_stacked():
+    empty = np.zeros((0, 0), dtype=complex)
+    found = moments._dense_ranks([empty], 1e-8) + moments._dense_ranks([empty, empty], 1e-8)
+    found += moments._BlockRanker(empty, 1e-8).ranks([(0, None)])
+    assert [(r.rank, r.singular_values.size, r.ill_conditioned) for r in found] == [
+        (0, 0, False)
+    ] * 4
+
+
 # -- moment-level transformations -----------------------------------------------------------
 
 def test_reweight_moments_matches_measure_level():
@@ -834,10 +862,13 @@ def test_gaussian_disk_table_past_the_cap_degree_says_so(monkeypatch, degree):
 # -- certified sketched rank ---------------------------------------------------
 
 def test_sketched_rank_matches_dense_svd(svd_spy, verify_inputs):
-    # (label, entries, atomic): the criterion-1 moment matrix, both Galerkin
-    # kernels and the |g|^2-reweighted matrix of the acceptance corpus, and
-    # the degree-1..8 truncations of the verify benchmark's 36 files
-    cases = []
+    # (label, entries, atomic): the README's d = 3, degree-9 matrix (basis
+    # 220), whose values `momentrank rank` writes; the criterion-1 moment
+    # matrix, both Galerkin kernels and the |g|^2-reweighted matrix of the
+    # acceptance corpus; and the degree-1..8 truncations of the verify
+    # benchmark's 36 files
+    readme = moment_matrix(generate_measure(3, 8, seed=3, separation=0.2), 9).entries
+    cases = [("README", readme, True)]
     for i in range(200):
         d, n = (1, 2, 3)[i % 3], 1 + i % 8
         m = generate_measure(d, n, seed=1000 + i, separation=0.1)
@@ -870,16 +901,20 @@ def test_sketched_rank_matches_dense_svd(svd_spy, verify_inputs):
         size = len(entries)
         if atomic and size >= 32 and expected < max(8, size // 8):
             # Y's rank falls short of the sketch's full width, so Q keeps the
-            # rank's columns and one more
+            # rank's columns and one more; the values are B's, bit for bit
             assert shapes == [(expected + 1, size)], f"{label}: reached the dense SVD"
+            b_values = svd(moments._range_sketch(entries, 1e-8).b, compute_uv=False)
+            padded = np.concatenate([b_values, np.zeros(size - len(b_values))])
+            assert result.singular_values.tobytes() == padded.tobytes(), label
             sketched += 1
         else:
             assert shapes == [(size, size)], label
-    # four matrices of each of the 50 corpus measures with d = 3, N >= 3 and
-    # the 16 with d = 2, N in {6, 7}, the 6 atomic d = 2 files at degrees 7
-    # and 8, and the 6 atomic d = 3 files at degrees 4 to 8; d = 2, N = 8
-    # (size 55, rank 8) fills the sketch's 8 columns and goes dense
-    assert sketched == 4 * (50 + 16) + 6 * 2 + 6 * 5
+    # the README matrix, four matrices of each of the 50 corpus measures
+    # with d = 3, N >= 3 and the 16 with d = 2, N in {6, 7}, the 6 atomic
+    # d = 2 files at degrees 7 and 8, and the 6 atomic d = 3 files at degrees
+    # 4 to 8; d = 2, N = 8 (size 55, rank 8) fills the sketch's 8 columns and
+    # goes dense
+    assert sketched == 1 + 4 * (50 + 16) + 6 * 2 + 6 * 5
 
 
 def test_corpus_ranks_are_the_dense_ones_under_counts_included():
@@ -930,7 +965,8 @@ def test_rank_at_the_threshold_falls_back_to_dense_svd(svd_spy, side):
         return (u * sigma) @ v.conj().T
 
     # clear of the threshold, the same matrix is ranked by the sketch
-    assert moments._sketched_rank(matrix(1e-7), 1e-8).rank == 5
+    sketch = moments._range_sketch(matrix(1e-7), 1e-8)
+    assert moments._sketched_ranks(sketch, [(128, None, None)], 1e-8)[0].rank == 5
     a = matrix(1e-8 * side)
     shapes = svd_spy()
     result = numerical_rank(a, 1e-8)

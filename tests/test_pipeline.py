@@ -139,6 +139,8 @@ def test_rank_layers_reports_its_sketches_and_quadrature_levels(tmp_path, run_py
     # the ops at the verify workload's median, and the page faults of d = 3 ops
     assert result["verify_small_ms"] > 0
     assert result["verify_minflt_per_op"] >= 0
+    # lone numerical_rank calls at the corpus's sizes, n = 10 and 45
+    assert 0 < result["rank_10_us"] < result["rank_45_us"] < 1e3 * result["rank_220_ms"]
     levels = result["density_level_nodes"]
     # uniform and polynomial tables are in closed form: only the Gaussian's
     # radial rules double until two levels agree

@@ -610,8 +610,8 @@ def test_verify_theorem_ranks_each_matrix_once(monkeypatch, svd_spy):
     assert seen == []
     stacked = [shape for shape in shapes if len(shape) == 3]
     assert all(shape[1:] == (28, 28) for shape in stacked)
-    # six degrees, two Galerkin kernels, one reweighted matrix
-    assert sum(shape[0] for shape in stacked) == 6 + 2 + 1
+    # the blocks of degrees 0 .. 6, two Galerkin kernels, one reweighted matrix
+    assert sum(shape[0] for shape in stacked) == 7 + 2 + 1
 
 
 # -- values computed once per process ------------------------------------------
