@@ -20,14 +20,18 @@ Times the median over --repeats runs of:
     a warm-up pass;
   * verify_rank_ms: the part of verify_ms spent in the rank calls the
     battery makes (`numerical_rank` and the `_BlockRanker` of the top
-    matrix: its sketch and its one call for every rank), per measure, each
-    timed at its outermost call, and verify_large_rank_ms the part of that
-    on matrices of size >= 32, the sketch's floor.
+    matrix: its sketch and its one call for every rank), per measure, and
+    verify_large_rank_ms the part of that on matrices of size >= 32, the
+    sketch's floor;
+  * declined_verify_ms: `verify_theorem` at degrees 1..6 on
+    `generate_measure(3, 12, seed=2, separation=0.2)`, whose top block (84)
+    has a rank that fills the sketch's width, so its sketch declines and
+    every rank of the op goes to the dense SVD; declined_sketches_per_op,
+    the range sketches of size >= 32 such an op forms: the ranker's own.
 
-`numerical_rank` and `_BlockRanker.ranks` share the rank layer's three
-functions (`_sketched_ranks`, `_dense_ranks` and the count they both call),
-so the wrappers below tell a ranker's own call from the lone calls made
-inside it.
+`_BlockRanker.ranks` reads its own sketch only and hands every query that
+sketch leaves open to the dense SVD, so no rank call below runs inside
+another.
 
 Each section also reports the widths of the range sketches it formed on
 matrices of size >= 32 (0 for a sketch that declined) and, for verify, the
@@ -35,7 +39,7 @@ number formed per measure; verify_stacked_calls_per_op, the stacked (3-D)
 QR and SVD calls per measure, the ranker's; and verify_dense_blocks: per
 pass over the measures, the blocks of size >= 16 the ranker answered
 (leading blocks and Galerkin rescalings) that the top matrix's sketch did
-not settle.
+not settle, and so the dense SVD did.
 
 A density section times the quadrature layer that feeds verify's
 rank_growth check:
@@ -115,23 +119,18 @@ def _count_sketches(widths: list) -> None:
 def _count_dense_blocks(unsettled: list) -> None:
     """Wraps `_BlockRanker.ranks` and the `_sketched_ranks` it calls on its
     own sketch, so that every block of size >= BLOCK that the sketch did not
-    settle appends its size to unsettled.  The sketches of `numerical_rank`
-    calls made inside the ranker, for the formed matrices it hands on, are
-    not the ranker's and are not counted."""
+    settle, and the dense SVD ranked, appends its size to unsettled."""
     ranks, sketched_ranks = moments._BlockRanker.ranks, moments._sketched_ranks
-    settled: list = []
-    own = [None]  # the sketch of the ranker being called
+    settled: list = []  # the blocks settled off the sketch in the current ranks call
 
     def counted_sketched(sketch, queries, rel_tol):
         found = sketched_ranks(sketch, queries, rel_tol)
-        if sketch is own[0]:
-            settled.extend(q[0] for q, r in zip(queries, found) if q[2] is None and r is not None)
+        settled.extend(q[0] for q, r in zip(queries, found) if q[2] is None and r is not None)
         return found
 
     @functools.wraps(ranks)
     def counted(self, blocks, others=()):
         settled.clear()
-        own[0] = self.sketch
         found = ranks(self, blocks, others)
         asked = sorted(size for size, _ in blocks if size >= BLOCK)
         for size in settled:
@@ -160,25 +159,18 @@ def _count_stacked(calls: list) -> None:
 
 def _time_rank_layer(calls: list) -> None:
     """Wraps the rank functions verify calls, `numerical_rank` in recovery
-    and the `_BlockRanker`'s sketch and query call, so that each outermost
-    call appends the size of the matrix it ranks and the seconds it took to
-    calls.  A rank call made inside another (`numerical_rank` inside
-    `_BlockRanker.ranks`) is part of the outer call's time, not an entry of
-    its own."""
-    depth = [0]
+    and the `_BlockRanker`'s sketch and query call, so that each call
+    appends the size of the matrix it ranks and the seconds it took to
+    calls."""
 
     def timed(function, size_of):
         @functools.wraps(function)
         def wrapper(*args, **kwargs):
-            if depth[0]:
-                return function(*args, **kwargs)
-            depth[0] += 1
             start = time.perf_counter()
             try:
                 return function(*args, **kwargs)
             finally:
                 calls.append((size_of(args), time.perf_counter() - start))
-                depth[0] -= 1
 
         return wrapper
 
@@ -279,6 +271,14 @@ def main():
     result["verify_small_ms"] = _median_ms(
         lambda: [verify_theorem(x, degrees) for x in small], args.repeats
     ) / len(small)
+    declined, declined_degrees = generate_measure(3, 12, seed=2, separation=0.2), degrees[:6]
+    if not verify_theorem(declined, declined_degrees).passed:  # and the warm-up
+        raise SystemExit("verify_theorem failed on the declined input")
+    widths.clear()
+    result["declined_verify_ms"] = _median_ms(
+        lambda: verify_theorem(declined, declined_degrees), args.repeats
+    )
+    result["declined_sketches_per_op"] = len(widths) / args.repeats
     d3 = [x for name, x in inputs if name.startswith("d3-")]
     for x in d3:  # the warm-up pass
         verify_theorem(x, degrees)

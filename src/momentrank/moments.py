@@ -34,13 +34,15 @@ matrix, the dense SVD or eigensolver decides (`_dense_ranks`).  One
 `_BlockRanker` of A answers a whole list of rank queries at once, as
 `recovery.verify_theorem` asks them: A's leading blocks, their diagonal
 rescalings s A s and other matrices of A's size, off A's one sketch in
-two stacked QRs and one stacked SVD, and the blocks below the sketch's
-floor in one zero-padded stacked SVD; no stack holds more than 1 MB.
-`numerical_rank` runs the same functions on a stack of one matrix.  A
-density's full rank is instead certified for all leading truncations at
-once by `_full_rank_certificate`: one Cholesky factorization of the
-matrix's shifted Hermitian part, which `recovery.verify_theorem` tries
-before ranking each truncation.
+two stacked QRs and one stacked SVD.  Every query that sketch leaves open
+has one answer, the dense SVD: the blocks below the sketch's floor in one
+zero-padded stacked SVD, every other query stacked only with matrices of
+its own size; no stack holds more than 1 MB.  `numerical_rank` runs the
+same functions on a stack of one matrix.  A density's full rank is
+instead certified for all leading truncations at once by
+`_full_rank_certificate`: one Cholesky factorization of the matrix's
+shifted Hermitian part, which `recovery.verify_theorem` tries before
+handing the truncations to one ranker.
 """
 
 from __future__ import annotations
@@ -719,12 +721,10 @@ class _BlockRanker:
     The ranker holds A's one range sketch (`_range_sketch`), or None when
     it declined.  A query is decided by `_sketched_ranks` off that sketch,
     for a block of size >= 16 (twice the sketch's first width) and every
-    matrix of A's size, where its certificate settles it; by one
-    `_dense_ranks` call for the blocks below the sketch's floor of 32 that
-    it does not serve; and otherwise as `numerical_rank` decides it: by
-    `_dense_ranks` for A itself, whose sketch has already declined or left
-    the rank open, and by `numerical_rank` of the formed matrix for any
-    other.
+    matrix of A's size, where its certificate settles it, and otherwise by
+    the dense SVD of the formed matrix (`_dense_ranks`): one call for all
+    open queries below the sketch's floor of 32, zero-padded to the largest,
+    and one per size from 32 up, so no sketch but A's is ever built.
     """
 
     def __init__(self, entries: np.ndarray, rel_tol: float):
@@ -749,20 +749,14 @@ class _BlockRanker:
             answers = _sketched_ranks(self.sketch, [queries[i] for i in sketched], self.rel_tol)
             for i, answer in zip(sketched, answers):
                 found[i] = answer
-        small = [
-            i for i, (size, _, _) in enumerate(queries)
-            if i not in sketched and size < _SKETCH_MIN_SIZE
-        ]
-        if small:
-            formed = [self._formed(*queries[i]) for i in small]
-            for i, answer in zip(small, _dense_ranks(formed, self.rel_tol)):
-                found[i] = answer
-        for i, (size, scale, c) in enumerate(queries):
+        groups: dict[int, list[int]] = {}  # open queries by size, all below the floor as one
+        for i, (size, _, _) in enumerate(queries):
             if found[i] is None:
-                if c is None and scale is None and size == n >= _SKETCH_MIN_SIZE:
-                    found[i] = _dense_ranks([self.entries], self.rel_tol)[0]
-                else:
-                    found[i] = numerical_rank(self._formed(size, scale, c), self.rel_tol)
+                groups.setdefault(size if size >= _SKETCH_MIN_SIZE else 0, []).append(i)
+        for group in groups.values():
+            formed = [self._formed(*queries[i]) for i in group]
+            for i, answer in zip(group, _dense_ranks(formed, self.rel_tol)):
+                found[i] = answer
         return found
 
     def _formed(self, size: int, scale, other) -> np.ndarray:

@@ -307,8 +307,9 @@ def recover_atoms(a: MomentMatrix, cfg: RecoveryConfig = RecoveryConfig()) -> Re
     fit whose pencil fails numerically (a singular eigenvector matrix, a
     failed SVD) is a failed attempt like one that misses the gate.
     Raises RecoveryError when no block fits, e.g. when the degree-(D-1)
-    block of the whole matrix is smaller than its rank, and NumericalError
-    on non-finite input or an overflowing largest singular value.
+    block of the whole matrix is smaller than its rank or the matrix has
+    degree 0, and NumericalError on non-finite input or an overflowing
+    largest singular value.
     """
     return _recover(a, _leading_ranks(a, 1, cfg.rank_tol), cfg)
 
@@ -337,6 +338,9 @@ def _recover(a: MomentMatrix, estimates, cfg: RecoveryConfig) -> RecoveryReport:
         )
     top, offsets = a.max_degree, a.basis.offsets
     log: list[str] = []
+    if top == 0:  # no block to search
+        log.append("the matrix has degree 0, but the pencil needs its degree-1 row shifts, "
+                   "so recovery needs degree >= 1")
     previous = 1 if a.entries[0, 0] != 0 else 0  # rank of the 1x1 degree-0 block
     for k, estimate in zip(range(1, top + 1), estimates):
         block = int(offsets[k])  # degree <= k - 1
@@ -447,8 +451,9 @@ def verify_theorem(
     binom(D + d, d) at every degree (unbounded rank growth, so no
     finite-rank representation exists).  One Cholesky factorization of the
     top matrix's shifted Hermitian part (`_full_rank_certificate`) proves
-    that for every degree at once; when it declines, each truncation is
-    ranked by `numerical_rank`, so the verdict is the same either way.
+    that for every degree at once; when it declines, one `_BlockRanker` of
+    the top matrix ranks every truncation, by `numerical_rank`'s rule, so
+    the verdict is the same either way.
 
     Atomic input, with D = max(degrees) and A the degree-D block: the top
     matrix is the Gram product of one monomial table of the atoms, as
@@ -482,12 +487,10 @@ def verify_theorem(
     if not isinstance(m, DiscreteMeasure):
         a_top = moment_matrix(m, d_max)
         expected = [int(a_top.basis.offsets[d + 1]) for d in degrees]
-        if _full_rank_certificate(a_top.entries, cfg.rank_tol):
-            ranks = tuple(expected)
-        else:
-            ranks = tuple(
-                numerical_rank(leading_truncation(a_top, d), cfg.rank_tol).rank for d in degrees
-            )
+        ranks = tuple(expected)
+        if not _full_rank_certificate(a_top.entries, cfg.rank_tol):
+            found = _BlockRanker(a_top.entries, cfg.rank_tol).ranks([(k, None) for k in expected])
+            ranks = tuple(x.rank for x in found)
         measured = {"degrees": list(degrees), "ranks": list(ranks), "expected": expected}
         check = CheckResult("rank_growth", list(ranks) == expected, measured)
         return TheoremVerdict("density", tuple(degrees), ranks, (check,))

@@ -698,6 +698,19 @@ def test_recover_on_a_line_measure_is_a_failure_line(tmp_path, capfd, line_momen
     assert not out.exists()
 
 
+def test_recover_at_degree_0_names_the_degree_it_needs(tmp_path, capfd):
+    m_path, a_path = tmp_path / "m.json", tmp_path / "a.json"
+    assert run("gen", "--dimension", "1", "--atoms", "2", "--seed", "1",
+               "--output", str(m_path)) == 0
+    assert run("moments", "--input", str(m_path), "--degree", "0",
+               "--output", str(a_path)) == 0
+    capfd.readouterr()
+    assert run("recover", "--input", str(a_path)) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("failure: no block fits the moments; log: ")
+    assert "degree 0" in err and "degree >= 1" in err and err.count("\n") == 1
+
+
 _PIPE = """
 import subprocess, sys
 cli = [sys.executable, "-m", "momentrank.cli"]

@@ -134,8 +134,11 @@ def test_rank_layers_reports_its_sketches_and_quadrature_levels(tmp_path, run_py
     assert all(0 < width <= 7 for width in result["verify_widths"])
     # and the top sketch settles every block of size >= 16
     assert result["verify_dense_blocks"] == 0
-    # each rank call is timed once, at its outermost call, within verify
+    # each rank call is timed once, within verify
     assert result["verify_large_rank_ms"] <= result["verify_rank_ms"] <= result["verify_ms"]
+    # a declined top sketch is the op's only one: the dense SVD ranks the rest
+    assert result["declined_sketches_per_op"] == 1.0
+    assert result["declined_verify_ms"] > 0
     # the ops at the verify workload's median, and the page faults of d = 3 ops
     assert result["verify_small_ms"] > 0
     assert result["verify_minflt_per_op"] >= 0

@@ -172,6 +172,19 @@ def test_recover_1d_fails_when_degree_below_rank():
         recover_atoms(a, RecoveryConfig(seed=19))
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_degree_0_recovery_says_it_needs_degree_1(d):
+    # the 1x1 matrix a_00 has no degree-1 row shifts for the pencil, so no
+    # block can be searched; the error says so instead of an empty log
+    a = moment_matrix(generate_measure(d, 2, seed=1), 0)
+    with pytest.raises(RecoveryError) as caught:
+        recover_atoms(a)
+    message = str(caught.value)
+    assert message.startswith("no block fits the moments; log: ")
+    assert "degree 0" in message and "degree-1 row shifts" in message
+    assert "degree >= 1" in message
+
+
 def test_projected_near_collision_recovers_through_frames():
     # atoms well separated in C^3 whose z3 projections nearly collide: the
     # axis-aligned pencil cannot resolve them, a generic frame can
@@ -720,17 +733,17 @@ def test_verify_ranks_its_large_blocks_off_one_sketch(svd_spy, monkeypatch, veri
 
 def test_a_declined_top_sketch_is_not_built_again(monkeypatch):
     # d = 3, N = 12 at degrees 1..6: the top block (84) fills the sketch's
-    # cap, so its sketch declines and the dense SVD ranks it without a second
-    # sketch of the same matrix; numerical_rank builds that repeat and
-    # reaches the same rank, bit for bit.  The two Galerkin rescalings and
-    # the reweighted matrix are other matrices, each ranked by
-    # numerical_rank with a sketch of its own
+    # cap, so its sketch declines, and every query it leaves open goes to
+    # the dense SVD without a sketch of its own: the blocks of 35 and 56, the
+    # top block itself, the two Galerkin rescalings and the reweighted
+    # matrix.  numerical_rank builds a second sketch of the top block and
+    # reaches the same rank, bit for bit
     sketched = []
     real = moments._range_sketch
 
     def recording(entries, rel_tol):
         sketch = real(entries, rel_tol)
-        if len(entries) >= 64:
+        if len(entries) >= 32:
             sketched.append((len(entries), sketch is None))
         return sketch
 
@@ -738,7 +751,7 @@ def test_a_declined_top_sketch_is_not_built_again(monkeypatch):
     m = generate_measure(3, 12, seed=2, separation=0.2)
     verdict = verify_theorem(m, list(range(1, 7)))
     assert verdict.passed
-    assert sketched == [(84, True)] * 4
+    assert sketched == [(84, True)]
     sketched.clear()
     top = moment_matrix(m, 6).entries
     found, = moments._BlockRanker(top, 1e-8).ranks([(84, None)])
@@ -751,10 +764,10 @@ def test_a_declined_top_sketch_is_not_built_again(monkeypatch):
 
 
 @pytest.mark.parametrize("size", [100, 128])
-def test_leading_rank_the_certificate_declines_is_numerical_rank(size):
+def test_leading_rank_the_certificate_declines_goes_to_the_dense_svd(size):
     # rank 5 with row and column 99 zero: a scale of 1e5 there leaves s A s
     # = A but lifts the certified error max(s)^2 (...) past the threshold,
-    # so the ranker hands the formed block to numerical_rank, while the
+    # so the ranker hands the formed block to the dense SVD, while the
     # unscaled block of the same call is settled off the sketch
     rng = np.random.default_rng(5)
     x, y = (rng.standard_normal((128, 5)) + 1j * rng.standard_normal((128, 5)) for _ in "xy")
@@ -767,10 +780,10 @@ def test_leading_rank_the_certificate_declines_is_numerical_rank(size):
     assert moments._sketched_ranks(sketch, [(size, scale, None)], 1e-8) == [None]
     block = entries[:size, :size] * scale[:, np.newaxis]
     block *= scale
-    expected = numerical_rank(block)
+    expected = moments._dense_ranks([block], 1e-8)[0]
     found, plain = moments._BlockRanker(entries, 1e-8).ranks([(size, scale), (size, None)])
     assert plain.rank == 5
-    assert found.rank == expected.rank == 5
+    assert found.rank == expected.rank == numerical_rank(block).rank == 5
     assert found.singular_values.tobytes() == expected.singular_values.tobytes()
     assert found.ill_conditioned is expected.ill_conditioned
 
@@ -936,7 +949,8 @@ def test_certified_density_verify_runs_no_svd(svd_spy, verify_inputs):
 
 def test_uncertified_density_ranks_every_truncation(svd_spy):
     # 1 + 1.5 z changes sign on the unit disk, so the certificate declines
-    # and each degree's truncation goes to the SVD
+    # and one ranker of the top matrix (9 x 9, below the sketch's floor)
+    # ranks every degree's truncation in one zero-padded stacked SVD
     m = any_measure_from_dict({
         "dimension": 1,
         "domain": {"center": [[0.0, 0.0]], "radii": [1.0]},
@@ -948,7 +962,63 @@ def test_uncertified_density_ranks_every_truncation(svd_spy):
     verdict = verify_theorem(m, list(range(1, 9)))
     assert verdict.passed
     assert verdict.ranks == tuple(range(2, 10))
-    assert shapes == [(k + 1, k + 1) for k in range(1, 9)]
+    assert shapes == [(8, 9, 9)]
+
+
+def test_the_ranker_settles_every_open_query_by_the_dense_svd(monkeypatch, verify_inputs):
+    # a query the ranker's own sketch leaves open has one answer, the dense
+    # SVD: no call of ranks sketches a matrix again or hands it to
+    # numerical_rank.  Run on the 72 atomic verify inputs, on a top sketch
+    # that declines (d = 3, N = 12 at degree 6) and on the density
+    # 1 + 1.5 z_1, which the certificate declines, below the sketch's floor
+    # (d = 1) and past it (d = 3); every rank is numerical_rank's
+    inside, calls = [], []
+    ranks = moments._BlockRanker.ranks
+
+    def guarded(self, blocks, others=()):
+        inside.append(self)
+        calls.append(self)
+        try:
+            return ranks(self, blocks, others)
+        finally:
+            inside.pop()
+
+    def refused(name, real):
+        def call(*args):
+            assert not inside, f"_BlockRanker.ranks called {name}"
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(moments._BlockRanker, "ranks", guarded)
+    for name in ("numerical_rank", "_range_sketch"):
+        monkeypatch.setattr(moments, name, refused(name, getattr(moments, name)))
+    cases = [
+        (f"{seed} {name}", any_measure_from_dict(payload), list(range(1, 9)))
+        for seed in range(4) for name, payload in verify_inputs(seed) if "-atoms" in name
+    ]
+    assert len(cases) == 72
+    cases.append(("declined", generate_measure(3, 12, seed=2, separation=0.2), list(range(1, 7))))
+    for d in (1, 3):
+        density = any_measure_from_dict({
+            "dimension": d,
+            "domain": {"center": [[0.0, 0.0]] * d, "radii": [1.0] * d},
+            "density": {"type": "polynomial", "terms": [
+                {"alpha": [0] * d, "coeff": [1.0, 0.0]},
+                {"alpha": [1] + [0] * (d - 1), "coeff": [1.5, 0.0]},
+            ]},
+        })
+        cases.append((f"density d = {d}", density, list(range(1, 9))))
+    for label, m, degrees in cases:
+        calls.clear()
+        verdict = verify_theorem(m, degrees)
+        assert verdict.passed and calls, label
+        top = moment_matrix(m, degrees[-1])
+        sizes = [top.basis.offsets[d + 1] for d in degrees]
+        assert verdict.ranks == tuple(
+            numerical_rank(top.entries[:k, :k]).rank for k in sizes
+        ), label
+    assert verdict.ranks == (4, 10, 20, 35, 56, 84, 120, 165)
 
 
 @pytest.mark.parametrize("degree", [4, 6, 8, 10, 14, 20])
